@@ -25,12 +25,10 @@ from .estimators import (
 )
 from .maxstable import (
     FddEstimate,
-    MaxStableSample,
     TailProcessSample,
     est_candidate_theta,
     est_extremal_index_blocks,
     fdd_probability,
-    sample_max_stable,
     sample_tail_process,
 )
 from .models import (

@@ -64,16 +64,18 @@ def chunk_plan(reps: int, n_cols: int) -> list[tuple[int, int, int]]:
 
 
 def resolve_threads(threads: int | None = None) -> int:
-    """Worker count: explicit argument, else PICKANDS_THREADS, else 1."""
+    """Worker count: explicit argument, else PICKANDS_THREADS, else 1.
+
+    A set PICKANDS_THREADS that is not a positive integer raises ValueError.
+    """
     if threads is not None:
         return max(1, int(threads))
     env = os.environ.get("PICKANDS_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+    if not env:
+        return 1
+    if not env.isdecimal() or int(env) < 1:
+        raise ValueError(f"PICKANDS_THREADS must be a positive integer, got {env!r}")
+    return int(env)
 
 
 def map_chunks(

@@ -8,10 +8,10 @@ path copies. Finite-dimensional laws satisfy
 
     P{zeta(t_j) <= x_j for all j} = exp(-E max_j exp(w(t_j)) / x_j),
 
-which provides an independent oracle for the simulator. Atom generation
-stops once the next weight cannot plausibly alter any pointwise maximum;
-the residual truncation bias is surfaced through a per-sample flag and the
-unit-Frechet marginal test.
+which provides an independent oracle for the simulator. The simulator is
+exact on a finite grid: it draws only the extremal functions, the atoms that
+attain zeta at some grid point (Dombry, Engelke and Oesting 2016), at an
+expected cost of one spectral path per grid point and sample.
 """
 
 from __future__ import annotations
@@ -29,32 +29,19 @@ from .models import (
     UnsupportedModelError,
     is_gaussian,
     laplace_exponent,
-    variance_at,
+    levy_increments,
     w_matrix,
 )
 
 __all__ = [
-    "MaxStableSample",
     "TailProcessSample",
     "FddEstimate",
-    "path_sup_cap",
-    "sample_max_stable",
     "max_stable_batch",
     "fdd_probability",
     "est_extremal_index_blocks",
     "sample_tail_process",
     "est_candidate_theta",
 ]
-
-
-@dataclass
-class MaxStableSample:
-    """One realization of zeta on a grid, with truncation metadata."""
-
-    grid: GridSpec
-    zeta: np.ndarray
-    atoms_used: int
-    truncation_bias_flag: bool
 
 
 @dataclass
@@ -66,92 +53,67 @@ class TailProcessSample:
     pareto: float
 
 
-def path_sup_cap(model: Model, grid: GridSpec, z: float = 3.5) -> float:
-    """High quantile bound w_cap for sup of w over the grid.
+def max_stable_batch(model: Model, grid: GridSpec, rng: np.random.Generator,
+                     count: int) -> tuple[np.ndarray, np.ndarray]:
+    """``count`` independent exact draws of zeta on the grid.
 
-    Chosen so that E[exp(w(t)); w(t) > w_cap] is negligible at every grid
-    point: for Gaussian models that expectation equals Phi(-(w - sigma^2/2)
-    / sigma), giving w_cap = max_t (sigma^2(t)/2 + z sigma(t)); for Levy
-    models a tilted Chernoff bound is used with the largest finite tilt
-    among 2, 1.5 and 1.25.
+    Returns (zeta, draws), draws being the number of spectral paths each
+    sample used. Extremal-function algorithm (Dombry, Engelke and Oesting
+    2016): at each grid point t_j in turn, a sample walks the weights
+    1/Gamma of a fresh Poisson process while they exceed zeta(t_j), draws a
+    path Y from the law of exp(w) tilted at t_j (so Y(t_j) = 1) and keeps
+    Y / Gamma if it stays below zeta at every earlier point; a kept path
+    sets zeta(t_j) = 1/Gamma and so ends the walk. The expected number of
+    draws per sample equals the number of grid points.
     """
-    t = grid.times()
-    if is_gaussian(model):
-        s2 = variance_at(model, t)
-        return float(np.max(0.5 * s2 + z * np.sqrt(s2)))
-    phi1 = laplace_exponent(model, 1.0)
-    for theta in (2.0, 1.5, 1.25):
-        try:
-            phi_t = laplace_exponent(model, theta)
-        except Exception:
-            continue
-        # P(w(t) > w) <= exp(-theta w + t (Phi(theta) - theta Phi(1)))
-        growth = float(np.max(t * (phi_t - theta * phi1), initial=0.0))
-        return (z**2 / 2.0 + growth) / (theta - 1.0)
-    return z**2 / 2.0 + math.log(max(grid.n_points, 2))
-
-
-def max_stable_batch(
-    model: Model,
-    grid: GridSpec,
-    rng: np.random.Generator,
-    count: int,
-    *,
-    n_atoms: int = 4096,
-    z_cap: float = 3.5,
-    atom_block: int = 16,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``count`` independent draws of zeta on the grid.
-
-    Returns (zeta, atoms_used, bias_flag). Atoms are generated in blocks
-    for all still-active samples; a sample retires once the next weight
-    1/Gamma falls below min_t zeta(t) * exp(-w_cap), after which no further
-    atom can change any pointwise maximum up to the w_cap quantile. The
-    flag marks samples that hit the ``n_atoms`` cap instead.
-    """
-    if n_atoms < 1:
-        raise ValueError("n_atoms must be >= 1")
     if not is_gaussian(model) and grid.i_min < 0:
         raise UnsupportedModelError("the Levy construction is defined for t >= 0 only")
-    w_cap = path_sup_cap(model, grid, z_cap)
     npts = grid.n_points
     zeta = np.zeros((count, npts))
-    gamma = np.zeros(count)
-    atoms = np.zeros(count, dtype=int)
-    flag = np.zeros(count, dtype=bool)
-    active = np.arange(count)
-    while active.size:
-        block = min(atom_block, n_atoms - int(atoms[active].min()))
-        block = max(block, 1)
-        na = active.size
-        # next block of Poisson weights for every active sample
-        steps = rng.exponential(size=(na, block))
-        gammas = gamma[active, None] + np.cumsum(steps, axis=1)
-        w = w_matrix(model, grid, rng, na * block).reshape(na, block, npts)
-        contrib = np.exp(w) / gammas[..., None]
-        zeta[active] = np.maximum(zeta[active], contrib.max(axis=1))
-        gamma[active] = gammas[:, -1]
-        atoms[active] += block
-        # retire samples whose next weight cannot matter
-        threshold = zeta[active].min(axis=1) * math.exp(-w_cap)
-        done = (1.0 / gamma[active]) < threshold
-        capped = atoms[active] >= n_atoms
-        flag[active[capped & ~done]] = True
-        active = active[~(done | capped)]
-    return zeta, atoms, flag
+    draws = np.zeros(count, dtype=int)
+    for j in range(npts):
+        active = np.arange(count)
+        gamma = rng.exponential(size=count)
+        while True:
+            go = 1.0 / gamma > zeta[active, j]
+            active, gamma = active[go], gamma[go]
+            if not active.size:
+                break
+            draws[active] += 1
+            y = np.exp(_tilted_log_paths(model, grid.delta, npts, j, rng, active.size))
+            y /= gamma[:, None]
+            keep = np.all(y[:, :j] < zeta[active, :j], axis=1)
+            zeta[active[keep]] = np.maximum(zeta[active[keep]], y[keep])
+            gamma += rng.exponential(size=gamma.size)
+    return zeta, draws
 
 
-def sample_max_stable(
-    model: Model,
-    grid: GridSpec,
-    n_atoms: int,
-    rng: np.random.Generator,
-    *,
-    z_cap: float = 3.5,
-) -> MaxStableSample:
-    """One draw of zeta on the grid with at most ``n_atoms`` Poisson atoms."""
-    zeta, atoms, flag = max_stable_batch(model, grid, rng, 1, n_atoms=n_atoms, z_cap=z_cap)
-    return MaxStableSample(grid, zeta[0], int(atoms[0]), bool(flag[0]))
+def _tilted_log_paths(
+    model: Model, delta: float, npts: int, j: int, rng: np.random.Generator, n: int
+) -> np.ndarray:
+    """n draws of log Y at grid points 0..npts-1, Y ~ exp(w) tilted at point j.
+
+    Gaussian: by Brown-Resnick stationarity Y = exp(w(. - t_j)), read off one
+    two-sided path on lags -(npts-1)..npts-1. Levy: Y = exp(w(. - t_j)) from
+    t_j on; before it, log Y(t_j - s) = s Phi(1) - V(s) where V is the Esscher
+    tilt by 1 of the input (exponent Phi(1 + theta) - Phi(1)): drift sigma^2,
+    jump rate lambda E e^J and tilted jump law. Phi of the tilted law is not
+    needed (its Phi(1) = Phi(2) - Phi(1) may be infinite).
+    """
+    if is_gaussian(model):
+        w = w_matrix(model, GridSpec(delta, -(npts - 1), npts - 1), rng, n)
+        return w[:, npts - 1 - j:2 * npts - 1 - j]
+    out = np.empty((n, npts))
+    out[:, j:] = w_matrix(model, GridSpec(delta, 0, npts - 1 - j), rng, n)
+    if j:
+        jumps = model.jump_rate > 0
+        rate = model.jump_rate * model.jump_law.mgf(1.0) if jumps else 0.0
+        law = model.jump_law.tilted() if jumps else None
+        inc = levy_increments(model.diffusion, rate, law, delta, rng, (n, j))
+        s = delta * np.arange(1, j + 1)
+        v = np.cumsum(inc, axis=1) + model.diffusion**2 * s
+        out[:, j - 1::-1] = laplace_exponent(model, 1.0) * s - v
+    return out
 
 
 @dataclass(frozen=True)
@@ -186,7 +148,16 @@ def fdd_probability(
     """P{zeta(t_j) <= x_j for all j} = exp(-E max_j exp(w(t_j)) / x_j).
 
     The exponent is estimated by Monte Carlo over w paths and the standard
-    error of the probability follows by the delta method.
+    error of the probability follows by the delta method. For Gaussian
+    models the plain average is replaced by the shift-invariant rewrite of
+    est_extremal_index_blocks,
+
+        E max_j x(t_j) / x_j = sum_k E[ max_j x(t_j - t_k) / x_j
+                                        / (x_k sum_i x(t_i - t_k) / x_i) ],
+
+    read off one two-sided path, whose per-replication value is bounded by
+    sum_k 1 / x_k: the plain average of the lognormal max is heavy-tailed and
+    understates its standard error once sigma^2 at the largest lag is large.
     """
     t = np.asarray(points, dtype=float)
     x = np.asarray(thresholds, dtype=float)
@@ -198,10 +169,24 @@ def fdd_probability(
         raise ValueError("need at least two replications to form a standard error")
     grid, cols = _containing_grid(model, t)
     log_x = np.log(x)
+    gaussian = is_gaussian(model)
+    if gaussian:
+        span = int(cols.max() - cols.min())
+        grid = GridSpec(grid.delta, -span, span)
+        windows = [cols - c + span for c in cols]
 
     def worker(index, start, count, rng):
         w = w_matrix(model, grid, rng, count)
-        m = np.exp((w[:, cols] - log_x[None, :]).max(axis=1))
+        if gaussian:
+            # one row per time, for fast reductions over times; every window holds
+            # lag 0, where x = 1, so no sum vanishes
+            e = np.exp(w.T, order="C")
+            m = np.zeros(count)
+            for k, window in enumerate(windows):
+                y = e[window] / x[:, None]
+                m += y.max(axis=0) / (x[k] * y.sum(axis=0))
+        else:
+            m = np.exp((w[:, cols] - log_x[None, :]).max(axis=1))
         return count, np.array([m.sum()]), np.array([np.square(m).sum()])
 
     partials = engine.map_chunks(worker, seed, reps, grid.n_points, threads)

@@ -16,7 +16,7 @@ Two input families are supported:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -211,6 +211,7 @@ def increment_autocov(vf: VarianceFunction, delta: float, max_lag: int) -> np.nd
 
 
 _EIG_CACHE: dict = {}
+_MISSING = object()  # None is a cached value: it marks the Cholesky fallback
 
 
 def _embedding_eigs(gamma: np.ndarray, cache_key=None) -> np.ndarray | None:
@@ -219,8 +220,11 @@ def _embedding_eigs(gamma: np.ndarray, cache_key=None) -> np.ndarray | None:
     Returns None when a structurally negative eigenvalue is found (caller
     falls back to Cholesky); round-off negatives are clipped to 0.
     """
-    if cache_key is not None and cache_key in _EIG_CACHE:
-        return _EIG_CACHE[cache_key]
+    if cache_key is not None:
+        # one lookup: another thread may clear the cache between a test and an index
+        eigs = _EIG_CACHE.get(cache_key, _MISSING)
+        if eigs is not _MISSING:
+            return eigs
     m = gamma.size - 1
     c = np.concatenate([gamma[:m], gamma[m:m + 1], gamma[m - 1:0:-1]])
     eigs = np.fft.fft(c).real
@@ -392,6 +396,14 @@ class JumpLaw:
             raise ModelError(f"jump mgf is infinite at theta = {theta}")
         return self.rate / (self.rate - theta)
 
+    def tilted(self) -> "JumpLaw":
+        """The Esscher tilt by 1: density proportional to exp(x) times this law's."""
+        if self.kind == "normal":
+            return replace(self, mean=self.mean + self.sd**2)
+        if self.kind == "exponential":
+            return replace(self, rate=self.rate - 1.0)
+        return self
+
     def sum_sample(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Sum of ``counts`` i.i.d. jumps, vectorized over an integer array."""
         if self.kind == "constant":
@@ -439,6 +451,16 @@ def levy_lambda(model: LevyModel) -> float:
     return 0.5 * laplace_exponent(model, 1.0) - laplace_exponent(model, 0.5)
 
 
+def levy_increments(diffusion: float, jump_rate: float, jump_law: JumpLaw | None, dt: float,
+                    rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+    """Independent increments over steps dt of diffusion * BM plus compound Poisson jumps."""
+    inc = rng.standard_normal(shape) * (diffusion * np.sqrt(dt))
+    if jump_rate > 0:
+        counts = rng.poisson(jump_rate * dt, shape).astype(float)
+        inc += jump_law.sum_sample(counts, rng)
+    return inc
+
+
 def levy_w_matrix(model: LevyModel, grid: GridSpec, rng: np.random.Generator, n: int) -> np.ndarray:
     """n draws of w(delta i) = b(delta i) - Phi(1) delta i on a one-sided grid."""
     if grid.i_min < 0:
@@ -447,11 +469,7 @@ def levy_w_matrix(model: LevyModel, grid: GridSpec, rng: np.random.Generator, n:
     w = np.zeros((n, grid.n_points))
     if steps == 0:
         return w
-    dt = grid.delta
-    inc = rng.standard_normal((n, steps)) * (model.diffusion * np.sqrt(dt))
-    if model.jump_rate > 0:
-        counts = rng.poisson(model.jump_rate * dt, (n, steps)).astype(float)
-        inc += model.jump_law.sum_sample(counts, rng)
+    inc = levy_increments(model.diffusion, model.jump_rate, model.jump_law, grid.delta, rng, (n, steps))
     np.cumsum(inc, axis=1, out=w[:, 1:])
     w -= laplace_exponent(model, 1.0) * grid.times()[None, :]
     w[:, 0] = 0.0

@@ -108,6 +108,23 @@ def alpha2_sup_mean(T: float, delta: float) -> float:
     return total
 
 
+def alpha2_fdd_exponent(points, thresholds) -> float:
+    """E max_j exp(w(t_j)) / x_j for the alpha = 2 family, w(t) = sqrt(2) t Z - t^2.
+
+    One-dimensional quadrature over the driving normal Z; the finite-dimensional
+    law of zeta is exp of minus this value."""
+    t = np.asarray(points, dtype=float)
+    log_x = np.log(np.asarray(thresholds, dtype=float))
+
+    def integrand(l):
+        return np.exp(np.max(np.sqrt(2.0) * t * l - t * t - log_x) - 0.5 * l * l) / np.sqrt(2.0 * np.pi)
+
+    edge = np.sqrt(2.0) * float(np.max(np.abs(t)))
+    val, _ = quad(integrand, -edge - 12.0, edge + 12.0, limit=400,
+                  points=sorted({0.0, edge, -edge}), epsabs=1e-13)
+    return val
+
+
 def smallball_one_sided(eta: float, k_max: int, h: float = 0.004, x_min: float = -6.0) -> float:
     """q = P{B(1/k) <= eta for all 1 <= k <= k_max}, B standard Brownian.
 

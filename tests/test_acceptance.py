@@ -164,8 +164,9 @@ class TestCriterion6:
     @pytest.mark.xfail(
         strict=True,
         reason="at n=1e4, r_n=100 the block formula's exact value is 0.52909, a +1.7% "
-               "finite-block systematic above delta*H=0.52050 that no large-replication "
-               "CI can absorb; see the decisions ledger",
+               "finite-block systematic above the limit delta*H=0.52050 that no "
+               "large-replication CI can absorb; test_blocks_match_exact_finite_block_value "
+               "checks the blocks estimator against that exact finite-block value",
     )
     def test_blocks_overlap_delta_H_as_stated(self):
         blocks = est_extremal_index_blocks(FBM2, 1.0, self.N, 60_000, r_n=self.R, seed=1008)
@@ -187,7 +188,7 @@ class TestCriterion7:
         oracle = fdd_probability(FBM2, points, thresholds, 400_000, seed=1009)
         grid = GridSpec(1.0, 0, max(1, int(max(points))))
         cols = np.asarray(points, dtype=int)
-        zeta, _, _ = max_stable_batch(FBM2, grid, chunk_stream(1010, 0), self.SAMPLES)
+        zeta, _ = max_stable_batch(FBM2, grid, chunk_stream(1010, 0), self.SAMPLES)
         emp = float(np.mean(np.all(zeta[:, cols] <= np.asarray(thresholds)[None, :], axis=1)))
         se = math.sqrt(emp * (1 - emp) / self.SAMPLES)
         gap = abs(emp - oracle.probability)
@@ -196,14 +197,15 @@ class TestCriterion7:
 
     def test_marginal_ks(self):
         grid = GridSpec(1.0, 0, 1)
-        zeta, _, flags = max_stable_batch(FBM2, grid, chunk_stream(1011, 0), self.SAMPLES,
-                                          n_atoms=16384)
-        ok = flags.mean() <= 1e-4
+        zeta, draws = max_stable_batch(FBM2, grid, chunk_stream(1011, 0), self.SAMPLES)
+        # exact simulation: about one spectral path per grid point and sample
+        ok = abs(draws.mean() - grid.n_points) <= 0.05 * grid.n_points
         pvals = []
         for j in range(2):
             pvals.append(float(stats.kstest(zeta[:, j], frechet_cdf).pvalue))
             ok = ok and pvals[-1] > 0.01
-        report("7", ok, f"unit-Frechet marginals, KS p-values {['%.3f' % p for p in pvals]}")
+        report("7", ok, f"unit-Frechet marginals, KS p-values {['%.3f' % p for p in pvals]}, "
+                        f"{draws.mean():.3f} draws per sample")
 
 
 class TestCriterion8:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import FROZEN, alpha2_constant, alpha2_sup_mean
+from pickands.engine import resolve_threads
 from pickands.estimators import (
     EXACT_METHODS,
     TruncationPolicy,
@@ -220,6 +221,22 @@ class TestDeterminism:
         monkeypatch.setenv("PICKANDS_THREADS", "1")
         b = est_exceedance(FBM1, 1.0, 20_000, seed=5)
         assert a == b
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_bad_thread_env_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("PICKANDS_THREADS", value)
+        with pytest.raises(ValueError, match="PICKANDS_THREADS"):
+            resolve_threads()
+
+    @pytest.mark.parametrize("value", [None, "", "  "])
+    def test_unset_thread_env_means_one(self, monkeypatch, value):
+        if value is None:
+            monkeypatch.delenv("PICKANDS_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("PICKANDS_THREADS", value)
+        assert resolve_threads() == 1
+        monkeypatch.setenv("PICKANDS_THREADS", "3")
+        assert resolve_threads() == 3
 
 
 class TestCrosscheck:

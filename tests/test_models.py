@@ -1,5 +1,8 @@
 """Path models: variance functions, covariance identities, exact samplers."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from pickands.models import (
     gaussian_b_matrix,
     gaussian_grid_cov,
     gaussian_w_matrix,
+    increment_autocov,
     laplace_exponent,
     levy_lambda,
     levy_w_matrix,
@@ -21,6 +25,7 @@ from pickands.models import (
     sample_levy_path,
     variance_at,
 )
+from pickands.models import _EIG_CACHE, _embedding_eigs
 
 
 class TestVarianceFunction:
@@ -176,7 +181,66 @@ class TestGaussianSampler:
         assert np.array_equal(a, b)
 
 
+class TestEmbeddingCache:
+    def test_concurrent_lookups_survive_clears(self):
+        # 100 keys overflow the 64-entry cache, so lookups race with clears;
+        # one key caches None (structurally negative eigenvalues)
+        cases = [(("fbm", k), increment_autocov(VarianceFunction.fbm(0.5 + k % 15 / 10), 1.0, 8 + k % 5))
+                 for k in range(99)]
+        cases.append((("negative",), np.array([1.0, 0.9, -0.5])))
+        expected = [_embedding_eigs(gamma) for _, gamma in cases]
+        assert expected[-1] is None
+
+        def sweep(offset):
+            for r in range(20):
+                for i in range(len(cases)):
+                    k = (i + offset + r) % len(cases)
+                    got = _embedding_eigs(cases[k][1], cache_key=cases[k][0])
+                    if expected[k] is None:
+                        assert got is None
+                    else:
+                        assert np.array_equal(got, expected[k])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                list(pool.map(sweep, range(0, 100, 25), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+            _EIG_CACHE.clear()
+
+    def test_clear_between_lookup_steps(self):
+        # a clear by another worker landing inside the lookup, made deterministic:
+        # the key clears the cache the second time it is hashed after arming
+        class RacingKey:
+            hashes = None
+
+            def __hash__(self):
+                if self.hashes is not None:
+                    self.hashes += 1
+                    if self.hashes == 2:
+                        _EIG_CACHE.clear()
+                return 1
+
+        key, gamma = RacingKey(), np.array([1.0, 0.9, -0.5])
+        assert _embedding_eigs(gamma, cache_key=key) is None
+        key.hashes = 0
+        assert _embedding_eigs(gamma, cache_key=key) is None
+
+
 class TestLevy:
+    @pytest.mark.parametrize("law", [
+        JumpLaw("constant", value=0.7),
+        JumpLaw("normal", mean=0.2, sd=0.7),
+        JumpLaw("exponential", rate=1.5),
+    ])
+    def test_tilted_law_mgf(self, law):
+        # Esscher tilt by 1: E' exp(theta J) = E exp((theta + 1) J) / E exp(J)
+        tilted = law.tilted()
+        for theta in (-1.0, -0.3, 0.2):
+            assert tilted.mgf(theta) == pytest.approx(law.mgf(theta + 1.0) / law.mgf(1.0))
+
     def test_laplace_exponent_examples(self):
         assert laplace_exponent(LevyModel.brownian(), 1.0) == pytest.approx(0.5)
         cp = LevyModel(diffusion=0.0, jump_rate=1.0, jump_law=JumpLaw("constant", value=1.0))
