@@ -25,25 +25,20 @@ from .estimators import (
 )
 from .maxstable import (
     FddEstimate,
-    TailProcessSample,
     est_candidate_theta,
     est_extremal_index_blocks,
     fdd_probability,
-    sample_tail_process,
 )
 from .models import (
     GridSpec,
     JumpLaw,
     LevyModel,
     ModelError,
-    PathSample,
     UnsupportedModelError,
     VarianceFunction,
     gaussian_grid_cov,
     laplace_exponent,
     levy_lambda,
-    sample_gaussian_path,
-    sample_levy_path,
     variance_at,
 )
 from .smallball import (

@@ -30,6 +30,7 @@ from .estimators import (
     est_time_reversed,
 )
 from .maxstable import (
+    _containing_grid,
     est_candidate_theta,
     est_extremal_index_blocks,
     fdd_probability,
@@ -58,6 +59,8 @@ ESTIMATORS = {
     "theta-candidate": est_candidate_theta,
     "theta-blocks": est_extremal_index_blocks,
 }
+# the methods that take delta = 0, all others need a positive grid step
+CONTINUUM_METHODS = ("definitional", "continuous-dy")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -204,7 +207,10 @@ def _run_single_estimate(args, model, method: str) -> dict:
 
 def cmd_estimate(args) -> int:
     model = build_model(args)
-    methods = list(ESTIMATORS) if args.method == "all" else [args.method]
+    if args.method != "all":
+        methods = [args.method]
+    else:
+        methods = list(CONTINUUM_METHODS if args.delta == 0 else ESTIMATORS)
     records = []
     config = _config(args)
     for method in methods:
@@ -263,7 +269,7 @@ def cmd_maxstable(args) -> int:
         thresholds = ([float(v) for v in args.thresholds.split(",")] if args.thresholds
                       else [2.0, 3.0][: len(points)])
         oracle = fdd_probability(model, points, thresholds, args.reps, seed=args.seed + 1)
-        grid, cols = _fdd_grid(model, points)
+        grid, cols = _containing_grid(model, np.asarray(points))
         rng = engine.chunk_stream(args.seed, 0)
         zeta, _ = max_stable_batch(model, grid, rng, args.samples)
         zeta = zeta[:, cols]
@@ -309,12 +315,6 @@ def cmd_maxstable(args) -> int:
     if not ok:
         print(f"maxstable: {args.check} check failed", file=sys.stderr)
     return 0 if ok else 1
-
-
-def _fdd_grid(model, points):
-    from .maxstable import _containing_grid
-
-    return _containing_grid(model, np.asarray(points, dtype=float))
 
 
 def _export_samples(args, model) -> None:

@@ -9,6 +9,7 @@ many worker threads execute the chunks (``PICKANDS_THREADS``).
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
@@ -19,8 +20,10 @@ __all__ = [
     "chunk_stream",
     "chunk_plan",
     "map_chunks",
-    "MomentAccumulator",
+    "reduce_moments",
     "resolve_threads",
+    "run",
+    "select_level",
 ]
 
 # Target number of matrix entries (paths x grid points) held by one chunk.
@@ -42,8 +45,8 @@ def chunk_stream(seed: int, chunk: int, salt: int = 0) -> np.random.Generator:
     )
 
 
-def chunk_plan(reps: int, n_cols: int) -> list[tuple[int, int, int]]:
-    """Split ``reps`` replications into (chunk_index, start, count) triples.
+def chunk_plan(reps: int, n_cols: int) -> list[int]:
+    """Replication counts of the chunks that ``reps`` replications split into.
 
     The split depends only on ``reps`` and ``n_cols`` (the per-replication
     row width), keeping the randomness assignment reproducible.
@@ -52,15 +55,7 @@ def chunk_plan(reps: int, n_cols: int) -> list[tuple[int, int, int]]:
         raise ValueError("reps must be positive")
     size = CHUNK_BUDGET // max(1, int(n_cols))
     size = int(min(MAX_CHUNK, max(MIN_CHUNK, size), reps))
-    plan = []
-    start = 0
-    index = 0
-    while start < reps:
-        count = min(size, reps - start)
-        plan.append((index, start, count))
-        start += count
-        index += 1
-    return plan
+    return [min(size, reps - start) for start in range(0, reps, size)]
 
 
 def resolve_threads(threads: int | None = None) -> int:
@@ -79,58 +74,80 @@ def resolve_threads(threads: int | None = None) -> int:
 
 
 def map_chunks(
-    worker: Callable[[int, int, int, np.random.Generator], object],
+    worker: Callable[[np.random.Generator, int], object],
     seed: int,
     reps: int,
     n_cols: int,
     threads: int | None = None,
     salt: int = 0,
 ) -> list[object]:
-    """Run ``worker(chunk_index, start, count, rng)`` over every chunk.
+    """Run ``worker(rng, count)`` over every chunk of the plan.
 
     Results are returned in chunk order so that any reduction performed by
     the caller is independent of the execution schedule.
     """
-    plan = chunk_plan(reps, n_cols)
+    counts = chunk_plan(reps, n_cols)
     n_workers = resolve_threads(threads)
 
-    def run(item: tuple[int, int, int]) -> object:
-        index, start, count = item
-        return worker(index, start, count, chunk_stream(seed, index, salt))
+    def chunk(index: int) -> object:
+        return worker(chunk_stream(seed, index, salt), counts[index])
 
-    if n_workers <= 1 or len(plan) <= 1:
-        return [run(item) for item in plan]
+    if n_workers <= 1 or len(counts) <= 1:
+        return [chunk(index) for index in range(len(counts))]
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(run, plan))
+        return list(pool.map(chunk, range(len(counts))))
 
 
-class MomentAccumulator:
-    """Ordered accumulation of first and second moments per output column."""
-
-    def __init__(self, n_cols: int):
-        self.n = 0
-        self.s1 = np.zeros(n_cols)
-        self.s2 = np.zeros(n_cols)
-
-    def add_counts(self, count: int, s1: np.ndarray, s2: np.ndarray) -> None:
-        self.n += int(count)
-        self.s1 += s1
-        self.s2 += s2
-
-    def mean(self) -> np.ndarray:
-        return self.s1 / self.n
-
-    def stderr(self) -> np.ndarray:
-        """Sample standard deviation of the mean, sqrt(var / n)."""
-        if self.n < 2:
-            raise ValueError("need at least two replications to form a standard error")
-        var = (self.s2 - np.square(self.s1) / self.n) / (self.n - 1)
-        return np.sqrt(np.maximum(var, 0.0) / self.n)
+def _chunk_sums(values: np.ndarray, count: int) -> tuple[int, np.ndarray, np.ndarray]:
+    v = np.reshape(values, (count, -1))
+    return count, v.sum(axis=0), np.square(v).sum(axis=0)
 
 
-def reduce_moments(partials: Sequence[tuple[int, np.ndarray, np.ndarray]], n_cols: int) -> MomentAccumulator:
-    """Combine per-chunk (count, sum, sumsq) partials in chunk order."""
-    acc = MomentAccumulator(n_cols)
-    for count, s1, s2 in partials:
-        acc.add_counts(count, s1, s2)
-    return acc
+def reduce_moments(partials: Sequence[tuple[int, np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error per column from per-chunk (count, sum, sumsq), added in chunk order."""
+    n, s1, s2 = 0, 0.0, 0.0
+    for count, a, b in partials:
+        n, s1, s2 = n + count, s1 + a, s2 + b
+    if n < 2:
+        raise ValueError("need at least two replications to form a standard error")
+    var = (s2 - np.square(s1) / n) / (n - 1)
+    return s1 / n, np.sqrt(np.maximum(var, 0.0) / n)
+
+
+def run(
+    worker: Callable[[np.random.Generator, int], np.ndarray | dict],
+    seed: int,
+    reps: int,
+    n_cols: int,
+    threads: int | None = None,
+    salt: int = 0,
+) -> tuple[np.ndarray, np.ndarray] | dict:
+    """Mean and standard error per column of the values ``worker(rng, count)`` returns.
+
+    ``worker`` returns the per-replication values of one chunk: a (count,) or
+    (count, k) array, or, for runs whose estimators share paths, a dict of
+    such arrays, in which case a dict of (mean, stderr) pairs is returned.
+    Each chunk is reduced to its count, sum and sum of squares on the thread
+    that ran it, so no more than one chunk of values is held per thread.
+    """
+
+    @functools.wraps(worker)  # keeps the caller's __module__, by which traces attribute chunk time
+    def sums(rng: np.random.Generator, count: int):
+        values = worker(rng, count)
+        if isinstance(values, dict):
+            return {key: _chunk_sums(v, count) for key, v in values.items()}
+        return _chunk_sums(values, count)
+
+    partials = map_chunks(sums, seed, reps, n_cols, threads, salt)
+    if isinstance(partials[0], dict):
+        return {key: reduce_moments([p[key] for p in partials]) for key in partials[0]}
+    return reduce_moments(partials)
+
+
+def select_level(means: np.ndarray, ses: np.ndarray, rel_tol: float) -> tuple[int, bool]:
+    """Doubling rule: the first level whose change from the previous one is at
+    most ``rel_tol`` times its standard error, and True; else the last level, and False."""
+    for lvl in range(1, means.size):
+        if abs(means[lvl] - means[lvl - 1]) <= rel_tol * ses[lvl]:
+            return lvl, True
+    return means.size - 1, False

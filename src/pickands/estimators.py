@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -60,13 +61,8 @@ __all__ = [
     "est_time_reversed",
     "est_continuous_dy",
     "crosscheck",
-    "TWO_SIDED_METHODS",
-    "ONE_SIDED_METHODS",
     "EXACT_METHODS",
 ]
-
-ONE_SIDED_METHODS = ("definitional", "exceedance", "difference")
-TWO_SIDED_METHODS = ("argmax", "dieker-yakir", "time-reversed")
 
 
 @dataclass(frozen=True)
@@ -169,23 +165,9 @@ def _policy_or_default(policy: TruncationPolicy | None, model: Model, delta: flo
     return TruncationPolicy(initial=max(16, cap // 4), max_horizon=cap)
 
 
-def _select_level(means: np.ndarray, ses: np.ndarray, rel_tol: float) -> tuple[int, bool]:
-    """First doubling step whose change is below rel_tol * stderr."""
-    for lvl in range(1, means.size):
-        if abs(means[lvl] - means[lvl - 1]) <= rel_tol * ses[lvl]:
-            return lvl, True
-    return means.size - 1, False
-
-
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ValueError(message)
-
-
-def _one_sided_w(model: Model, delta: float, n_max: int, rng: np.random.Generator, count: int) -> np.ndarray:
-    """(count, n_max) draws of w(delta i), i = 1..n_max."""
-    grid = GridSpec(delta, 0, n_max)
-    return w_matrix(model, grid, rng, count)[:, 1:]
 
 
 def _two_sided_w(model: Model, delta: float, n_max: int, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -198,12 +180,14 @@ def _two_sided_w(model: Model, delta: float, n_max: int, rng: np.random.Generato
 
 
 # --- per-replication level values ------------------------------------------
-# Each helper maps simulated paths to a (count, n_levels) array of values
-# whose mean estimates H^delta at the corresponding truncation horizon.
+# Each kernel maps what it reads of the simulated paths to a (count, n_levels)
+# array of values whose mean estimates H^delta at the corresponding truncation
+# horizon.
 
 
-def _values_exceedance(pos_cummax: np.ndarray, expo: np.ndarray, levels: np.ndarray, delta: float) -> np.ndarray:
-    m = pos_cummax[:, levels - 1]
+def _values_exceedance(cummax: np.ndarray, expo: np.ndarray, levels: np.ndarray, delta: float) -> np.ndarray:
+    """Exceedance event over the lags ``cummax`` runs over: i >= 1, or i <= -1 for time reversal."""
+    m = cummax[:, levels - 1]
     return (m + expo[:, None] <= 0.0).astype(float) / delta
 
 
@@ -218,17 +202,14 @@ def _values_argmax(pos_cummax: np.ndarray, neg_cummax: np.ndarray, levels: np.nd
     return ((mn < 0.0) & (mp <= 0.0)).astype(float) / delta
 
 
-def _values_time_reversed(neg_cummax: np.ndarray, expo: np.ndarray, levels: np.ndarray, delta: float) -> np.ndarray:
-    m = neg_cummax[:, levels - 1]
-    return (m + expo[:, None] <= 0.0).astype(float) / delta
-
-
-def _values_ratio(w: np.ndarray, origin: int, levels: np.ndarray, step: float) -> np.ndarray:
+def _values_ratio(w: np.ndarray, levels: np.ndarray, step: float) -> np.ndarray:
     """max exp(w) / (step * sum exp(w)) over |i| <= level, in log domain.
 
+    ``w`` holds a symmetric two-sided grid, origin in the middle column.
     Shifting by the row maximum over the full grid keeps every exponential
     in [0, 1]; the shift cancels exactly in the ratio.
     """
+    origin = w.shape[1] // 2
     shift = w.max(axis=1, keepdims=True)
     e = np.exp(w - shift)
     pos_csum = np.cumsum(e[:, origin + 1:], axis=1)
@@ -243,42 +224,83 @@ def _values_ratio(w: np.ndarray, origin: int, levels: np.ndarray, step: float) -
     return out
 
 
+@dataclass(frozen=True)
+class _Kernel:
+    """A value kernel and its inputs, passed in this order: the running maxima
+    of w over positive lags ("pos") or negative lags ("neg"), or the whole
+    two-sided path ("path"); then the exponential E if ``expo``; then the
+    levels and the grid step."""
+
+    values: Callable[..., np.ndarray]
+    reads: tuple[str, ...]
+    expo: bool = False
+
+
+_KERNELS = {
+    "exceedance": _Kernel(_values_exceedance, ("pos",), expo=True),
+    "difference": _Kernel(_values_difference, ("pos",)),
+    "argmax": _Kernel(_values_argmax, ("pos", "neg")),
+    "dieker-yakir": _Kernel(_values_ratio, ("path",)),
+    "time-reversed": _Kernel(_values_exceedance, ("neg",), expo=True),
+}
+EXACT_METHODS = tuple(_KERNELS)
+
+
 # --- estimators --------------------------------------------------------------
 
 
-def _run_one_sided(
-    model: Model,
-    delta: float,
-    reps: int,
-    policy: TruncationPolicy | None,
-    seed: int,
-    threads: int | None,
-    with_expo: bool,
-    method: str,
-) -> EstimateResult:
+def _shared_path_moments(model: Model, delta: float, reps: int, kernels: dict, levels: np.ndarray,
+                         seed: int, threads: int | None) -> dict:
+    """Means and standard errors per level of every kernel, all on the same paths.
+
+    Paths hold w(delta i) for 1 <= i <= n when every kernel reads positive
+    lags only, and for |i| <= n otherwise (n the last level). E is drawn
+    after w, and only if some kernel reads it; only the running maxima that
+    some kernel reads are built.
+    """
+    n = int(levels[-1])
+    reads = {r for k in kernels.values() for r in k.reads}
+    one_sided = reads == {"pos"}
+    with_expo = any(k.expo for k in kernels.values())
+
+    def worker(rng, count):
+        if one_sided:
+            w = w_matrix(model, GridSpec(delta, 0, n), rng, count)[:, 1:]
+            paths = {"pos": np.maximum.accumulate(w, axis=1, out=w)}
+        else:
+            paths = {"path": _two_sided_w(model, delta, n, rng, count)}
+            if "pos" in reads:
+                paths["pos"] = np.maximum.accumulate(paths["path"][:, n + 1:], axis=1)
+            if "neg" in reads:
+                paths["neg"] = np.maximum.accumulate(paths["path"][:, :n][:, ::-1], axis=1)
+        expo = (rng.exponential(size=count),) if with_expo else ()
+        return {name: k.values(*(paths[r] for r in k.reads), *(expo if k.expo else ()), levels, delta)
+                for name, k in kernels.items()}
+
+    return engine.run(worker, seed, reps, n if one_sided else 2 * n + 1, threads)
+
+
+def _run_exact(model: Model, delta: float, reps: int, methods, policy: TruncationPolicy | None,
+               seed: int, threads: int | None, extra: dict | None = None) -> tuple[dict, dict]:
+    """Registry ``methods`` on shared paths, each at the level the doubling rule selects.
+
+    Returns the EstimateResults and the raw moments of every kernel, which
+    include those of the ``extra`` kernels evaluated on the same paths.
+    """
     _require(delta > 0, "delta must be positive")
     _require(reps >= 2, "need at least two replications to form a standard error")
     policy = _policy_or_default(policy, model, delta)
     levels = np.asarray(policy.levels())
-    n_max = int(levels[-1])
-
-    def worker(index, start, count, rng):
-        w = _one_sided_w(model, delta, n_max, rng, count)
-        np.maximum.accumulate(w, axis=1, out=w)
-        if with_expo:
-            expo = rng.exponential(size=count)
-            vals = _values_exceedance(w, expo, levels, delta)
-        else:
-            vals = _values_difference(w, levels, delta)
-        return count, vals.sum(axis=0), np.square(vals).sum(axis=0)
-
-    partials = engine.map_chunks(worker, seed, reps, n_max, threads)
-    acc = engine.reduce_moments(partials, levels.size)
-    means, ses = acc.mean(), acc.stderr()
-    lvl, stable = _select_level(means, ses, policy.rel_tol)
-    flags = () if stable else ("truncation-unstable",)
-    return EstimateResult(method, delta, float(means[lvl]), float(ses[lvl]), reps,
-                          int(levels[lvl]), stable, seed, flags=flags)
+    kernels = {m: _KERNELS[m] for m in methods} | (extra or {})
+    moments = _shared_path_moments(model, delta, reps, kernels, levels, seed, threads)
+    results = {}
+    for m in methods:
+        means, ses = moments[m]
+        lvl, stable = engine.select_level(means, ses, policy.rel_tol)
+        flags = () if stable else ("truncation-unstable",)
+        results[m] = EstimateResult(m, delta, float(means[lvl]), float(ses[lvl]), reps,
+                                    int(levels[lvl]), stable, seed, flags=flags)
+    return results, moments
 
 
 def est_exceedance(
@@ -294,7 +316,7 @@ def est_exceedance(
 
     E is a fresh unit exponential per replication, independent of the path.
     """
-    return _run_one_sided(model, delta, reps, policy, seed, threads, True, "exceedance")
+    return _run_exact(model, delta, reps, ("exceedance",), policy, seed, threads)[0]["exceedance"]
 
 
 def est_difference(
@@ -311,46 +333,7 @@ def est_difference(
     With x(0) = 1 the per-sample identity max(1, s) - s = (1 - s)_+ makes
     this the one-step difference of grid sup expectations.
     """
-    return _run_one_sided(model, delta, reps, policy, seed, threads, False, "difference")
-
-
-def _run_two_sided(
-    model: Model,
-    delta: float,
-    reps: int,
-    policy: TruncationPolicy | None,
-    seed: int,
-    threads: int | None,
-    method: str,
-) -> EstimateResult:
-    _require(delta > 0, "delta must be positive")
-    _require(reps >= 2, "need at least two replications to form a standard error")
-    policy = _policy_or_default(policy, model, delta)
-    levels = np.asarray(policy.levels())
-    n_max = int(levels[-1])
-
-    def worker(index, start, count, rng):
-        w = _two_sided_w(model, delta, n_max, rng, count)
-        origin = n_max
-        if method == "dieker-yakir":
-            vals = _values_ratio(w, origin, levels, delta)
-        else:
-            neg = np.maximum.accumulate(w[:, :origin][:, ::-1], axis=1)
-            if method == "argmax":
-                pos = np.maximum.accumulate(w[:, origin + 1:], axis=1)
-                vals = _values_argmax(pos, neg, levels, delta)
-            else:
-                expo = rng.exponential(size=count)
-                vals = _values_time_reversed(neg, expo, levels, delta)
-        return count, vals.sum(axis=0), np.square(vals).sum(axis=0)
-
-    partials = engine.map_chunks(worker, seed, reps, 2 * n_max + 1, threads)
-    acc = engine.reduce_moments(partials, levels.size)
-    means, ses = acc.mean(), acc.stderr()
-    lvl, stable = _select_level(means, ses, policy.rel_tol)
-    flags = () if stable else ("truncation-unstable",)
-    return EstimateResult(method, delta, float(means[lvl]), float(ses[lvl]), reps,
-                          int(levels[lvl]), stable, seed, flags=flags)
+    return _run_exact(model, delta, reps, ("difference",), policy, seed, threads)[0]["difference"]
 
 
 def est_argmax(
@@ -367,7 +350,7 @@ def est_argmax(
     Since w(0) = 0 the event says the two-sided grid supremum of w is
     attained, uniquely among negative indices, at 0. Gaussian models only.
     """
-    return _run_two_sided(model, delta, reps, policy, seed, threads, "argmax")
+    return _run_exact(model, delta, reps, ("argmax",), policy, seed, threads)[0]["argmax"]
 
 
 def est_dieker_yakir(
@@ -384,7 +367,7 @@ def est_dieker_yakir(
     Two-sided ratio representation; per-sample values are bounded by
     1/delta because the max is one summand of the sum.
     """
-    return _run_two_sided(model, delta, reps, policy, seed, threads, "dieker-yakir")
+    return _run_exact(model, delta, reps, ("dieker-yakir",), policy, seed, threads)[0]["dieker-yakir"]
 
 
 def est_time_reversed(
@@ -401,7 +384,7 @@ def est_time_reversed(
     The exceedance formula applied to the time-reversed process, which
     shares the constant. Gaussian models only.
     """
-    return _run_two_sided(model, delta, reps, policy, seed, threads, "time-reversed")
+    return _run_exact(model, delta, reps, ("time-reversed",), policy, seed, threads)[0]["time-reversed"]
 
 
 def est_definitional(
@@ -435,14 +418,11 @@ def est_definitional(
     k_max = int(math.floor(T / step + 1e-12))
     grid = GridSpec(step, 0, k_max)
 
-    def worker(index, start, count, rng):
-        w = w_matrix(model, grid, rng, count)
-        vals = np.exp(w.max(axis=1)) / T
-        return count, np.array([vals.sum()]), np.array([np.square(vals).sum()])
+    def worker(rng, count):
+        return np.exp(w_matrix(model, grid, rng, count).max(axis=1)) / T
 
-    partials = engine.map_chunks(worker, seed, reps, grid.n_points, threads)
-    acc = engine.reduce_moments(partials, 1)
-    return EstimateResult("definitional", delta, float(acc.mean()[0]), float(acc.stderr()[0]),
+    mean, se = engine.run(worker, seed, reps, grid.n_points, threads)
+    return EstimateResult("definitional", delta, float(mean[0]), float(se[0]),
                           reps, k_max, True, seed, mesh=mesh, flags=flags)
 
 
@@ -472,14 +452,8 @@ def est_continuous_dy(
     m = int(round(window / eta))
     levels = np.asarray(sorted({max(1, m // 2), m}))
 
-    def worker(index, start, count, rng):
-        w = _two_sided_w(model, eta, m, rng, count)
-        vals = _values_ratio(w, m, levels, eta)
-        return count, vals.sum(axis=0), np.square(vals).sum(axis=0)
-
-    partials = engine.map_chunks(worker, seed, reps, 2 * m + 1, threads)
-    acc = engine.reduce_moments(partials, levels.size)
-    means, ses = acc.mean(), acc.stderr()
+    kernel = {"dieker-yakir": _KERNELS["dieker-yakir"]}
+    means, ses = _shared_path_moments(model, eta, reps, kernel, levels, seed, threads)["dieker-yakir"]
     stable = bool(levels.size < 2 or abs(means[-1] - means[-2]) <= rel_tol * ses[-1])
     flags = () if stable else ("window-unstable",)
     return EstimateResult("continuous-dy", 0.0, float(means[-1]), float(ses[-1]), reps,
@@ -520,9 +494,6 @@ def _ci_overlap(a: EstimateResult, b: EstimateResult) -> bool:
     lo_a, hi_a = a.ci95()
     lo_b, hi_b = b.ci95()
     return lo_a <= hi_b and lo_b <= hi_a
-
-
-EXACT_METHODS = ("exceedance", "difference", "argmax", "dieker-yakir", "time-reversed")
 
 
 def feasible_definitional_T(model: Model, delta: float, reps: int) -> float:
@@ -571,48 +542,17 @@ def crosscheck(
     if not is_gaussian(model):
         raise UnsupportedModelError("crosscheck needs the two-sided Gaussian construction")
     policy = _policy_or_default(policy, model, delta)
-    levels = np.asarray(policy.levels())
-    n_max = int(levels[-1])
+    n_max = policy.levels()[-1]
     horizon_T = T if T is not None else min(n_max * delta, feasible_definitional_T(model, delta, reps))
     # number of positive grid points inside [0, T]; 0 leaves only the origin
     k_T = min(n_max, int(math.floor(horizon_T / delta + 1e-12)))
 
-    def worker(index, start, count, rng):
-        w = _two_sided_w(model, delta, n_max, rng, count)
-        expo = rng.exponential(size=count)
-        origin = n_max
-        pos = np.maximum.accumulate(w[:, origin + 1:], axis=1)
-        neg = np.maximum.accumulate(w[:, :origin][:, ::-1], axis=1)
-        blocks = {
-            "exceedance": _values_exceedance(pos, expo, levels, delta),
-            "difference": _values_difference(pos, levels, delta),
-            "argmax": _values_argmax(pos, neg, levels, delta),
-            "dieker-yakir": _values_ratio(w, origin, levels, delta),
-            "time-reversed": _values_time_reversed(neg, expo, levels, delta),
-        }
-        if include_definitional:
-            sup = np.maximum(pos[:, k_T - 1], 0.0) if k_T >= 1 else np.zeros(count)
-            blocks["definitional"] = (np.exp(sup) / horizon_T)[:, None]
-        return count, {k: (v.sum(axis=0), np.square(v).sum(axis=0)) for k, v in blocks.items()}
+    def definitional(pos, levels, delta):
+        sup = np.maximum(pos[:, k_T - 1], 0.0) if k_T >= 1 else np.zeros(pos.shape[0])
+        return np.exp(sup) / horizon_T
 
-    partials = engine.map_chunks(worker, seed, reps, 2 * n_max + 1, threads)
-    results = {}
-    names = list(EXACT_METHODS) + (["definitional"] if include_definitional else [])
-    for name in names:
-        width = 1 if name == "definitional" else levels.size
-        acc = engine.reduce_moments(
-            [(count, block[name][0], block[name][1]) for count, block in partials], width
-        )
-        means, ses = acc.mean(), acc.stderr()
-        if name == "definitional":
-            results[name] = EstimateResult(name, delta, float(means[0]), float(ses[0]), reps,
-                                           k_T, True, seed)
-        else:
-            lvl, stable = _select_level(means, ses, policy.rel_tol)
-            flags = () if stable else ("truncation-unstable",)
-            results[name] = EstimateResult(name, delta, float(means[lvl]), float(ses[lvl]), reps,
-                                           int(levels[lvl]), stable, seed, flags=flags)
-
+    extra = {"definitional": _Kernel(definitional, ("pos",))} if include_definitional else None
+    results, moments = _run_exact(model, delta, reps, EXACT_METHODS, policy, seed, threads, extra)
     overlap = {}
     all_ok = True
     for i, a in enumerate(EXACT_METHODS):
@@ -622,7 +562,9 @@ def crosscheck(
             all_ok = all_ok and ok
     dominates = None
     if include_definitional:
-        d = results["definitional"]
+        means, ses = moments["definitional"]
+        d = results["definitional"] = EstimateResult("definitional", delta, float(means[0]), float(ses[0]),
+                                                     reps, k_T, True, seed)
         dominates = all(
             d.estimate + 3.0 * math.hypot(d.stderr, results[m].stderr) >= results[m].estimate
             for m in EXACT_METHODS

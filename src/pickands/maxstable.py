@@ -34,23 +34,12 @@ from .models import (
 )
 
 __all__ = [
-    "TailProcessSample",
     "FddEstimate",
     "max_stable_batch",
     "fdd_probability",
     "est_extremal_index_blocks",
-    "sample_tail_process",
     "est_candidate_theta",
 ]
-
-
-@dataclass
-class TailProcessSample:
-    """One draw of the tail process y(i) = P * exp(w(delta i)), P unit Pareto."""
-
-    grid: GridSpec
-    y: np.ndarray
-    pareto: float
 
 
 def max_stable_batch(model: Model, grid: GridSpec, rng: np.random.Generator,
@@ -136,6 +125,9 @@ class FddEstimate:
         }
 
 
+_FDD_BLOCK = 8192
+
+
 def fdd_probability(
     model: Model,
     points: list[float],
@@ -147,17 +139,19 @@ def fdd_probability(
 ) -> FddEstimate:
     """P{zeta(t_j) <= x_j for all j} = exp(-E max_j exp(w(t_j)) / x_j).
 
-    The exponent is estimated by Monte Carlo over w paths and the standard
-    error of the probability follows by the delta method. For Gaussian
-    models the plain average is replaced by the shift-invariant rewrite of
-    est_extremal_index_blocks,
+    The exponent is estimated by Monte Carlo and the standard error of the
+    probability follows by the delta method. The plain average of the
+    lognormal (or heavy-tailed Levy) max is replaced by the shift-invariant
+    rewrite of est_extremal_index_blocks,
 
-        E max_j x(t_j) / x_j = sum_k E[ max_j x(t_j - t_k) / x_j
-                                        / (x_k sum_i x(t_i - t_k) / x_i) ],
+        E max_j x(t_j) / x_j = sum_k E[ max_j Y_k(t_j) / x_j
+                                        / (x_k sum_i Y_k(t_i) / x_i) ],
 
-    read off one two-sided path, whose per-replication value is bounded by
-    sum_k 1 / x_k: the plain average of the lognormal max is heavy-tailed and
-    understates its standard error once sigma^2 at the largest lag is large.
+    Y_k being x under the law tilted at t_k (weighted by x(t_k)), whose
+    per-replication value is bounded by sum_k 1 / x_k. The law of Y_k(t_k + s)
+    does not depend on k, so every Y_k is read off one path on the lags
+    -span..span tilted at lag 0: w itself for Gaussian models, the
+    simulator's tilted draw (_tilted_log_paths) for Levy models.
     """
     t = np.asarray(points, dtype=float)
     x = np.asarray(thresholds, dtype=float)
@@ -168,32 +162,29 @@ def fdd_probability(
     if reps < 2:
         raise ValueError("need at least two replications to form a standard error")
     grid, cols = _containing_grid(model, t)
-    log_x = np.log(x)
-    gaussian = is_gaussian(model)
-    if gaussian:
-        span = int(cols.max() - cols.min())
-        grid = GridSpec(grid.delta, -span, span)
-        windows = [cols - c + span for c in cols]
+    span = int(cols.max() - cols.min())
+    grid = GridSpec(grid.delta, -span, span)
+    windows = [cols - c + span for c in cols]
 
-    def worker(index, start, count, rng):
-        w = w_matrix(model, grid, rng, count)
-        if gaussian:
-            # one row per time, for fast reductions over times; every window holds
-            # lag 0, where x = 1, so no sum vanishes
-            e = np.exp(w.T, order="C")
-            m = np.zeros(count)
+    def worker(rng, count):
+        if is_gaussian(model):
+            w = w_matrix(model, grid, rng, count)
+        else:
+            w = _tilted_log_paths(model, grid.delta, grid.n_points, span, rng, count)
+        # blocks of rows small enough to stay in cache, with one row per time for
+        # fast reductions over times; every window holds lag 0, where Y_k = 1, so
+        # no sum vanishes
+        m = np.zeros(count)
+        for rows in range(0, count, _FDD_BLOCK):
+            e = np.exp(w[rows:rows + _FDD_BLOCK].T, order="C")
             for k, window in enumerate(windows):
                 y = e[window] / x[:, None]
-                m += y.max(axis=0) / (x[k] * y.sum(axis=0))
-        else:
-            m = np.exp((w[:, cols] - log_x[None, :]).max(axis=1))
-        return count, np.array([m.sum()]), np.array([np.square(m).sum()])
+                m[rows:rows + _FDD_BLOCK] += y.max(axis=0) / (x[k] * y.sum(axis=0))
+        return m
 
-    partials = engine.map_chunks(worker, seed, reps, grid.n_points, threads)
-    acc = engine.reduce_moments(partials, 1)
-    mean, se = float(acc.mean()[0]), float(acc.stderr()[0])
-    prob = math.exp(-mean)
-    return FddEstimate(prob, prob * se, mean, se, reps)
+    mean, se = engine.run(worker, seed, reps, grid.n_points, threads)
+    prob = math.exp(-mean[0])
+    return FddEstimate(prob, prob * float(se[0]), float(mean[0]), float(se[0]), reps)
 
 
 def _containing_grid(model: Model, times: np.ndarray) -> tuple[GridSpec, np.ndarray]:
@@ -259,14 +250,11 @@ def est_extremal_index_blocks(
         )
     grid = GridSpec(delta, -r_n, r_n)
 
-    def worker(index, start, count, rng):
-        w = w_matrix(model, grid, rng, count)
-        vals = _block_sup_values(w, r_n)
-        return count, np.array([vals.sum()]), np.array([np.square(vals).sum()])
+    def worker(rng, count):
+        return _block_sup_values(w_matrix(model, grid, rng, count), r_n)
 
-    partials = engine.map_chunks(worker, seed, reps, grid.n_points, threads)
-    acc = engine.reduce_moments(partials, 1)
-    c_hat, c_se = float(acc.mean()[0]), float(acc.stderr()[0])
+    mean, se = engine.run(worker, seed, reps, grid.n_points, threads)
+    c_hat, c_se = float(mean[0]), float(se[0])
     p_hat = -math.expm1(-c_hat / n)
     theta = (n / r_n) * p_hat
     se = math.exp(-c_hat / n) * c_se / r_n
@@ -301,24 +289,6 @@ def _block_sup_values(w: np.ndarray, r: int) -> np.ndarray:
     # the window starting at column r - j covers grid indices (0..r) - j,
     # so summing the ratio over all r + 1 starts sums over all shifts j
     return (np.exp(maxes) / sums).sum(axis=1)
-
-
-def sample_tail_process(
-    model: Model,
-    delta: float,
-    grid: GridSpec,
-    rng: np.random.Generator,
-) -> TailProcessSample:
-    """One draw of (y(i))_{i in grid} = P exp(w(delta i)), P unit Pareto.
-
-    The tail process of the max-stable sequence sampled at step delta;
-    y(0) = P > 1 always.
-    """
-    if grid.delta != delta:
-        grid = GridSpec(delta, grid.i_min, grid.i_max, grid.mesh)
-    pareto = 1.0 / rng.uniform()
-    w = w_matrix(model, grid, rng, 1)[0]
-    return TailProcessSample(grid, pareto * np.exp(w), float(pareto))
 
 
 def est_candidate_theta(

@@ -17,6 +17,7 @@ Two input families are supported:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -27,13 +28,10 @@ __all__ = [
     "JumpLaw",
     "LevyModel",
     "GridSpec",
-    "PathSample",
     "variance_at",
     "gaussian_grid_cov",
-    "sample_gaussian_path",
     "laplace_exponent",
     "levy_lambda",
-    "sample_levy_path",
 ]
 
 # Relative tolerance for eigenvalue checks of covariance and embedding
@@ -157,25 +155,6 @@ class GridSpec:
         return self.delta * self.indices()
 
 
-@dataclass
-class PathSample:
-    """One realization of w on a grid; w[grid.origin] is exactly 0."""
-
-    grid: GridSpec
-    w: np.ndarray
-
-    def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=float)
-        if self.w.shape != (self.grid.n_points,):
-            raise ValueError("path length does not match the grid")
-        if self.w[self.grid.origin] != 0.0:
-            raise ValueError("w(0) must be exactly 0")
-
-    def x(self) -> np.ndarray:
-        """exp(w) on the grid."""
-        return np.exp(self.w)
-
-
 # ---------------------------------------------------------------------------
 # Gaussian sampling
 
@@ -210,35 +189,30 @@ def increment_autocov(vf: VarianceFunction, delta: float, max_lag: int) -> np.nd
     )
 
 
-_EIG_CACHE: dict = {}
-_MISSING = object()  # None is a cached value: it marks the Cholesky fallback
-
-
-def _embedding_eigs(gamma: np.ndarray, cache_key=None) -> np.ndarray | None:
+def _embedding_eigs(gamma: np.ndarray) -> np.ndarray | None:
     """Circulant-embedding eigenvalues for increment autocovariance gamma(0..m).
 
     Returns None when a structurally negative eigenvalue is found (caller
     falls back to Cholesky); round-off negatives are clipped to 0.
     """
-    if cache_key is not None:
-        # one lookup: another thread may clear the cache between a test and an index
-        eigs = _EIG_CACHE.get(cache_key, _MISSING)
-        if eigs is not _MISSING:
-            return eigs
     m = gamma.size - 1
     c = np.concatenate([gamma[:m], gamma[m:m + 1], gamma[m - 1:0:-1]])
     eigs = np.fft.fft(c).real
     top = float(eigs.max(initial=0.0))
     if top <= 0.0:
-        eigs = np.zeros_like(eigs)
-    elif eigs.min() < -PSD_RTOL * top:
-        eigs = None
-    else:
-        eigs = np.maximum(eigs, 0.0)
-    if cache_key is not None:
-        if len(_EIG_CACHE) > 64:
-            _EIG_CACHE.clear()
-        _EIG_CACHE[cache_key] = eigs
+        return np.zeros_like(eigs)
+    if eigs.min() < -PSD_RTOL * top:
+        return None
+    return np.maximum(eigs, 0.0)
+
+
+@lru_cache(maxsize=64)
+def _parametric_eigs(kind: str, alpha: float, scale: float, delta: float, n_inc: int) -> np.ndarray | None:
+    """Embedding eigenvalues of a parametric model, shared read-only across calls and threads."""
+    vf = VarianceFunction(kind, alpha=alpha, scale=scale)
+    eigs = _embedding_eigs(increment_autocov(vf, delta, n_inc))
+    if eigs is not None:
+        eigs.flags.writeable = False
     return eigs
 
 
@@ -278,7 +252,7 @@ def _cholesky_factor(cov: np.ndarray) -> np.ndarray:
     jitter = 0.0
     for _ in range(5):
         try:
-            return np.linalg.cholesky(cov + jitter * np.eye(cov.shape[0]))
+            return np.linalg.cholesky(cov + jitter * np.eye(cov.shape[0]) if jitter else cov)
         except np.linalg.LinAlgError:
             jitter = 1e-12 * tr if jitter == 0.0 else 10.0 * jitter
     raise ModelError("Cholesky factorization failed; covariance is not positive semidefinite")
@@ -318,9 +292,8 @@ def gaussian_b_matrix(
             return _increments_to_b(inc, grid.origin)
 
     if method in ("auto", "embedding"):
-        gamma = increment_autocov(vf, grid.delta, n_inc)
-        key = (vf.kind, vf.alpha, vf.scale, grid.delta, n_inc) if vf.parametric else None
-        eigs = _embedding_eigs(gamma, cache_key=key)
+        eigs = (_parametric_eigs(vf.kind, vf.alpha, vf.scale, grid.delta, n_inc) if vf.parametric
+                else _embedding_eigs(increment_autocov(vf, grid.delta, n_inc)))
         if eigs is not None:
             inc = _stationary_sequence(eigs, rng, n, n_inc)
             return _increments_to_b(inc, grid.origin)
@@ -349,16 +322,6 @@ def gaussian_w_matrix(
     b -= 0.5 * variance_at(vf, grid.times())[None, :]
     b[:, grid.origin] = 0.0
     return b
-
-
-def sample_gaussian_path(
-    vf: VarianceFunction,
-    grid: GridSpec,
-    rng: np.random.Generator,
-    method: str = "auto",
-) -> PathSample:
-    """One exact draw of the drift-corrected Gaussian path on the grid."""
-    return PathSample(grid, gaussian_w_matrix(vf, grid, rng, 1, method=method)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -476,11 +439,6 @@ def levy_w_matrix(model: LevyModel, grid: GridSpec, rng: np.random.Generator, n:
     return w
 
 
-def sample_levy_path(model: LevyModel, grid: GridSpec, rng: np.random.Generator) -> PathSample:
-    """One draw of the drift-corrected Levy path on a one-sided grid."""
-    return PathSample(grid, levy_w_matrix(model, grid, rng, 1)[0])
-
-
 # ---------------------------------------------------------------------------
 # Shared dispatch helpers
 
@@ -489,10 +447,6 @@ Model = VarianceFunction | LevyModel
 
 def is_gaussian(model: Model) -> bool:
     return isinstance(model, VarianceFunction)
-
-
-def supports_two_sided(model: Model) -> bool:
-    return is_gaussian(model)
 
 
 def w_matrix(model: Model, grid: GridSpec, rng: np.random.Generator, n: int) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import engine
-from .models import ModelError
+from .models import _cholesky_factor
 
 __all__ = [
     "SmallBallEstimate",
@@ -128,26 +128,15 @@ def _reciprocal_factor(alpha: float, k_max: int) -> np.ndarray:
     """Cholesky factor of Cov b_alpha on (1/1, -1/1, 1/2, -1/2, ...).
 
     Columns are ordered by |k| so that nested cutoffs are prefixes. The
-    times cluster at 0, so a diagonal jitter of at most 1e-12 * trace is
-    allowed before giving up.
+    times cluster at 0, so the covariance may need a diagonal jitter.
     """
     k = np.arange(1, k_max + 1, dtype=float)
     t = np.empty(2 * k_max)
     t[0::2] = 1.0 / k
     t[1::2] = -1.0 / k
     at = np.abs(t)
-    cov = 0.5 * (at[:, None] ** alpha + at[None, :] ** alpha - np.abs(t[:, None] - t[None, :]) ** alpha)
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        pass
-    jitter = 1e-12 * float(np.trace(cov))
-    try:
-        return np.linalg.cholesky(cov + jitter * np.eye(cov.shape[0]))
-    except np.linalg.LinAlgError as exc:
-        raise ModelError(
-            f"reciprocal-grid covariance for alpha={alpha}, K={k_max} is numerically singular"
-        ) from exc
+    return _cholesky_factor(
+        0.5 * (at[:, None] ** alpha + at[None, :] ** alpha - np.abs(t[:, None] - t[None, :]) ** alpha))
 
 
 def est_smallball_prob(
@@ -182,30 +171,22 @@ def est_smallball_prob(
     k_max = int(levels[-1])
 
     if factorize:
-        accs = []
-        for salt in (1, 2):
-            def worker(index, start, count, rng):
-                vals = _one_sided_indicators(eta, k_max, levels, rng, count)
-                return count, vals.sum(axis=0), np.square(vals).sum(axis=0)
+        def worker(rng, count):
+            return _one_sided_indicators(eta, k_max, levels, rng, count)
 
-            partials = engine.map_chunks(worker, seed, reps, k_max, threads, salt=salt)
-            accs.append(engine.reduce_moments(partials, levels.size))
-        q_pos, q_neg = accs[0].mean(), accs[1].mean()
-        se_pos, se_neg = accs[0].stderr(), accs[1].stderr()
+        (q_pos, se_pos), (q_neg, se_neg) = (engine.run(worker, seed, reps, k_max, threads, salt=salt)
+                                            for salt in (1, 2))
         probs = q_pos * q_neg
         ses = np.sqrt((q_pos * se_neg) ** 2 + (q_neg * se_pos) ** 2)
     else:
         factor = _reciprocal_factor(alpha, k_max)
 
-        def worker(index, start, count, rng):
-            vals = _two_sided_indicators(eta, levels, rng, count, factor)
-            return count, vals.sum(axis=0), np.square(vals).sum(axis=0)
+        def worker(rng, count):
+            return _two_sided_indicators(eta, levels, rng, count, factor)
 
-        partials = engine.map_chunks(worker, seed, reps, 2 * k_max, threads)
-        acc = engine.reduce_moments(partials, levels.size)
-        probs, ses = acc.mean(), acc.stderr()
+        probs, ses = engine.run(worker, seed, reps, 2 * k_max, threads)
 
-    lvl, stable = _select_cutoff(probs, ses, rel_tol)
+    lvl, stable = engine.select_level(probs, ses, rel_tol)
     flags = [] if stable else ["cutoff-unstable"]
     if probs[lvl] == 0.0:
         flags.append("zero-probability; increase reps or eta")
@@ -221,13 +202,6 @@ def est_smallball_prob(
         factorized=factorize,
         flags=tuple(flags),
     )
-
-
-def _select_cutoff(probs: np.ndarray, ses: np.ndarray, rel_tol: float) -> tuple[int, bool]:
-    for lvl in range(1, probs.size):
-        if abs(probs[lvl] - probs[lvl - 1]) <= rel_tol * ses[lvl]:
-            return lvl, True
-    return probs.size - 1, False
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,17 @@ class TestEstimate:
         assert "exceedance" in methods and "difference" in methods
         assert "argmax" not in methods and "time-reversed" not in methods
 
+    def test_method_all_at_delta_zero(self, tmp_path):
+        # only definitional and continuous-dy are defined at delta = 0
+        out = tmp_path / "all0.json"
+        args = ["estimate", "--family", "fbm", "--alpha", "1", "--mesh", "0.05",
+                "--method", "all", "--reps", "200", "--seed", "1"]
+        run_cli([*args, "--delta", "0", "--out", str(out)])
+        recs = json.loads(out.read_text())
+        assert [r["method"] for r in recs] == ["definitional", "continuous-dy"]
+        assert all(r["mesh"] == 0.05 for r in recs)
+        assert run_cli([*args, "--delta", "-1"], check=False).returncode == 2
+
     def test_csv_format(self, tmp_path):
         out = tmp_path / "r.csv"
         run_cli(["estimate", "--family", "fbm", "--alpha", "1", "--delta", "1",

@@ -21,11 +21,9 @@ from pickands.models import (
     laplace_exponent,
     levy_lambda,
     levy_w_matrix,
-    sample_gaussian_path,
-    sample_levy_path,
     variance_at,
 )
-from pickands.models import _EIG_CACHE, _embedding_eigs
+from pickands.models import _embedding_eigs, _parametric_eigs
 
 
 class TestVarianceFunction:
@@ -162,8 +160,8 @@ class TestGaussianSampler:
     def test_w_zero_at_origin(self):
         vf = VarianceFunction.fbm(1.5)
         grid = GridSpec(1.0, -4, 4)
-        path = sample_gaussian_path(vf, grid, np.random.default_rng(3))
-        assert path.w[grid.origin] == 0.0
+        w = gaussian_w_matrix(vf, grid, np.random.default_rng(3), 1)[0]
+        assert w[grid.origin] == 0.0
 
     @pytest.mark.parametrize("alpha", [1.0, 1.5])
     def test_martingale_normalization(self, alpha):
@@ -176,30 +174,27 @@ class TestGaussianSampler:
     def test_determinism(self):
         vf = VarianceFunction.fbm(0.7)
         grid = GridSpec(0.25, -5, 9)
-        a = sample_gaussian_path(vf, grid, chunk_stream(9, 0)).w
-        b = sample_gaussian_path(vf, grid, chunk_stream(9, 0)).w
+        a = gaussian_w_matrix(vf, grid, chunk_stream(9, 0), 1)[0]
+        b = gaussian_w_matrix(vf, grid, chunk_stream(9, 0), 1)[0]
         assert np.array_equal(a, b)
 
 
 class TestEmbeddingCache:
     def test_concurrent_lookups_survive_clears(self):
-        # 100 keys overflow the 64-entry cache, so lookups race with clears;
-        # one key caches None (structurally negative eigenvalues)
-        cases = [(("fbm", k), increment_autocov(VarianceFunction.fbm(0.5 + k % 15 / 10), 1.0, 8 + k % 5))
-                 for k in range(99)]
-        cases.append((("negative",), np.array([1.0, 0.9, -0.5])))
-        expected = [_embedding_eigs(gamma) for _, gamma in cases]
-        assert expected[-1] is None
+        # 100 keys overflow the 64-entry cache, so lookups race with evictions
+        keys = [("power" if k % 2 else "scaled-power", 0.5 + k % 16 / 10, 1.0 + k % 3, 1.0, 8 + k % 7)
+                for k in range(100)]
+        expected = [_embedding_eigs(increment_autocov(VarianceFunction(kind, alpha=a, scale=s), d, n))
+                    for kind, a, s, d, n in keys]
+        _parametric_eigs.cache_clear()
 
         def sweep(offset):
             for r in range(20):
-                for i in range(len(cases)):
-                    k = (i + offset + r) % len(cases)
-                    got = _embedding_eigs(cases[k][1], cache_key=cases[k][0])
-                    if expected[k] is None:
-                        assert got is None
-                    else:
-                        assert np.array_equal(got, expected[k])
+                for i in range(len(keys)):
+                    k = (i + offset + r) % len(keys)
+                    got = _parametric_eigs(*keys[k])
+                    assert not got.flags.writeable
+                    assert np.array_equal(got, expected[k])
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -208,25 +203,7 @@ class TestEmbeddingCache:
                 list(pool.map(sweep, range(0, 100, 25), timeout=120))
         finally:
             sys.setswitchinterval(interval)
-            _EIG_CACHE.clear()
-
-    def test_clear_between_lookup_steps(self):
-        # a clear by another worker landing inside the lookup, made deterministic:
-        # the key clears the cache the second time it is hashed after arming
-        class RacingKey:
-            hashes = None
-
-            def __hash__(self):
-                if self.hashes is not None:
-                    self.hashes += 1
-                    if self.hashes == 2:
-                        _EIG_CACHE.clear()
-                return 1
-
-        key, gamma = RacingKey(), np.array([1.0, 0.9, -0.5])
-        assert _embedding_eigs(gamma, cache_key=key) is None
-        key.hashes = 0
-        assert _embedding_eigs(gamma, cache_key=key) is None
+        assert _parametric_eigs.cache_info().currsize <= 64
 
 
 class TestLevy:
@@ -268,7 +245,7 @@ class TestLevy:
 
     def test_one_sided_only(self):
         with pytest.raises(UnsupportedModelError):
-            sample_levy_path(LevyModel.brownian(), GridSpec(1.0, -1, 1), np.random.default_rng(0))
+            levy_w_matrix(LevyModel.brownian(), GridSpec(1.0, -1, 1), np.random.default_rng(0), 1)
 
     def test_path_moments(self):
         n = 120_000
