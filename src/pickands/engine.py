@@ -4,7 +4,13 @@ Replications are partitioned into fixed-size chunks. Chunk ``c`` of a run
 with master seed ``s`` draws all of its randomness from a counter-based
 Philox stream keyed by ``(s, c)``, and partial results are reduced in chunk
 order. Output is therefore bit-identical for a given seed regardless of how
-many worker threads execute the chunks (``PICKANDS_THREADS``).
+many worker threads execute the chunks (``PICKANDS_THREADS``, by default the
+CPUs this process may run on).
+
+Each thread holds one chunk at a time, so peak memory is about the thread
+count times one chunk's working set. Samplers and value kernels keep that
+working set small by walking a chunk in row blocks (``row_blocks``,
+``by_row_blocks``) of a fixed byte size, which changes no value.
 """
 
 from __future__ import annotations
@@ -17,11 +23,13 @@ from typing import Callable, Sequence
 import numpy as np
 
 __all__ = [
+    "by_row_blocks",
     "chunk_stream",
     "chunk_plan",
     "map_chunks",
     "reduce_moments",
     "resolve_threads",
+    "row_blocks",
     "run",
     "select_level",
 ]
@@ -32,6 +40,12 @@ __all__ = [
 CHUNK_BUDGET = 1 << 22
 MIN_CHUNK = 16
 MAX_CHUNK = 65536
+# Bytes of input one row block holds (see row_blocks). Small enough that a
+# block's temporaries stay in cache and a chunk's few full-size arrays set its
+# peak memory; at least 2^19, so that a block of the block-sup kernel holds
+# 2^15 or more window ratios, the size from which NumPy lays them out as it
+# would for the whole chunk.
+ROW_BLOCK_BYTES = 1 << 20
 
 
 def chunk_stream(seed: int, chunk: int, salt: int = 0) -> np.random.Generator:
@@ -59,15 +73,21 @@ def chunk_plan(reps: int, n_cols: int) -> list[int]:
 
 
 def resolve_threads(threads: int | None = None) -> int:
-    """Worker count: explicit argument, else PICKANDS_THREADS, else 1.
+    """Worker count: explicit argument, else PICKANDS_THREADS, else the usable CPUs.
 
-    A set PICKANDS_THREADS that is not a positive integer raises ValueError.
+    The usable CPUs are those this process may run on (its affinity mask),
+    or all CPUs where the platform does not report a mask. An argument or a
+    set PICKANDS_THREADS that is not a positive integer raises ValueError.
     """
     if threads is not None:
-        return max(1, int(threads))
+        if int(threads) != threads or threads < 1:
+            raise ValueError(f"threads must be a positive integer, got {threads!r}")
+        return int(threads)
     env = os.environ.get("PICKANDS_THREADS", "").strip()
     if not env:
-        return 1
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
+        return os.cpu_count() or 1
     if not env.isdecimal() or int(env) < 1:
         raise ValueError(f"PICKANDS_THREADS must be a positive integer, got {env!r}")
     return int(env)
@@ -96,6 +116,37 @@ def map_chunks(
         return [chunk(index) for index in range(len(counts))]
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         return list(pool.map(chunk, range(len(counts))))
+
+
+def row_blocks(n_rows: int, row_bytes: int) -> list[slice]:
+    """Consecutive slices that cover ``n_rows`` rows of ``row_bytes`` bytes each.
+
+    Each slice holds ``step`` rows, about ROW_BLOCK_BYTES and at least two,
+    and the last also takes the remainder, so no slice is shorter than
+    ``step`` unless all rows are. That keeps results equal to one pass over
+    all rows: NumPy picks the memory layout of some temporaries, and with it
+    the order in which a row sum adds, from their size, and treats a one-row
+    array as both C- and Fortran-ordered; blocks that are never small pick
+    the layout the whole array would.
+    """
+    step = max(2, ROW_BLOCK_BYTES // max(1, row_bytes))
+    edges = list(range(0, n_rows - step + 1, step)) or [0]
+    return [slice(a, b) for a, b in zip(edges, edges[1:] + [n_rows])]
+
+
+def by_row_blocks(kernel: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
+    """``kernel(a, *args)`` evaluated on the row blocks of ``a`` and stacked in row order.
+
+    For kernels whose output row i depends only on input row i, by operations
+    that treat every row alike; the result is then the same as one call on
+    all of ``a``, with temporaries the size of one block.
+    """
+
+    @functools.wraps(kernel)
+    def blocked(a: np.ndarray, *args) -> np.ndarray:
+        return np.concatenate([kernel(a[rows], *args) for rows in row_blocks(len(a), a[:1].nbytes)])
+
+    return blocked
 
 
 def _chunk_sums(values: np.ndarray, count: int) -> tuple[int, np.ndarray, np.ndarray]:

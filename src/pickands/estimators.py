@@ -202,6 +202,7 @@ def _values_argmax(pos_cummax: np.ndarray, neg_cummax: np.ndarray, levels: np.nd
     return ((mn < 0.0) & (mp <= 0.0)).astype(float) / delta
 
 
+@engine.by_row_blocks
 def _values_ratio(w: np.ndarray, levels: np.ndarray, step: float) -> np.ndarray:
     """max exp(w) / (step * sum exp(w)) over |i| <= level, in log domain.
 

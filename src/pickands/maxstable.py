@@ -125,9 +125,6 @@ class FddEstimate:
         }
 
 
-_FDD_BLOCK = 8192
-
-
 def fdd_probability(
     model: Model,
     points: list[float],
@@ -166,21 +163,21 @@ def fdd_probability(
     grid = GridSpec(grid.delta, -span, span)
     windows = [cols - c + span for c in cols]
 
+    @engine.by_row_blocks
+    def values(w):
+        # one row per time for fast reductions over times; every window holds
+        # lag 0, where Y_k = 1, so no sum vanishes
+        e = np.exp(w.T, order="C")
+        m = np.zeros(w.shape[0])
+        for k, window in enumerate(windows):
+            y = e[window] / x[:, None]
+            m += y.max(axis=0) / (x[k] * y.sum(axis=0))
+        return m
+
     def worker(rng, count):
         if is_gaussian(model):
-            w = w_matrix(model, grid, rng, count)
-        else:
-            w = _tilted_log_paths(model, grid.delta, grid.n_points, span, rng, count)
-        # blocks of rows small enough to stay in cache, with one row per time for
-        # fast reductions over times; every window holds lag 0, where Y_k = 1, so
-        # no sum vanishes
-        m = np.zeros(count)
-        for rows in range(0, count, _FDD_BLOCK):
-            e = np.exp(w[rows:rows + _FDD_BLOCK].T, order="C")
-            for k, window in enumerate(windows):
-                y = e[window] / x[:, None]
-                m[rows:rows + _FDD_BLOCK] += y.max(axis=0) / (x[k] * y.sum(axis=0))
-        return m
+            return values(w_matrix(model, grid, rng, count))
+        return values(_tilted_log_paths(model, grid.delta, grid.n_points, span, rng, count))
 
     mean, se = engine.run(worker, seed, reps, grid.n_points, threads)
     prob = math.exp(-mean[0])
@@ -278,6 +275,7 @@ def _sliding_max(a: np.ndarray, width: int) -> np.ndarray:
     return np.maximum(suffix[:, starts], prefix[:, starts + width - 1])
 
 
+@engine.by_row_blocks
 def _block_sup_values(w: np.ndarray, r: int) -> np.ndarray:
     """Per-path estimates of E sup_{0<=i<=r} exp(w(delta i)) from a path on [-r, r]."""
     shift = w.max(axis=1, keepdims=True)

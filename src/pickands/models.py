@@ -16,10 +16,13 @@ Two input families are supported:
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
+
+from . import engine
 
 __all__ = [
     "ModelError",
@@ -206,10 +209,22 @@ def _embedding_eigs(gamma: np.ndarray) -> np.ndarray | None:
     return np.maximum(eigs, 0.0)
 
 
+_EIGS_LOCK = threading.Lock()
+
+
+def _grid_eigs(vf: VarianceFunction, delta: float, n_inc: int) -> np.ndarray | None:
+    """Embedding eigenvalues of ``vf`` on n_inc steps of size delta, computed once
+    per (model, delta, n_inc) and shared read-only across calls and threads.
+
+    The lock makes chunks that start together wait for one computation
+    instead of each repeating it.
+    """
+    with _EIGS_LOCK:
+        return _cached_grid_eigs(vf, delta, n_inc)
+
+
 @lru_cache(maxsize=64)
-def _parametric_eigs(kind: str, alpha: float, scale: float, delta: float, n_inc: int) -> np.ndarray | None:
-    """Embedding eigenvalues of a parametric model, shared read-only across calls and threads."""
-    vf = VarianceFunction(kind, alpha=alpha, scale=scale)
+def _cached_grid_eigs(vf: VarianceFunction, delta: float, n_inc: int) -> np.ndarray | None:
     eigs = _embedding_eigs(increment_autocov(vf, delta, n_inc))
     if eigs is not None:
         eigs.flags.writeable = False
@@ -217,32 +232,42 @@ def _parametric_eigs(kind: str, alpha: float, scale: float, delta: float, n_inc:
 
 
 def _stationary_sequence(eigs: np.ndarray, rng: np.random.Generator, n: int, m: int) -> np.ndarray:
-    """n exact draws of the first m entries of the embedded stationary sequence.
+    """n exact draws of the first m entries of the embedded stationary sequence,
+    as columns 1..m of an (n, m + 1) array whose column 0 is left unset.
 
     One FFT of a circularly symmetric complex vector yields two independent
     real samples (real and imaginary parts), so rows are generated in pairs.
+    All real parts are drawn before all imaginary parts; the imaginary parts
+    are drawn, and the FFTs run, one row block at a time.
     """
     length = eigs.size
     rows = (n + 1) // 2
-    z = rng.standard_normal((rows, length)) + 1j * rng.standard_normal((rows, length))
-    s = np.fft.fft(z * np.sqrt(eigs / length), axis=1)
-    out = np.empty((2 * rows, m))
-    out[0::2] = s.real[:, :m]
-    out[1::2] = s.imag[:, :m]
-    return out[:n]
+    scale = np.sqrt(eigs / length)
+    real = rng.standard_normal((rows, length))
+    out = np.empty((n, m + 1))
+    for block in engine.row_blocks(rows, 16 * length):
+        z = np.empty((block.stop - block.start, length), dtype=complex)
+        z.real = real[block]
+        z.imag = rng.standard_normal(z.shape)
+        z *= scale
+        np.fft.fft(z, axis=1, out=z)
+        out[2 * block.start:2 * block.stop:2, 1:] = z.real[:, :m]
+        odd = out[2 * block.start + 1:2 * block.stop:2, 1:]
+        odd[:] = z.imag[:len(odd), :m]
+    return out
 
 
-def _increments_to_b(inc: np.ndarray, origin: int) -> np.ndarray:
-    """Prefix-sum increments into b values anchored at b(0) = 0.
+def _increments_to_b(b: np.ndarray, origin: int) -> np.ndarray:
+    """Prefix-sum increments into b values anchored at b(0) = 0, in place.
 
-    ``inc[:, j]`` is b(delta (i_min + j + 1)) - b(delta (i_min + j)); the
-    returned array has one more column, with column ``origin`` exactly 0.
+    ``b[:, j + 1]`` holds b(delta (i_min + j + 1)) - b(delta (i_min + j));
+    column 0 is overwritten. On return column ``origin`` is exactly 0.
     """
-    n, m = inc.shape
-    b = np.empty((n, m + 1))
     b[:, 0] = 0.0
-    np.cumsum(inc, axis=1, out=b[:, 1:])
-    b -= b[:, origin][:, None]
+    # whole rows, and a copied origin column: NumPy would copy all of b for an
+    # in-place cumsum over a column slice or a subtrahend that is a view of b
+    np.cumsum(b, axis=1, out=b)
+    b -= b[:, origin, None].copy()
     return b
 
 
@@ -287,16 +312,17 @@ def gaussian_b_matrix(
             z = rng.standard_normal((n, 1))
             return np.sqrt(vf.scale) * z * t[None, :]
         if vf.alpha == 1.0:
-            # Independent increments.
-            inc = rng.standard_normal((n, n_inc)) * np.sqrt(vf.scale * grid.delta)
-            return _increments_to_b(inc, grid.origin)
+            # Independent increments, drawn a row block at a time.
+            b = np.empty((n, n_inc + 1))
+            for block in engine.row_blocks(n, 8 * n_inc):
+                np.multiply(rng.standard_normal((block.stop - block.start, n_inc)),
+                            np.sqrt(vf.scale * grid.delta), out=b[block, 1:])
+            return _increments_to_b(b, grid.origin)
 
     if method in ("auto", "embedding"):
-        eigs = (_parametric_eigs(vf.kind, vf.alpha, vf.scale, grid.delta, n_inc) if vf.parametric
-                else _embedding_eigs(increment_autocov(vf, grid.delta, n_inc)))
+        eigs = _grid_eigs(vf, grid.delta, n_inc)
         if eigs is not None:
-            inc = _stationary_sequence(eigs, rng, n, n_inc)
-            return _increments_to_b(inc, grid.origin)
+            return _increments_to_b(_stationary_sequence(eigs, rng, n, n_inc), grid.origin)
         if method == "embedding":
             raise ModelError("circulant embedding has structurally negative eigenvalues")
 

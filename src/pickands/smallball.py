@@ -106,14 +106,18 @@ def _one_sided_indicators(eta: float, k_max: int, levels: np.ndarray,
     """Indicators of {b(1/k) <= eta for all k <= K_level}, one Brownian path per row.
 
     Valid for alpha = 1 only: the increments over the ascending reciprocal
-    times are independent, so the path is an exact cumulative sum.
+    times are independent, so the path is an exact cumulative sum. Paths are
+    drawn and reduced one row block at a time.
     """
     t = 1.0 / np.arange(k_max, 0, -1, dtype=float)  # ascending times
     std = np.sqrt(np.diff(t, prepend=0.0))
-    b = np.cumsum(rng.standard_normal((count, k_max)) * std[None, :], axis=1)
-    by_k = b[:, ::-1]  # column j <-> k = j + 1
-    run = np.maximum.accumulate(by_k, axis=1)
-    return (run[:, levels - 1] <= eta).astype(float)
+    out = np.empty((count, levels.size))
+    for block in engine.row_blocks(count, 8 * k_max):
+        b = np.cumsum(rng.standard_normal((block.stop - block.start, k_max)) * std[None, :], axis=1)
+        by_k = b[:, ::-1]  # column j <-> k = j + 1
+        run = np.maximum.accumulate(by_k, axis=1)
+        out[block] = run[:, levels - 1] <= eta
+    return out
 
 
 def _two_sided_indicators(eta: float, levels: np.ndarray, rng: np.random.Generator,

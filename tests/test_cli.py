@@ -8,8 +8,10 @@ import sys
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from pickands.cli import main
+from pickands.cli import ks_test, main
+from pickands.maxstable import frechet_cdf
 from pickands.report import RunConfig, parse_config_file
 
 
@@ -141,6 +143,31 @@ class TestMaxstable:
                  "--export", str(out), "--rn", "4"])
         header = out.read_text().splitlines()[0]
         assert header.split(",")[1:] == ["index", "t", "zeta"]
+
+
+class TestKsTest:
+    @pytest.mark.parametrize("n", [8, 60, 5000])
+    def test_matches_scipy(self, n):
+        # Frechet samples stretched by up to 40%, so that many p-values are small
+        rng = np.random.default_rng(n)
+        small = 0
+        for stretch in np.linspace(1.0, 1.4, 40):
+            x = stretch / rng.exponential(size=n)
+            stat, p = ks_test(x, frechet_cdf)
+            ref = stats.kstest(x, frechet_cdf)
+            assert stat == ref.statistic
+            if ref.pvalue < 0.1:
+                small += 1
+                assert abs(p - ref.pvalue) <= 1e-4
+            assert (p > 0.01) == (ref.pvalue > 0.01)
+        assert small >= 5
+
+    def test_marginal_run_does_not_import_scipy_stats(self, tmp_path):
+        code = ("import sys; from pickands.cli import main; "
+                f"main(['maxstable', '--check', 'marginal', '--samples', '50', '--out', {str(tmp_path / 'm.json')!r}]); "
+                "print('scipy.stats' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "False"
 
 
 class TestSmallball:

@@ -50,6 +50,15 @@ class TestRun:
             engine.run(_toy, 0, 1, 1)
 
 
+class TestRowBlocks:
+    @pytest.mark.parametrize("n_rows,row_bytes", [(1, 8), (5, 1 << 22), (1000, 1 << 12), (1023, 1 << 12)])
+    def test_cover_in_order_and_never_short(self, n_rows, row_bytes):
+        blocks = engine.row_blocks(n_rows, row_bytes)
+        step = max(2, engine.ROW_BLOCK_BYTES // row_bytes)
+        assert [i for b in blocks for i in range(b.start, b.stop)] == list(range(n_rows))
+        assert all(step <= b.stop - b.start < 2 * step for b in blocks) or len(blocks) == 1
+
+
 class TestSelectLevel:
     def test_first_stable_step(self):
         means, ses = np.array([1.0, 1.5, 1.52, 1.52]), np.array([0.1, 0.1, 0.3, 0.3])

@@ -1,14 +1,17 @@
 """Estimator correctness against closed forms, quadrature oracles, and
 cross-formula identities."""
 
+import os
+
 import numpy as np
 import pytest
 
 from oracles import FROZEN, alpha2_constant, alpha2_sup_mean
-from pickands.engine import resolve_threads
+from pickands.engine import ROW_BLOCK_BYTES, chunk_stream, resolve_threads
 from pickands.estimators import (
     EXACT_METHODS,
     TruncationPolicy,
+    _values_ratio,
     crosscheck,
     default_horizon,
     est_argmax,
@@ -229,14 +232,22 @@ class TestDeterminism:
             resolve_threads()
 
     @pytest.mark.parametrize("value", [None, "", "  "])
-    def test_unset_thread_env_means_one(self, monkeypatch, value):
+    def test_unset_thread_env_means_usable_cpus(self, monkeypatch, value):
         if value is None:
             monkeypatch.delenv("PICKANDS_THREADS", raising=False)
         else:
             monkeypatch.setenv("PICKANDS_THREADS", value)
-        assert resolve_threads() == 1
+        usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert resolve_threads() == usable
         monkeypatch.setenv("PICKANDS_THREADS", "3")
         assert resolve_threads() == 3
+
+    @pytest.mark.parametrize("threads", [0, -2, 1.5])
+    def test_bad_thread_argument_rejected(self, threads):
+        with pytest.raises(ValueError, match="threads"):
+            resolve_threads(threads)
+        with pytest.raises(ValueError, match="threads"):
+            est_exceedance(FBM1, 1.0, 100, threads=threads)
 
 
 class TestCrosscheck:
@@ -261,3 +272,38 @@ class TestCrosscheck:
     def test_levy_rejected(self):
         with pytest.raises(UnsupportedModelError):
             crosscheck(LevyModel.brownian(), 1.0, 100)
+
+
+class TestRatioKernel:
+    # 12 row blocks and a remainder of 1025-point paths
+    ROWS = 12 * (ROW_BLOCK_BYTES // (1025 * 8)) + 5
+    LEVELS = np.array([64, 256, 512])
+
+    @staticmethod
+    def unblocked(w, levels, step):
+        origin = w.shape[1] // 2
+        shift = w.max(axis=1, keepdims=True)
+        e = np.exp(w - shift)
+        pos_csum = np.cumsum(e[:, origin + 1:], axis=1)
+        neg_csum = np.cumsum(e[:, :origin][:, ::-1], axis=1)
+        pos_cmax = np.maximum.accumulate(w[:, origin + 1:], axis=1)
+        neg_cmax = np.maximum.accumulate(w[:, :origin][:, ::-1], axis=1)
+        out = np.empty((w.shape[0], levels.size))
+        for j, lvl in enumerate(levels):
+            s = e[:, origin] + pos_csum[:, lvl - 1] + neg_csum[:, lvl - 1]
+            m = np.maximum(w[:, origin], np.maximum(pos_cmax[:, lvl - 1], neg_cmax[:, lvl - 1]))
+            out[:, j] = np.exp(m - shift[:, 0]) / (step * s)
+        return out
+
+    def paths(self, rows):
+        return gaussian_w_matrix(VarianceFunction.fbm(1.5), GridSpec(0.5, -512, 512), chunk_stream(2, 0), rows)
+
+    @pytest.mark.parametrize("rows", [1, 7, ROWS])
+    def test_row_blocks_change_no_value(self, rows):
+        w = self.paths(rows)
+        assert _values_ratio(w, self.LEVELS, 0.5).tobytes() == self.unblocked(w, self.LEVELS, 0.5).tobytes()
+
+    def test_peak_within_bound(self, peak_bytes):
+        w = self.paths(self.ROWS)
+        _, peak = peak_bytes(_values_ratio, w, self.LEVELS, 0.5)
+        assert peak <= 1.5 * w.nbytes

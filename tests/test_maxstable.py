@@ -8,9 +8,11 @@ import pytest
 from scipy import stats
 
 from oracles import alpha2_constant, alpha2_fdd_exponent, alpha2_sup_mean
-from pickands.engine import chunk_stream
+from pickands.engine import ROW_BLOCK_BYTES, chunk_stream
 from pickands.estimators import est_exceedance
 from pickands.maxstable import (
+    _block_sup_values,
+    _sliding_max,
     est_candidate_theta,
     est_extremal_index_blocks,
     fdd_probability,
@@ -163,6 +165,39 @@ class TestBlocks:
     def test_levy_unsupported(self):
         with pytest.raises(UnsupportedModelError):
             est_extremal_index_blocks(LevyModel.brownian(), 1.0, 1000, 100)
+
+
+class TestBlockSupKernel:
+    # 12 row blocks and a remainder of paths on [-100, 100]
+    R = 100
+    ROWS = 12 * (ROW_BLOCK_BYTES // (201 * 8)) + 5
+
+    @staticmethod
+    def unblocked(w, r):
+        shift = w.max(axis=1, keepdims=True)
+        e = np.exp(w - shift)
+        csum = np.concatenate([np.zeros((w.shape[0], 1)), np.cumsum(e, axis=1)], axis=1)
+        width = r + 1
+        sums = csum[:, width:] - csum[:, :-width]
+        maxes = _sliding_max(w, width) - shift
+        return (np.exp(maxes) / sums).sum(axis=1)
+
+    @staticmethod
+    def paths(rows, r):
+        # random walks that spread about 3 over the block, so no window sum underflows
+        return chunk_stream(3, 0).standard_normal((rows, 2 * r + 1)).cumsum(axis=1) * (3.0 / math.sqrt(2 * r + 1))
+
+    # (r, rows): one block, one of a few rows, and several blocks with a
+    # remainder; blocks of two rows of a very long block
+    @pytest.mark.parametrize("r,rows", [(100, 1), (100, 7), (100, 400), (R, ROWS), (40_000, 5)])
+    def test_row_blocks_change_no_value(self, r, rows):
+        w = self.paths(rows, r)
+        assert _block_sup_values(w, r).tobytes() == self.unblocked(w, r).tobytes()
+
+    def test_peak_within_bound(self, peak_bytes):
+        w = self.paths(self.ROWS, self.R)
+        _, peak = peak_bytes(_block_sup_values, w, self.R)
+        assert peak <= 1.5 * w.nbytes
 
 
 class TestCandidate:

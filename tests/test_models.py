@@ -6,7 +6,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from pickands.engine import chunk_stream
+from pickands import models
+from pickands.engine import CHUNK_BUDGET, chunk_plan, chunk_stream, run
 from pickands.models import (
     GridSpec,
     JumpLaw,
@@ -23,7 +24,7 @@ from pickands.models import (
     levy_w_matrix,
     variance_at,
 )
-from pickands.models import _embedding_eigs, _parametric_eigs
+from pickands.models import _cached_grid_eigs, _embedding_eigs, _grid_eigs
 
 
 class TestVarianceFunction:
@@ -179,20 +180,30 @@ class TestGaussianSampler:
         assert np.array_equal(a, b)
 
 
+class TestSamplerMemory:
+    # 200 paths of 4097 points: the embedding holds one array of real parts
+    # next to the path, the i.i.d. branch only row blocks of normals
+    @pytest.mark.parametrize("alpha", [0.5, 1.0])
+    def test_peak_within_bound(self, alpha, peak_bytes):
+        vf = VarianceFunction.fbm(alpha)
+        grid = GridSpec(0.5, -2048, 2048)
+        w, peak = peak_bytes(gaussian_w_matrix, vf, grid, chunk_stream(1, 0), 200)
+        assert peak <= 3.5 * w.nbytes
+
+
 class TestEmbeddingCache:
     def test_concurrent_lookups_survive_clears(self):
         # 100 keys overflow the 64-entry cache, so lookups race with evictions
-        keys = [("power" if k % 2 else "scaled-power", 0.5 + k % 16 / 10, 1.0 + k % 3, 1.0, 8 + k % 7)
-                for k in range(100)]
-        expected = [_embedding_eigs(increment_autocov(VarianceFunction(kind, alpha=a, scale=s), d, n))
-                    for kind, a, s, d, n in keys]
-        _parametric_eigs.cache_clear()
+        keys = [(VarianceFunction("power" if k % 2 else "scaled-power", alpha=0.5 + k % 16 / 10, scale=1.0 + k % 3),
+                 1.0, 8 + k % 7) for k in range(100)]
+        expected = [_embedding_eigs(increment_autocov(vf, d, n)) for vf, d, n in keys]
+        _cached_grid_eigs.cache_clear()
 
         def sweep(offset):
             for r in range(20):
                 for i in range(len(keys)):
                     k = (i + offset + r) % len(keys)
-                    got = _parametric_eigs(*keys[k])
+                    got = _grid_eigs(*keys[k])
                     assert not got.flags.writeable
                     assert np.array_equal(got, expected[k])
 
@@ -203,7 +214,29 @@ class TestEmbeddingCache:
                 list(pool.map(sweep, range(0, 100, 25), timeout=120))
         finally:
             sys.setswitchinterval(interval)
-        assert _parametric_eigs.cache_info().currsize <= 64
+        assert _cached_grid_eigs.cache_info().currsize <= 64
+
+    def test_tabulated_eigs_computed_once_per_run(self, monkeypatch):
+        # a multi-chunk run on three threads: chunks that start together must
+        # not each compute the embedding
+        calls = []
+
+        def counting(gamma):
+            calls.append(gamma.size)
+            return _embedding_eigs(gamma)
+
+        monkeypatch.setattr(models, "_embedding_eigs", counting)
+        t = np.linspace(0.0, 200.0, 2001)
+        vf = VarianceFunction.tabulated(t, 2.0 * t**0.8)
+        grid = GridSpec(1.0, -64, 64)
+        n_cols = CHUNK_BUDGET // 16  # chunks of 16 rows
+        assert len(chunk_plan(64, n_cols)) == 4
+
+        def worker(rng, count):
+            return gaussian_w_matrix(vf, grid, rng, count)[:, -1]
+
+        run(worker, 1, 64, n_cols, threads=3)
+        assert calls == [grid.n_points]
 
 
 class TestLevy:
