@@ -42,20 +42,19 @@ MIN_CHUNK = 16
 MAX_CHUNK = 65536
 # Bytes of input one row block holds (see row_blocks). Small enough that a
 # block's temporaries stay in cache and a chunk's few full-size arrays set its
-# peak memory; at least 2^19, so that a block of the block-sup kernel holds
-# 2^15 or more window ratios, the size from which NumPy lays them out as it
-# would for the whole chunk.
+# peak memory.
 ROW_BLOCK_BYTES = 1 << 20
 
 
-def chunk_stream(seed: int, chunk: int, salt: int = 0) -> np.random.Generator:
+def chunk_stream(seed: int, chunk: int) -> np.random.Generator:
     """Independent generator for one work chunk of a seeded run.
 
-    ``salt`` separates independent sub-runs (e.g. the two sides of a
-    factorized probability) under one master seed.
+    The stream is keyed by ``(seed, 0, chunk)``: the constant middle entry
+    keeps every seeded stream what it was when that key held a sub-run
+    index, so seeded output does not change.
     """
     return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence((int(seed), int(salt), int(chunk))))
+        np.random.Philox(np.random.SeedSequence((int(seed), 0, int(chunk))))
     )
 
 
@@ -99,7 +98,6 @@ def map_chunks(
     reps: int,
     n_cols: int,
     threads: int | None = None,
-    salt: int = 0,
 ) -> list[object]:
     """Run ``worker(rng, count)`` over every chunk of the plan.
 
@@ -110,7 +108,7 @@ def map_chunks(
     n_workers = resolve_threads(threads)
 
     def chunk(index: int) -> object:
-        return worker(chunk_stream(seed, index, salt), counts[index])
+        return worker(chunk_stream(seed, index), counts[index])
 
     if n_workers <= 1 or len(counts) <= 1:
         return [chunk(index) for index in range(len(counts))]
@@ -171,7 +169,6 @@ def run(
     reps: int,
     n_cols: int,
     threads: int | None = None,
-    salt: int = 0,
 ) -> tuple[np.ndarray, np.ndarray] | dict:
     """Mean and standard error per column of the values ``worker(rng, count)`` returns.
 
@@ -189,7 +186,7 @@ def run(
             return {key: _chunk_sums(v, count) for key, v in values.items()}
         return _chunk_sums(values, count)
 
-    partials = map_chunks(sums, seed, reps, n_cols, threads, salt)
+    partials = map_chunks(sums, seed, reps, n_cols, threads)
     if isinstance(partials[0], dict):
         return {key: reduce_moments([p[key] for p in partials]) for key in partials[0]}
     return reduce_moments(partials)

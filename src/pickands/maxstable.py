@@ -283,7 +283,9 @@ def _block_sup_values(w: np.ndarray, r: int) -> np.ndarray:
     csum = np.concatenate([np.zeros((w.shape[0], 1)), np.cumsum(e, axis=1)], axis=1)
     width = r + 1
     sums = csum[:, width:] - csum[:, :-width]          # window sums, start = 0..r
-    maxes = _sliding_max(w, width) - shift             # window maxima, start = 0..r
+    # window maxima, start = 0..r; C order, so that the ratios below are C-ordered
+    # and each row adds in the same order whatever the number of rows
+    maxes = np.ascontiguousarray(_sliding_max(w, width)) - shift
     # the window starting at column r - j covers grid indices (0..r) - j,
     # so summing the ratio over all r + 1 starts sums over all shifts j
     return (np.exp(maxes) / sums).sum(axis=1)

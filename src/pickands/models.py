@@ -124,23 +124,17 @@ def variance_at(vf: VarianceFunction, t) -> np.ndarray | float:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform grid t = delta * i for integers i in [i_min, i_max].
-
-    ``mesh`` (< delta) marks grids used as continuous-time approximations.
-    """
+    """Uniform grid t = delta * i for integers i in [i_min, i_max]."""
 
     delta: float
     i_min: int = 0
     i_max: int = 0
-    mesh: float | None = None
 
     def __post_init__(self):
         if not self.delta > 0:
             raise ValueError("delta must be positive")
         if not self.i_min <= 0 <= self.i_max:
             raise ValueError("grid must satisfy i_min <= 0 <= i_max")
-        if self.mesh is not None and not 0 < self.mesh < self.delta:
-            raise ValueError("mesh must lie in (0, delta)")
 
     @property
     def n_points(self) -> int:
@@ -306,11 +300,10 @@ def gaussian_b_matrix(
         return np.zeros((n, 1))
 
     if method == "auto" and vf.parametric:
-        t = grid.times()
         if vf.alpha == 2.0:
             # b(t) = sqrt(scale) * t * Z: one normal per path.
             z = rng.standard_normal((n, 1))
-            return np.sqrt(vf.scale) * z * t[None, :]
+            return np.sqrt(vf.scale) * z * grid.times()[None, :]
         if vf.alpha == 1.0:
             # Independent increments, drawn a row block at a time.
             b = np.empty((n, n_inc + 1))

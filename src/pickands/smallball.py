@@ -8,9 +8,15 @@ constant of the classical family:
         -> 2^(1/alpha) * H_{b_alpha}   as eta -> 0,
 
 where b_alpha is standard fractional Brownian motion (variance |t|^alpha).
-The probability is estimated by Monte Carlo with the cutoff K doubled
-until stable; an affine-in-eta fit of the scaled values extrapolates the
-eta -> 0 constant.
+
+The process |t|^alpha b_alpha(1/t) is again standard fBm (time inversion),
+so the event is {b_alpha(k) <= eta |k|^alpha for all 0 < |k| <= K} on the
+integer grid, which the library's exact grid sampler draws for every
+alpha. For alpha = 1 the two sides k > 0 and k < 0 are independent and the
+probability is the product of the two one-sided probabilities, each
+estimated from the same paths. The probability is estimated by Monte Carlo
+with the cutoff K doubled until stable; an affine-in-eta fit of the scaled
+values extrapolates the eta -> 0 constant.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from . import engine
-from .models import _cholesky_factor
+from .models import GridSpec, VarianceFunction, gaussian_b_matrix
 
 __all__ = [
     "SmallBallEstimate",
@@ -101,46 +107,29 @@ def suggested_cutoff(alpha: float, eta: float, tail_tol: float | None = None) ->
     return k
 
 
-def _one_sided_indicators(eta: float, k_max: int, levels: np.ndarray,
-                          rng: np.random.Generator, count: int) -> np.ndarray:
-    """Indicators of {b(1/k) <= eta for all k <= K_level}, one Brownian path per row.
+def _side_indicators(alpha: float, eta: float, levels: np.ndarray,
+                     rng: np.random.Generator, count: int) -> np.ndarray:
+    """(count, 2, levels.size) indicators of {b(1/k) <= eta for 0 < k <= L} (side 0)
+    and {b(1/k) <= eta for -L <= k < 0} (side 1), one path per row, for each
+    cutoff L in ``levels``.
 
-    Valid for alpha = 1 only: the increments over the ascending reciprocal
-    times are independent, so the path is an exact cumulative sum. Paths are
-    drawn and reduced one row block at a time.
+    By time inversion b~(t) = |t|^alpha b(1/t) is again fBm, so the events are
+    {b~(k) <= eta |k|^alpha}, read off exact draws of b~ on the integer grid
+    -K..K. Paths are drawn and reduced one row block at a time.
     """
-    t = 1.0 / np.arange(k_max, 0, -1, dtype=float)  # ascending times
-    std = np.sqrt(np.diff(t, prepend=0.0))
-    out = np.empty((count, levels.size))
-    for block in engine.row_blocks(count, 8 * k_max):
-        b = np.cumsum(rng.standard_normal((block.stop - block.start, k_max)) * std[None, :], axis=1)
-        by_k = b[:, ::-1]  # column j <-> k = j + 1
-        run = np.maximum.accumulate(by_k, axis=1)
-        out[block] = run[:, levels - 1] <= eta
+    k_max = int(levels[-1])
+    vf = VarianceFunction.power(alpha, 1.0)
+    grid = GridSpec(1.0, -k_max, k_max)
+    barrier = eta * np.abs(grid.times()) ** alpha
+    out = np.empty((count, 2, levels.size))
+    for block in engine.row_blocks(count, 8 * grid.n_points):
+        x = gaussian_b_matrix(vf, grid, rng, block.stop - block.start)
+        x -= barrier
+        # running maxima outward from the origin: column j <-> |k| = j + 1
+        for side, run in enumerate((x[:, k_max + 1:], x[:, k_max - 1::-1])):
+            np.maximum.accumulate(run, axis=1, out=run)
+            out[block, side] = run[:, levels - 1] <= 0.0
     return out
-
-
-def _two_sided_indicators(eta: float, levels: np.ndarray, rng: np.random.Generator,
-                          count: int, factor: np.ndarray) -> np.ndarray:
-    z = rng.standard_normal((count, factor.shape[0]))
-    b = z @ factor.T
-    run = np.maximum.accumulate(b, axis=1)
-    return (run[:, 2 * levels - 1] <= eta).astype(float)
-
-
-def _reciprocal_factor(alpha: float, k_max: int) -> np.ndarray:
-    """Cholesky factor of Cov b_alpha on (1/1, -1/1, 1/2, -1/2, ...).
-
-    Columns are ordered by |k| so that nested cutoffs are prefixes. The
-    times cluster at 0, so the covariance may need a diagonal jitter.
-    """
-    k = np.arange(1, k_max + 1, dtype=float)
-    t = np.empty(2 * k_max)
-    t[0::2] = 1.0 / k
-    t[1::2] = -1.0 / k
-    at = np.abs(t)
-    return _cholesky_factor(
-        0.5 * (at[:, None] ** alpha + at[None, :] ** alpha - np.abs(t[:, None] - t[None, :]) ** alpha))
 
 
 def est_smallball_prob(
@@ -151,44 +140,38 @@ def est_smallball_prob(
     *,
     seed: int = 0,
     threads: int | None = None,
-    factorize: bool | None = None,
     doublings: int = 1,
     rel_tol: float = 0.1,
 ) -> SmallBallEstimate:
     """P{b_alpha(1/k) <= eta for all 0 < |k| <= K}, K doubled until stable.
 
-    For alpha = 1 the two sides of the grid are independent Brownian
-    motions, so the probability factorizes; each side is then estimated
-    from its own replications and the product taken (``factorize`` forces
-    the choice). Other alphas sample the joint two-sided grid exactly from
-    its covariance.
+    Since |t|^alpha b_alpha(1/t) is again fBm, the probability is that of
+    {b_alpha(k) <= eta |k|^alpha for all 0 < |k| <= K} on the integer grid,
+    which is sampled exactly. For alpha = 1 the two sides of the grid are
+    independent Brownian motions, so the probability factorizes; it is then
+    estimated by the product of the two side means of the same paths, which
+    is unbiased and has less variance than the joint indicator's mean. Other
+    alphas average the joint indicator.
     """
     if not 0.0 < alpha <= 2.0:
         raise ValueError("alpha must lie in (0, 2]")
     if eta <= 0 or cutoff < 1 or reps < 2:
         raise ValueError("need eta > 0, cutoff >= 1 and reps >= 2")
-    if factorize is None:
-        factorize = alpha == 1.0
-    if factorize and alpha != 1.0:
-        raise ValueError("side factorization is exact only for alpha = 1")
+    independent_sides = alpha == 1.0
     levels = np.asarray([cutoff * 2**j for j in range(max(1, doublings + 1))])
     k_max = int(levels[-1])
 
-    if factorize:
-        def worker(rng, count):
-            return _one_sided_indicators(eta, k_max, levels, rng, count)
+    def worker(rng, count):
+        sides = _side_indicators(alpha, eta, levels, rng, count)
+        return sides if independent_sides else sides[:, 0] * sides[:, 1]
 
-        (q_pos, se_pos), (q_neg, se_neg) = (engine.run(worker, seed, reps, k_max, threads, salt=salt)
-                                            for salt in (1, 2))
+    means, ses = engine.run(worker, seed, reps, 2 * k_max + 1, threads)
+    if independent_sides:
+        (q_pos, q_neg), (se_pos, se_neg) = means.reshape(2, -1), ses.reshape(2, -1)
         probs = q_pos * q_neg
         ses = np.sqrt((q_pos * se_neg) ** 2 + (q_neg * se_pos) ** 2)
     else:
-        factor = _reciprocal_factor(alpha, k_max)
-
-        def worker(rng, count):
-            return _two_sided_indicators(eta, levels, rng, count, factor)
-
-        probs, ses = engine.run(worker, seed, reps, 2 * k_max, threads)
+        probs = means
 
     lvl, stable = engine.select_level(probs, ses, rel_tol)
     flags = [] if stable else ["cutoff-unstable"]
@@ -203,7 +186,7 @@ def est_smallball_prob(
         replications=reps,
         seed=seed,
         stable=stable,
-        factorized=factorize,
+        factorized=independent_sides,
         flags=tuple(flags),
     )
 

@@ -146,6 +146,37 @@ def smallball_one_sided(eta: float, k_max: int, h: float = 0.004, x_min: float =
     return safe + float(v.sum())
 
 
+def smallball_cholesky(alpha: float, eta: float, levels, reps: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """P{b(1/k) <= eta for all 0 < |k| <= L} and its standard error for each
+    cutoff L in ``levels``, b fBm with variance |t|^alpha.
+
+    Reference sampler on the reciprocal grid itself: the Cholesky factor of
+    Cov b on (1/1, -1/1, 1/2, -1/2, ...), ordered by |k| so that nested
+    cutoffs are prefixes; the times cluster at 0, so the factor may need a
+    small diagonal jitter."""
+    levels = np.asarray(levels)
+    k = np.arange(1, int(levels[-1]) + 1, dtype=float)
+    t = np.stack([1.0 / k, -1.0 / k], axis=1).ravel()
+    at = np.abs(t)
+    cov = 0.5 * (at[:, None] ** alpha + at[None, :] ** alpha - np.abs(t[:, None] - t[None, :]) ** alpha)
+    jitter = 0.0
+    for _ in range(5):
+        try:
+            factor = np.linalg.cholesky(cov + jitter * np.eye(t.size))
+            break
+        except np.linalg.LinAlgError:
+            jitter = 1e-12 * float(np.trace(cov)) if jitter == 0.0 else 10.0 * jitter
+    else:
+        raise np.linalg.LinAlgError("reciprocal-grid covariance is not positive definite")
+    rng = np.random.default_rng(seed)
+    hits = np.zeros(levels.size)
+    for start in range(0, reps, 10_000):
+        b = rng.standard_normal((min(10_000, reps - start), t.size)) @ factor.T
+        hits += (np.maximum.accumulate(b, axis=1)[:, 2 * levels - 1] <= eta).sum(axis=0)
+    p = hits / reps
+    return p, np.sqrt(p * (1.0 - p) / reps)
+
+
 # Values computed by the routines above (tests/test_oracles.py re-derives
 # them, including step-halving checks). Quoted to the digits that are
 # stable under refinement.

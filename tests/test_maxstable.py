@@ -179,7 +179,7 @@ class TestBlockSupKernel:
         csum = np.concatenate([np.zeros((w.shape[0], 1)), np.cumsum(e, axis=1)], axis=1)
         width = r + 1
         sums = csum[:, width:] - csum[:, :-width]
-        maxes = _sliding_max(w, width) - shift
+        maxes = np.ascontiguousarray(_sliding_max(w, width)) - shift
         return (np.exp(maxes) / sums).sum(axis=1)
 
     @staticmethod
@@ -193,6 +193,11 @@ class TestBlockSupKernel:
     def test_row_blocks_change_no_value(self, r, rows):
         w = self.paths(rows, r)
         assert _block_sup_values(w, r).tobytes() == self.unblocked(w, r).tobytes()
+
+    def test_row_values_do_not_depend_on_row_count(self):
+        # 3 x 101 window ratios and 3000 x 101 ones must add each row alike
+        w = self.paths(3000, 100)
+        assert _block_sup_values(w[:3], 100).tobytes() == _block_sup_values(w, 100)[:3].tobytes()
 
     def test_peak_within_bound(self, peak_bytes):
         w = self.paths(self.ROWS, self.R)

@@ -99,8 +99,6 @@ class TestGridSpec:
             GridSpec(0.0, 0, 1)
         with pytest.raises(ValueError):
             GridSpec(1.0, 1, 2)
-        with pytest.raises(ValueError):
-            GridSpec(1.0, 0, 1, mesh=2.0)
 
     def test_times(self):
         g = GridSpec(0.5, -2, 3)

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from oracles import smallball_one_sided
+from oracles import smallball_cholesky, smallball_one_sided
 from pickands.engine import chunk_stream
 from pickands.smallball import (
-    _one_sided_indicators,
+    _side_indicators,
     est_smallball_prob,
     smallball_extrapolate,
     suggested_cutoff,
@@ -33,11 +33,24 @@ class TestEstimator:
         assert res.factorized and res.cutoff == 2 * k
         assert abs(res.prob - q * q) <= 3.0 * res.stderr
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    def test_against_reciprocal_grid_cholesky(self, alpha):
+        eta, k = 0.3, 16
+        res = est_smallball_prob(alpha, eta, k, 100_000, seed=3)
+        probs, ses = smallball_cholesky(alpha, eta, [k, 2 * k], 100_000, seed=4)
+        lvl = [k, 2 * k].index(res.cutoff)
+        assert not res.factorized
+        assert abs(res.prob - probs[lvl]) <= 3.0 * math.hypot(res.stderr, ses[lvl])
+
     def test_factorization_matches_joint_sampler(self):
-        eta, k = 0.3, 32
-        prod = est_smallball_prob(1.0, eta, k, 100_000, seed=3)
-        joint = est_smallball_prob(1.0, eta, k, 100_000, seed=4, factorize=False)
-        assert abs(prod.prob - joint.prob) <= 3.0 * math.hypot(prod.stderr, joint.stderr)
+        # alpha = 1: the product of the side means against the joint
+        # indicator's mean, both from the same worker columns
+        n = 100_000
+        sides = _side_indicators(1.0, 0.3, np.array([32, 64]), chunk_stream(3, 0), n)
+        q = sides.mean(axis=0)
+        joint = sides[:, 0] * sides[:, 1]
+        se = joint.std(axis=0, ddof=1) / math.sqrt(n)
+        assert np.all(np.abs(q[0] * q[1] - joint.mean(axis=0)) <= 3.0 * se)
 
     def test_large_eta_probability_one(self):
         res = est_smallball_prob(1.0, 50.0, 32, 2000, seed=5)
@@ -45,18 +58,27 @@ class TestEstimator:
 
     def test_monotone_in_cutoff_per_seed(self):
         levels = np.array([8, 16, 32, 64])
-        ind = _one_sided_indicators(0.2, 64, levels, chunk_stream(6, 0), 4000)
-        diffs = np.diff(ind, axis=1)
-        assert np.all(diffs <= 0)
+        for alpha in (0.5, 1.0, 2.0):  # embedding, i.i.d. and line branches
+            ind = _side_indicators(alpha, 0.2, levels, chunk_stream(6, 0), 4000)
+            diffs = np.diff(ind, axis=2)
+            assert np.all(diffs <= 0)
 
     def test_monotone_in_eta(self):
         lo = est_smallball_prob(1.0, 0.1, 64, 50_000, seed=7)
         hi = est_smallball_prob(1.0, 0.2, 64, 50_000, seed=7)
         assert lo.prob <= hi.prob
 
-    def test_factorize_requires_alpha1(self):
-        with pytest.raises(ValueError):
-            est_smallball_prob(1.5, 0.1, 16, 100, factorize=True)
+    @pytest.mark.parametrize("alpha", [1.0, 1.5])
+    def test_thread_count_invariance(self, alpha):
+        # K = 2048 puts 1023 paths in a chunk, so the run spans three chunks
+        one = est_smallball_prob(alpha, 0.1, 1024, 3000, seed=8, threads=1)
+        three = est_smallball_prob(alpha, 0.1, 1024, 3000, seed=8, threads=3)
+        assert one.to_dict() == three.to_dict()
+
+    def test_peak_memory_is_row_blocks_not_grid_squared(self, peak_bytes):
+        # a 2K x 2K Cholesky factor of the reciprocal grid alone would take 134 MB
+        _, peak = peak_bytes(lambda: est_smallball_prob(1.5, 0.1, 1024, 4000, threads=1))
+        assert peak <= 16 * 2**20
 
     def test_validation(self):
         with pytest.raises(ValueError):
