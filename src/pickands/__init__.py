@@ -34,7 +34,6 @@ from .models import (
     JumpLaw,
     LevyModel,
     ModelError,
-    UnsupportedModelError,
     VarianceFunction,
     gaussian_grid_cov,
     laplace_exponent,

@@ -6,13 +6,14 @@ configuration hash. Worker-thread count comes from PICKANDS_THREADS (unset:
 the CPUs the process may run on; 1 runs serially) and never changes
 numerical output; peak memory grows with it, about one chunk per thread.
 
-Exit codes: 0 success, 1 a requested check failed, 2 invalid usage or an
-unsupported model/method combination.
+Exit codes: 0 success, 1 a requested check failed, 2 invalid usage or
+input.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -32,6 +33,7 @@ from .estimators import (
     est_time_reversed,
 )
 from .maxstable import (
+    _boundary_corrected_theta,
     _containing_grid,
     est_candidate_theta,
     est_extremal_index_blocks,
@@ -43,8 +45,6 @@ from .models import (
     GridSpec,
     JumpLaw,
     LevyModel,
-    ModelError,
-    UnsupportedModelError,
     VarianceFunction,
 )
 from .report import RunConfig, parse_config_file, write_records
@@ -63,6 +63,8 @@ ESTIMATORS = {
 }
 # the methods that take delta = 0, all others need a positive grid step
 CONTINUUM_METHODS = ("definitional", "continuous-dy")
+# their mesh when --mesh is not given
+DEFAULT_MESH = 0.01
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -92,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est = sub.add_parser("estimate", help="estimate H^delta (or H^0) by one or all formulas")
     add_common(p_est)
     p_est.add_argument("--delta", type=float, default=1.0)
-    p_est.add_argument("--mesh", type=float, help="mesh for delta = 0 runs")
+    p_est.add_argument("--mesh", type=float, help=f"mesh for delta = 0 runs (default {DEFAULT_MESH})")
     p_est.add_argument("--method", default="exceedance",
                        choices=sorted(ESTIMATORS) + ["all"])
     p_est.add_argument("--horizon", type=int, help="initial truncation horizon (grid points)")
@@ -191,11 +193,10 @@ def _run_single_estimate(args, model, method: str) -> dict:
     seed, reps = args.seed, args.reps
     if method == "definitional":
         T = args.T if args.T is not None else max(2.0, 2.0 * args.delta)
-        if args.delta == 0 and args.mesh is None:
-            raise UnsupportedModelError("definitional with delta = 0 needs --mesh")
-        res = est_definitional(model, args.delta, T, reps, mesh=args.mesh, seed=seed)
+        mesh = DEFAULT_MESH if args.mesh is None and args.delta == 0 else args.mesh
+        res = est_definitional(model, args.delta, T, reps, mesh=mesh, seed=seed)
     elif method == "continuous-dy":
-        mesh = args.mesh if args.mesh is not None else 0.01
+        mesh = args.mesh if args.mesh is not None else DEFAULT_MESH
         res = est_continuous_dy(model, mesh, args.window, reps, seed=seed)
     elif method == "theta-blocks":
         res = est_extremal_index_blocks(model, args.delta, int(args.level), reps,
@@ -216,13 +217,7 @@ def cmd_estimate(args) -> int:
     records = []
     config = _config(args)
     for method in methods:
-        if args.method == "all":
-            try:
-                rec = _run_single_estimate(args, model, method)
-            except (UnsupportedModelError, ModelError):
-                continue
-        else:
-            rec = _run_single_estimate(args, model, method)
+        rec = _run_single_estimate(args, model, method)
         rec["config_hash"] = config.hash
         records.append(rec)
     write_records(records, args.out, args.format)
@@ -271,7 +266,7 @@ def cmd_maxstable(args) -> int:
         thresholds = ([float(v) for v in args.thresholds.split(",")] if args.thresholds
                       else [2.0, 3.0][: len(points)])
         oracle = fdd_probability(model, points, thresholds, args.reps, seed=args.seed + 1)
-        grid, cols = _containing_grid(model, np.asarray(points))
+        grid, cols = _containing_grid(np.asarray(points))
         rng = engine.chunk_stream(args.seed, 0)
         zeta, _ = max_stable_batch(model, grid, rng, args.samples)
         zeta = zeta[:, cols]
@@ -298,8 +293,9 @@ def cmd_maxstable(args) -> int:
                 "p_value": pvalue, "passes_1pct": bool(pvalue > 0.01),
             })
     else:
-        blocks = est_extremal_index_blocks(model, args.delta, int(args.level),
-                                           max(args.reps // 100, 100), r_n=args.rn, seed=args.seed)
+        r_n = args.rn or math.isqrt(int(args.level))
+        blocks = _boundary_corrected_theta(model, args.delta, r_n, max(args.reps // 100, 100),
+                                           seed=args.seed)
         cand = est_candidate_theta(model, args.delta, args.reps, seed=args.seed)
         lo = max(blocks.ci95()[0], cand.ci95()[0])
         hi = min(blocks.ci95()[1], cand.ci95()[1])
@@ -379,7 +375,7 @@ def main(argv: list[str] | None = None) -> int:
     _apply_config_file(args, argv)
     try:
         return COMMANDS[args.command](args)
-    except (UnsupportedModelError, ModelError, ValueError) as exc:
+    except ValueError as exc:  # ModelError included
         print(f"pickands: {exc}", file=sys.stderr)
         return 2
 

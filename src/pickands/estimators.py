@@ -41,7 +41,6 @@ from . import engine
 from .models import (
     GridSpec,
     Model,
-    UnsupportedModelError,
     is_gaussian,
     levy_lambda,
     variance_at,
@@ -133,7 +132,8 @@ def default_horizon(model: Model, delta: float, tail: float = 1e-6) -> int:
     """Grid points after which w is very unlikely to pop back above -E.
 
     Uses the closed form P{w(t) + E > 0} = 2 Phi(-sigma(t)/2) for Gaussian
-    models and the tilted bound 2 exp(-lambda t) for Levy models.
+    models and the tilted bound 2 exp(-lambda |t|) for Levy models, which
+    holds on either side of the origin.
     """
     if is_gaussian(model):
         def point(n: int) -> float:
@@ -168,15 +168,6 @@ def _policy_or_default(policy: TruncationPolicy | None, model: Model, delta: flo
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ValueError(message)
-
-
-def _two_sided_w(model: Model, delta: float, n_max: int, rng: np.random.Generator, count: int) -> np.ndarray:
-    if not is_gaussian(model):
-        raise UnsupportedModelError(
-            "two-sided formulas need negative grid indices; the Levy construction is one-sided"
-        )
-    grid = GridSpec(delta, -n_max, n_max)
-    return w_matrix(model, grid, rng, count)
 
 
 # --- per-replication level values ------------------------------------------
@@ -269,7 +260,7 @@ def _shared_path_moments(model: Model, delta: float, reps: int, kernels: dict, l
             w = w_matrix(model, GridSpec(delta, 0, n), rng, count)[:, 1:]
             paths = {"pos": np.maximum.accumulate(w, axis=1, out=w)}
         else:
-            paths = {"path": _two_sided_w(model, delta, n, rng, count)}
+            paths = {"path": w_matrix(model, GridSpec(delta, -n, n), rng, count)}
             if "pos" in reads:
                 paths["pos"] = np.maximum.accumulate(paths["path"][:, n + 1:], axis=1)
             if "neg" in reads:
@@ -349,7 +340,7 @@ def est_argmax(
     """H^delta = (1/delta) P{sup_{i<0} w < 0 and sup_{i != 0} w <= 0}.
 
     Since w(0) = 0 the event says the two-sided grid supremum of w is
-    attained, uniquely among negative indices, at 0. Gaussian models only.
+    attained, uniquely among negative indices, at 0.
     """
     return _run_exact(model, delta, reps, ("argmax",), policy, seed, threads)[0]["argmax"]
 
@@ -383,7 +374,7 @@ def est_time_reversed(
     """H^delta = (1/delta) P{E + w(delta i) <= 0 for all i <= -1}.
 
     The exceedance formula applied to the time-reversed process, which
-    shares the constant. Gaussian models only.
+    shares the constant.
     """
     return _run_exact(model, delta, reps, ("time-reversed",), policy, seed, threads)[0]["time-reversed"]
 
@@ -448,8 +439,6 @@ def est_continuous_dy(
     _require(eta > 0, "eta must be positive")
     _require(window >= eta, "window must cover at least one mesh step")
     _require(reps >= 2, "need at least two replications to form a standard error")
-    if not is_gaussian(model):
-        raise UnsupportedModelError("the continuous-time ratio formula needs a two-sided Gaussian model")
     m = int(round(window / eta))
     levels = np.asarray(sorted({max(1, m // 2), m}))
 
@@ -536,12 +525,10 @@ def crosscheck(
     sampling noise. The five exact representations enter the pairwise
     overlap matrix; the definitional functional is checked for dominance
     instead, over [0, T] with T defaulting to the largest MC-feasible
-    horizon. Gaussian models only.
+    horizon.
     """
     _require(delta > 0, "delta must be positive")
     _require(reps >= 2, "need at least two replications to form a standard error")
-    if not is_gaussian(model):
-        raise UnsupportedModelError("crosscheck needs the two-sided Gaussian construction")
     policy = _policy_or_default(policy, model, delta)
     n_max = policy.levels()[-1]
     horizon_T = T if T is not None else min(n_max * delta, feasible_definitional_T(model, delta, reps))

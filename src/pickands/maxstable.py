@@ -23,15 +23,7 @@ import numpy as np
 
 from . import engine
 from .estimators import EstimateResult, TruncationPolicy, est_exceedance
-from .models import (
-    GridSpec,
-    Model,
-    UnsupportedModelError,
-    is_gaussian,
-    laplace_exponent,
-    levy_increments,
-    w_matrix,
-)
+from .models import GridSpec, Model, w_matrix
 
 __all__ = [
     "FddEstimate",
@@ -54,9 +46,10 @@ def max_stable_batch(model: Model, grid: GridSpec, rng: np.random.Generator,
     Y / Gamma if it stays below zeta at every earlier point; a kept path
     sets zeta(t_j) = 1/Gamma and so ends the walk. The expected number of
     draws per sample equals the number of grid points.
+
+    By Brown-Resnick stationarity the tilted path is Y = exp(w(. - t_j)),
+    one two-sided path on the lags -j..npts-1-j.
     """
-    if not is_gaussian(model) and grid.i_min < 0:
-        raise UnsupportedModelError("the Levy construction is defined for t >= 0 only")
     npts = grid.n_points
     zeta = np.zeros((count, npts))
     draws = np.zeros(count, dtype=int)
@@ -69,40 +62,12 @@ def max_stable_batch(model: Model, grid: GridSpec, rng: np.random.Generator,
             if not active.size:
                 break
             draws[active] += 1
-            y = np.exp(_tilted_log_paths(model, grid.delta, npts, j, rng, active.size))
+            y = np.exp(w_matrix(model, GridSpec(grid.delta, -j, npts - 1 - j), rng, active.size))
             y /= gamma[:, None]
             keep = np.all(y[:, :j] < zeta[active, :j], axis=1)
             zeta[active[keep]] = np.maximum(zeta[active[keep]], y[keep])
             gamma += rng.exponential(size=gamma.size)
     return zeta, draws
-
-
-def _tilted_log_paths(
-    model: Model, delta: float, npts: int, j: int, rng: np.random.Generator, n: int
-) -> np.ndarray:
-    """n draws of log Y at grid points 0..npts-1, Y ~ exp(w) tilted at point j.
-
-    Gaussian: by Brown-Resnick stationarity Y = exp(w(. - t_j)), read off one
-    two-sided path on lags -(npts-1)..npts-1. Levy: Y = exp(w(. - t_j)) from
-    t_j on; before it, log Y(t_j - s) = s Phi(1) - V(s) where V is the Esscher
-    tilt by 1 of the input (exponent Phi(1 + theta) - Phi(1)): drift sigma^2,
-    jump rate lambda E e^J and tilted jump law. Phi of the tilted law is not
-    needed (its Phi(1) = Phi(2) - Phi(1) may be infinite).
-    """
-    if is_gaussian(model):
-        w = w_matrix(model, GridSpec(delta, -(npts - 1), npts - 1), rng, n)
-        return w[:, npts - 1 - j:2 * npts - 1 - j]
-    out = np.empty((n, npts))
-    out[:, j:] = w_matrix(model, GridSpec(delta, 0, npts - 1 - j), rng, n)
-    if j:
-        jumps = model.jump_rate > 0
-        rate = model.jump_rate * model.jump_law.mgf(1.0) if jumps else 0.0
-        law = model.jump_law.tilted() if jumps else None
-        inc = levy_increments(model.diffusion, rate, law, delta, rng, (n, j))
-        s = delta * np.arange(1, j + 1)
-        v = np.cumsum(inc, axis=1) + model.diffusion**2 * s
-        out[:, j - 1::-1] = laplace_exponent(model, 1.0) * s - v
-    return out
 
 
 @dataclass(frozen=True)
@@ -145,10 +110,9 @@ def fdd_probability(
                                         / (x_k sum_i Y_k(t_i) / x_i) ],
 
     Y_k being x under the law tilted at t_k (weighted by x(t_k)), whose
-    per-replication value is bounded by sum_k 1 / x_k. The law of Y_k(t_k + s)
-    does not depend on k, so every Y_k is read off one path on the lags
-    -span..span tilted at lag 0: w itself for Gaussian models, the
-    simulator's tilted draw (_tilted_log_paths) for Levy models.
+    per-replication value is bounded by sum_k 1 / x_k. By Brown-Resnick
+    stationarity Y_k(t_k + s) = exp(w(s)) in law for every k, so every Y_k
+    is read off one two-sided path of w on the lags -span..span.
     """
     t = np.asarray(points, dtype=float)
     x = np.asarray(thresholds, dtype=float)
@@ -158,7 +122,7 @@ def fdd_probability(
         raise ValueError("thresholds must be positive")
     if reps < 2:
         raise ValueError("need at least two replications to form a standard error")
-    grid, cols = _containing_grid(model, t)
+    grid, cols = _containing_grid(t)
     span = int(cols.max() - cols.min())
     grid = GridSpec(grid.delta, -span, span)
     windows = [cols - c + span for c in cols]
@@ -175,16 +139,14 @@ def fdd_probability(
         return m
 
     def worker(rng, count):
-        if is_gaussian(model):
-            return values(w_matrix(model, grid, rng, count))
-        return values(_tilted_log_paths(model, grid.delta, grid.n_points, span, rng, count))
+        return values(w_matrix(model, grid, rng, count))
 
     mean, se = engine.run(worker, seed, reps, grid.n_points, threads)
     prob = math.exp(-mean[0])
     return FddEstimate(prob, prob * float(se[0]), float(mean[0]), float(se[0]), reps)
 
 
-def _containing_grid(model: Model, times: np.ndarray) -> tuple[GridSpec, np.ndarray]:
+def _containing_grid(times: np.ndarray) -> tuple[GridSpec, np.ndarray]:
     """Smallest uniform grid holding all requested times (exactly)."""
     if np.allclose(times, 0.0):
         return GridSpec(1.0, 0, 0), np.zeros(times.size, dtype=int)
@@ -199,8 +161,6 @@ def _containing_grid(model: Model, times: np.ndarray) -> tuple[GridSpec, np.ndar
             raise ValueError("points must lie on a common uniform grid")
     idx = np.round(idx).astype(int)
     i_min, i_max = min(int(idx.min()), 0), max(int(idx.max()), 0)
-    if not is_gaussian(model) and i_min < 0:
-        raise UnsupportedModelError("negative times are not available for Levy models")
     grid = GridSpec(step, i_min, i_max)
     return grid, idx - i_min
 
@@ -231,9 +191,8 @@ def est_extremal_index_blocks(
                                               / sum_{k in A} x(k - j) ],
 
     whose per-replication value is bounded by |A|; one two-sided path on
-    [-r_n, r_n] evaluates every shifted ratio by sliding windows. Gaussian
-    models only (the rewrite needs negative times). Defaults to
-    r_n = floor(sqrt(n)).
+    [-r_n, r_n] evaluates every shifted ratio by sliding windows. Defaults
+    to r_n = floor(sqrt(n)).
     """
     if delta <= 0 or n < 2 or reps < 2:
         raise ValueError("need delta > 0, n >= 2 and reps >= 2")
@@ -241,10 +200,6 @@ def est_extremal_index_blocks(
         r_n = int(math.isqrt(n))
     if not 1 <= r_n < n:
         raise ValueError("r_n must satisfy 1 <= r_n < n")
-    if not is_gaussian(model):
-        raise UnsupportedModelError(
-            "the block-sup rewrite needs negative times; use est_candidate_theta for Levy models"
-        )
     grid = GridSpec(delta, -r_n, r_n)
 
     def worker(rng, count):
@@ -257,6 +212,27 @@ def est_extremal_index_blocks(
     se = math.exp(-c_hat / n) * c_se / r_n
     flags = ("wide-ci",) if p_hat * reps < 30 else ()
     return EstimateResult("theta-blocks", delta, theta, se, reps, r_n, True, seed, flags=flags)
+
+
+def _boundary_corrected_theta(model: Model, delta: float, r: int, reps: int, *, seed: int = 0,
+                              threads: int | None = None) -> EstimateResult:
+    """Block statistic theta = (c(2r) - c(r)) / r, c(m) = E sup_{0<=i<=m} exp(w(delta i)).
+
+    c(m) = theta m + b + o(1), so the difference cancels the boundary term b
+    that biases the block formula's c(r) / r by O(1/r). Both sups come from
+    one two-sided path on [-2r, 2r], c(r) from its central window [-r, r].
+    """
+    if r < 1 or reps < 2:
+        raise ValueError("need r >= 1 and reps >= 2")
+    grid = GridSpec(delta, -2 * r, 2 * r)
+
+    def worker(rng, count):
+        w = w_matrix(model, grid, rng, count)
+        return (_block_sup_values(w, 2 * r) - _block_sup_values(w[:, r:3 * r + 1], r)) / r
+
+    mean, se = engine.run(worker, seed, reps, grid.n_points, threads)
+    return EstimateResult("theta-blocks", delta, float(mean[0]), float(se[0]), reps, r, True, seed,
+                          flags=("boundary-corrected",))
 
 
 def _sliding_max(a: np.ndarray, width: int) -> np.ndarray:

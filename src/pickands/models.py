@@ -11,7 +11,9 @@ Two input families are supported:
   variance function sigma^2 (then ln E exp(b(t)) = sigma^2(t) / 2), sampled
   exactly on two-sided grids;
 * Levy ``b`` with a closed-form Laplace exponent Phi(theta) = ln E exp(theta
-  b(1)) (then the drift correction is Phi(1) t), defined for t >= 0 only.
+  b(1)) (then the drift correction is Phi(1) t for t >= 0), sampled exactly
+  on two-sided grids: on negative lags w is the time reversal of the input
+  under its Esscher tilt by 1, which makes exp(w) Brown-Resnick stationary.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from . import engine
 
 __all__ = [
     "ModelError",
-    "UnsupportedModelError",
     "VarianceFunction",
     "JumpLaw",
     "LevyModel",
@@ -45,10 +46,6 @@ PSD_RTOL = 1e-8
 
 class ModelError(ValueError):
     """The model is invalid or numerically inconsistent."""
-
-
-class UnsupportedModelError(ModelError):
-    """The model does not support the requested operation."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -400,8 +397,10 @@ class JumpLaw:
 class LevyModel:
     """Levy input b(t) = diffusion * BM(t) + compound Poisson jumps.
 
-    Requires Phi(1) = ln E exp(b(1)) < infinity; the associated
-    drift-corrected process w(t) = b(t) - Phi(1) t is defined for t >= 0.
+    Requires Phi(1) = ln E exp(b(1)) < infinity. The associated
+    drift-corrected process is w(t) = b(t) - Phi(1) t for t >= 0 and
+    w(-s) = s Phi(1) - V(s) for s > 0, V an independent copy of the input
+    under its Esscher tilt by 1 (see levy_w_matrix).
     """
 
     diffusion: float = 1.0
@@ -433,8 +432,8 @@ def levy_lambda(model: LevyModel) -> float:
     return 0.5 * laplace_exponent(model, 1.0) - laplace_exponent(model, 0.5)
 
 
-def levy_increments(diffusion: float, jump_rate: float, jump_law: JumpLaw | None, dt: float,
-                    rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
+def _levy_increments(diffusion: float, jump_rate: float, jump_law: JumpLaw | None, dt: float,
+                     rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
     """Independent increments over steps dt of diffusion * BM plus compound Poisson jumps."""
     inc = rng.standard_normal(shape) * (diffusion * np.sqrt(dt))
     if jump_rate > 0:
@@ -444,17 +443,30 @@ def levy_increments(diffusion: float, jump_rate: float, jump_law: JumpLaw | None
 
 
 def levy_w_matrix(model: LevyModel, grid: GridSpec, rng: np.random.Generator, n: int) -> np.ndarray:
-    """n draws of w(delta i) = b(delta i) - Phi(1) delta i on a one-sided grid."""
-    if grid.i_min < 0:
-        raise UnsupportedModelError("the Levy construction is defined for t >= 0 only")
-    steps = grid.i_max
+    """n draws of w(delta i), i in the grid, as an (n, n_points) array.
+
+    Positive lags are drawn first: w(t) = b(t) - Phi(1) t. Negative lags
+    follow: w(-s) = s Phi(1) - V(s), where V is the Esscher tilt by 1 of the
+    input (exponent Phi(1 + theta) - Phi(1)): drift diffusion^2, jump rate
+    jump_rate E e^J and the tilted jump law. Phi of the tilted law is not
+    needed (its Phi(1) = Phi(2) - Phi(1) may be infinite).
+    """
     w = np.zeros((n, grid.n_points))
-    if steps == 0:
-        return w
-    inc = levy_increments(model.diffusion, model.jump_rate, model.jump_law, grid.delta, rng, (n, steps))
-    np.cumsum(inc, axis=1, out=w[:, 1:])
-    w -= laplace_exponent(model, 1.0) * grid.times()[None, :]
-    w[:, 0] = 0.0
+    origin, phi1 = grid.origin, laplace_exponent(model, 1.0)
+    if grid.i_max:
+        inc = _levy_increments(model.diffusion, model.jump_rate, model.jump_law, grid.delta, rng,
+                               (n, grid.i_max))
+        pos = w[:, origin + 1:]
+        np.cumsum(inc, axis=1, out=pos)
+        pos -= phi1 * grid.times()[None, origin + 1:]
+    if grid.i_min:
+        jumps = model.jump_rate > 0
+        rate = model.jump_rate * model.jump_law.mgf(1.0) if jumps else 0.0
+        law = model.jump_law.tilted() if jumps else None
+        inc = _levy_increments(model.diffusion, rate, law, grid.delta, rng, (n, origin))
+        s = grid.delta * np.arange(1, origin + 1)
+        v = np.cumsum(inc, axis=1) + model.diffusion**2 * s
+        w[:, origin - 1::-1] = phi1 * s - v
     return w
 
 

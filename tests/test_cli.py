@@ -3,26 +3,32 @@ reproducibility across thread counts."""
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from pickands.cli import ks_test, main
+from pickands.cli import ESTIMATORS, ks_test, main
 from pickands.maxstable import frechet_cdf
 from pickands.report import RunConfig, parse_config_file
 
 
-def run_cli(args, env=None, check=True):
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def run_cli(args, env=None, check=True, cwd=None):
     full_env = dict(os.environ)
     full_env.pop("PICKANDS_THREADS", None)
     if env:
         full_env.update(env)
     proc = subprocess.run(
         [sys.executable, "-m", "pickands.cli", *args],
-        capture_output=True, text=True, env=full_env,
+        capture_output=True, text=True, env=full_env, cwd=cwd,
     )
     if check and proc.returncode != 0:
         raise AssertionError(f"exit {proc.returncode}: {proc.stderr}")
@@ -56,18 +62,23 @@ class TestEstimate:
         assert a == b
 
     def test_unsupported_combination_exits_2(self):
-        proc = run_cli(["estimate", "--family", "levy", "--brownian", "--delta", "1",
+        # grid formulas need a positive step
+        proc = run_cli(["estimate", "--family", "levy", "--brownian", "--delta", "0",
                         "--method", "time-reversed", "--reps", "100"], check=False)
         assert proc.returncode == 2
+        assert "delta must be positive" in proc.stderr
 
-    def test_method_all_skips_unsupported(self, tmp_path):
+    def test_method_all_runs_every_method_for_levy(self, tmp_path):
         out = tmp_path / "all.json"
         run_cli(["estimate", "--family", "levy", "--brownian", "--delta", "2",
                  "--method", "all", "--reps", "5000", "--seed", "1", "--out", str(out)])
         recs = json.loads(out.read_text())
-        methods = {r["method"] for r in recs}
-        assert "exceedance" in methods and "difference" in methods
-        assert "argmax" not in methods and "time-reversed" not in methods
+        assert [r["method"] for r in recs] == list(ESTIMATORS)
+
+    def test_definitional_delta_zero_default_mesh(self):
+        proc = run_cli(["estimate", "--family", "fbm", "--alpha", "1", "--delta", "0",
+                        "--method", "definitional", "--reps", "200", "--seed", "1"])
+        assert json.loads(proc.stdout)["mesh"] == 0.01
 
     def test_method_all_at_delta_zero(self, tmp_path):
         # only definitional and continuous-dy are defined at delta = 0
@@ -135,6 +146,16 @@ class TestMaxstable:
                         "--check", "marginal", "--samples", "20000", "--seed", "4"])
         recs = json.loads(proc.stdout)
         assert all(r["passes_1pct"] for r in recs)
+
+    def test_theta_check_passes(self):
+        # the blocks side is boundary-corrected; the raw block value reads 0.548
+        # here against delta H = erf(1/2) = 0.5205
+        proc = run_cli(["maxstable", "--family", "fbm", "--alpha", "2", "--delta", "1",
+                        "--check", "theta", "--reps", "20000", "--level", "1000", "--seed", "8"])
+        rec = json.loads(proc.stdout)
+        assert rec["ci_overlap"] is True
+        assert rec["blocks"]["horizon"] == 31
+        assert rec["blocks"]["flags"] == ["boundary-corrected"]
 
     def test_export_csv(self, tmp_path):
         out = tmp_path / "zeta.csv"
@@ -208,3 +229,27 @@ class TestConfigFile:
 def test_main_returns_int():
     assert main(["bound", "--family", "levy", "--brownian", "--delta", "16",
                  "--out", "/dev/null"]) == 0
+
+
+def readme_commands() -> list[list[str]]:
+    """Arguments of every distinct ``pickands`` command in the README's shell blocks."""
+    commands = {}
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("pickands "):
+                commands[tuple(shlex.split(line, comments=True)[1:])] = None
+    return [list(c) for c in commands]
+
+
+@pytest.mark.parametrize("args", readme_commands(), ids=" ".join)
+def test_readme_command_runs(args, tmp_path):
+    # small runs: only usage is checked, so a failed statistical check (1) is allowed
+    small = {"--reps": "2000"} | ({"--samples": "500"} if args[0] == "maxstable" else {})
+    args = list(args)
+    for flag, value in small.items():
+        if flag in args:
+            args[args.index(flag) + 1] = value
+        else:
+            args += [flag, value]
+    proc = run_cli(args, check=False, cwd=tmp_path)
+    assert proc.returncode in (0, 1), proc.stderr

@@ -6,7 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from oracles import FROZEN, alpha2_constant, alpha2_sup_mean
+from oracles import FROZEN, alpha2_constant, alpha2_sup_mean, levy_brownian_series
+from pickands.bounds import levy_h0_bound
 from pickands.engine import ROW_BLOCK_BYTES, chunk_stream, resolve_threads
 from pickands.estimators import (
     EXACT_METHODS,
@@ -25,14 +26,19 @@ from pickands.estimators import (
 )
 from pickands.models import (
     GridSpec,
+    JumpLaw,
     LevyModel,
-    UnsupportedModelError,
     VarianceFunction,
     gaussian_w_matrix,
 )
 
 FBM2 = VarianceFunction.fbm(2.0)
 FBM1 = VarianceFunction.fbm(1.0)
+LEVY_MODELS = {
+    "brownian": LevyModel.brownian(),
+    "normal-jumps": LevyModel(0.5, 1.0, JumpLaw("normal", mean=0.2, sd=0.7)),
+    "exponential-jumps": LevyModel(0.5, 0.2, JumpLaw("exponential", rate=1.5)),
+}
 ALL_ESTIMATORS = {
     "exceedance": est_exceedance,
     "difference": est_difference,
@@ -83,6 +89,13 @@ class TestAgainstRandomWalkOracle:
         res = est_exceedance(LevyModel.brownian(), 1.0, 150_000, seed=13)
         assert_within(res, FROZEN[("levy-brownian", 1.0)])
 
+    @pytest.mark.parametrize("method", ["argmax", "dieker-yakir", "time-reversed"])
+    @pytest.mark.parametrize("delta", [1.0, 4.0])
+    def test_levy_brownian_two_sided(self, delta, method):
+        # the routes that read negative lags, against the closed-form Spitzer series
+        res = ALL_ESTIMATORS[method](LevyModel.brownian(), delta, 100_000, seed=15)
+        assert_within(res, levy_brownian_series(delta))
+
     def test_levy_matches_gaussian_alpha1(self):
         # sqrt(2) BM - t arises from both constructions; constants must agree
         levy = LevyModel(diffusion=np.sqrt(2.0))
@@ -129,9 +142,19 @@ class TestContinuousDy:
         res = est_continuous_dy(FBM1, 0.5, 24.0, 150_000, seed=9)
         assert_within(res, FROZEN[("alpha1", 0.5)])
 
-    def test_levy_rejected(self):
-        with pytest.raises(UnsupportedModelError):
-            est_continuous_dy(LevyModel.brownian(), 0.01, 10.0, 100)
+    def test_levy_brownian_mesh_constant(self):
+        # at mesh eta the ratio estimates H^eta exactly; w of the Brownian Levy
+        # model is the alpha = 1 family at half speed, hence the wider window
+        eta = 0.05
+        res = est_continuous_dy(LevyModel.brownian(), eta, 40.0, 20_000, seed=10)
+        assert_within(res, levy_brownian_series(eta))
+
+    @pytest.mark.parametrize("name", ["normal-jumps", "exponential-jumps"])
+    def test_levy_h0_bound_below_estimate(self, name):
+        # H^eta <= H^0, so a bound below the mesh estimate is below H^0 too
+        model = LEVY_MODELS[name]
+        res = est_continuous_dy(model, 0.05, 40.0, 5_000, seed=16)
+        assert levy_h0_bound(model).value <= res.estimate + 3.0 * res.stderr
 
 
 class TestPerSampleProperties:
@@ -190,11 +213,6 @@ class TestInvariants:
     def test_reps_validation(self):
         with pytest.raises(ValueError):
             est_exceedance(FBM1, 1.0, 1)
-
-    def test_levy_two_sided_rejected(self):
-        for fn in (est_argmax, est_dieker_yakir, est_time_reversed):
-            with pytest.raises(UnsupportedModelError):
-                fn(LevyModel.brownian(), 1.0, 100)
 
     def test_truncation_policy_levels(self):
         pol = TruncationPolicy(initial=16, growth=2, max_horizon=128)
@@ -269,9 +287,11 @@ class TestCrosscheck:
         report = crosscheck(FBM1, 1.0, 10, seed=33)
         assert "underpowered" in report.flags
 
-    def test_levy_rejected(self):
-        with pytest.raises(UnsupportedModelError):
-            crosscheck(LevyModel.brownian(), 1.0, 100)
+    @pytest.mark.parametrize("name", sorted(LEVY_MODELS))
+    def test_levy_overlap(self, name):
+        report = crosscheck(LEVY_MODELS[name], 1.0, 40_000, seed=34)
+        assert report.all_overlap
+        assert report.definitional_dominates
 
 
 class TestRatioKernel:

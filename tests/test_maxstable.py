@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oracles import alpha2_constant, alpha2_fdd_exponent, alpha2_sup_mean
+from oracles import alpha2_constant, alpha2_fdd_exponent, alpha2_sup_mean, levy_brownian_series
 from pickands.engine import ROW_BLOCK_BYTES, chunk_stream
 from pickands.estimators import est_exceedance
 from pickands.maxstable import (
     _block_sup_values,
+    _boundary_corrected_theta,
     _sliding_max,
     est_candidate_theta,
     est_extremal_index_blocks,
@@ -23,7 +24,6 @@ from pickands.models import (
     GridSpec,
     JumpLaw,
     LevyModel,
-    UnsupportedModelError,
     VarianceFunction,
 )
 
@@ -65,18 +65,15 @@ class TestSimulator:
         assert np.all(draws >= 1)
         assert abs(draws.mean() - grid.n_points) <= 0.05 * grid.n_points
 
-    def test_levy_grid_restriction(self):
-        with pytest.raises(UnsupportedModelError):
-            max_stable_batch(LevyModel.brownian(), GridSpec(1.0, -1, 1), chunk_stream(5, 0), 4)
-
     @pytest.mark.parametrize("model,points,thresholds", [
         (LevyModel(0.5, 1.0, JumpLaw("normal", mean=0.2, sd=0.7)), [0.0, 1.0, 2.0], [2.0, 1.5, 3.0]),
         # rate 1.5: E exp(2 J) and so Phi(2) are infinite, which the tilt must not need
         (LevyModel(0.5, 0.2, JumpLaw("exponential", rate=1.5)), [0.0, 1.0], [2.0, 3.0]),
-    ], ids=["normal-jumps", "exponential-jumps"])
+        (LevyModel(0.5, 1.0, JumpLaw("normal", mean=0.2, sd=0.7)), [-1.0, 0.0, 1.0], [1.5, 2.0, 3.0]),
+    ], ids=["normal-jumps", "exponential-jumps", "two-sided-normal-jumps"])
     def test_levy_tilt_matches_oracle(self, model, points, thresholds):
         oracle = fdd_probability(model, points, thresholds, 1_000_000, seed=6)
-        grid = GridSpec(1.0, 0, int(max(points)))
+        grid = GridSpec(1.0, int(min(points)), int(max(points)))
         zeta, _ = max_stable_batch(model, grid, chunk_stream(6, 0), 50_000)
         emp = float(np.mean(np.all(zeta <= np.asarray(thresholds)[None, :], axis=1)))
         se = math.sqrt(emp * (1 - emp) / zeta.shape[0])
@@ -162,9 +159,26 @@ class TestBlocks:
         res = est_extremal_index_blocks(FBM2, 1.0, 10_000, 1000, seed=11)
         assert res.horizon == 100
 
-    def test_levy_unsupported(self):
-        with pytest.raises(UnsupportedModelError):
-            est_extremal_index_blocks(LevyModel.brownian(), 1.0, 1000, 100)
+    def test_levy_theta_in_unit_interval(self):
+        res = est_extremal_index_blocks(LevyModel.brownian(), 1.0, 10_000, 5_000, seed=12)
+        assert 0.0 <= res.estimate <= 1.0 + 3.0 * res.stderr
+
+
+class TestBoundaryCorrectedBlocks:
+    def test_alpha2_quadrature_is_exact(self):
+        # (c(2r) - c(r)) / r carries no boundary term: delta H^delta = erf(1/2) at any r
+        r = 31
+        stat = (alpha2_sup_mean(2.0 * r, 1.0) - alpha2_sup_mean(float(r), 1.0)) / r
+        assert stat == pytest.approx(math.erf(0.5), abs=1e-10)
+        assert alpha2_sup_mean(float(r), 1.0) / r > math.erf(0.5) + 0.03
+
+    @pytest.mark.parametrize("model,target", [
+        (FBM2, math.erf(0.5)),
+        (LevyModel.brownian(), levy_brownian_series(1.0)),
+    ], ids=["fbm2", "levy-brownian"])
+    def test_matches_delta_H(self, model, target):
+        res = _boundary_corrected_theta(model, 1.0, 31, 4_000, seed=13)
+        assert abs(res.estimate - target) <= 3.0 * res.stderr
 
 
 class TestBlockSupKernel:

@@ -13,7 +13,6 @@ from pickands.models import (
     JumpLaw,
     LevyModel,
     ModelError,
-    UnsupportedModelError,
     VarianceFunction,
     gaussian_b_matrix,
     gaussian_grid_cov,
@@ -274,9 +273,27 @@ class TestLevy:
     def test_lambda_nonnegative(self, model):
         assert levy_lambda(model) >= 0.0
 
-    def test_one_sided_only(self):
-        with pytest.raises(UnsupportedModelError):
-            levy_w_matrix(LevyModel.brownian(), GridSpec(1.0, -1, 1), np.random.default_rng(0), 1)
+    @pytest.mark.parametrize("model", [
+        LevyModel(diffusion=0.5, jump_rate=1.0, jump_law=JumpLaw("normal", mean=0.2, sd=0.7)),
+        # E exp(2 J) is infinite: the tilted law on negative lags must not need it
+        LevyModel(diffusion=0.5, jump_rate=0.2, jump_law=JumpLaw("exponential", rate=1.5)),
+        LevyModel(diffusion=0.0, jump_rate=1.0, jump_law=JumpLaw("constant", value=1.0)),
+    ], ids=["normal-jumps", "exponential-jumps", "constant-jumps"])
+    def test_negative_lags_martingale(self, model):
+        # E exp(w(-s)) = exp(s Phi(1)) E exp(-V(s)) = 1 under the Esscher-tilted V
+        n = 120_000
+        w = levy_w_matrix(model, GridSpec(0.5, -3, 1), np.random.default_rng(8), n)
+        assert np.all(w[:, 3] == 0.0)
+        x = np.exp(w[:, :3])
+        se = x.std(axis=0) / np.sqrt(n)
+        assert np.all(np.abs(x.mean(axis=0) - 1.0) <= 3.0 * se)
+
+    def test_positive_lags_drawn_first(self):
+        # a two-sided draw extends the one-sided draw of the same stream
+        model = LevyModel(diffusion=0.5, jump_rate=1.0, jump_law=JumpLaw("normal", mean=0.2, sd=0.7))
+        one = levy_w_matrix(model, GridSpec(0.5, 0, 6), np.random.default_rng(9), 50)
+        two = levy_w_matrix(model, GridSpec(0.5, -4, 6), np.random.default_rng(9), 50)
+        assert np.array_equal(two[:, 4:], one)
 
     def test_path_moments(self):
         n = 120_000

