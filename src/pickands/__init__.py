@@ -13,15 +13,10 @@ from .bounds import (
 from .estimators import (
     CrosscheckReport,
     EstimateResult,
-    TruncationPolicy,
     crosscheck,
-    est_argmax,
     est_continuous_dy,
     est_definitional,
-    est_dieker_yakir,
-    est_difference,
-    est_exceedance,
-    est_time_reversed,
+    estimate,
 )
 from .maxstable import (
     FddEstimate,

@@ -21,17 +21,7 @@ from scipy.special import smirnov
 
 from . import engine
 from .bounds import gaussian_lower_bound, gaussian_power_bound, levy_h0_bound, levy_lower_bound
-from .estimators import (
-    TruncationPolicy,
-    crosscheck,
-    est_argmax,
-    est_continuous_dy,
-    est_definitional,
-    est_dieker_yakir,
-    est_difference,
-    est_exceedance,
-    est_time_reversed,
-)
+from .estimators import EXACT_METHODS, crosscheck, est_continuous_dy, est_definitional, estimate
 from .maxstable import (
     _boundary_corrected_theta,
     _containing_grid,
@@ -50,21 +40,14 @@ from .models import (
 from .report import RunConfig, parse_config_file, write_records
 from .smallball import est_smallball_prob, smallball_extrapolate, suggested_cutoff
 
-ESTIMATORS = {
-    "definitional": est_definitional,
-    "exceedance": est_exceedance,
-    "difference": est_difference,
-    "argmax": est_argmax,
-    "dieker-yakir": est_dieker_yakir,
-    "time-reversed": est_time_reversed,
-    "continuous-dy": est_continuous_dy,
-    "theta-candidate": est_candidate_theta,
-    "theta-blocks": est_extremal_index_blocks,
-}
+# the methods of `estimate`, in the order `--method all` runs them
+ESTIMATORS = ("definitional", *EXACT_METHODS, "continuous-dy", "theta-candidate", "theta-blocks")
 # the methods that take delta = 0, all others need a positive grid step
 CONTINUUM_METHODS = ("definitional", "continuous-dy")
 # their mesh when --mesh is not given
 DEFAULT_MESH = 0.01
+HORIZON_HELP = ("truncation horizon H in grid points for the exact formulas: the estimate is "
+                "read at H and flagged unstable if it moved from H/2 (default: certified from the model)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--mesh", type=float, help=f"mesh for delta = 0 runs (default {DEFAULT_MESH})")
     p_est.add_argument("--method", default="exceedance",
                        choices=sorted(ESTIMATORS) + ["all"])
-    p_est.add_argument("--horizon", type=int, help="initial truncation horizon (grid points)")
+    p_est.add_argument("--horizon", type=int, help=HORIZON_HELP)
     p_est.add_argument("--T", type=float, help="definitional horizon in time units")
     p_est.add_argument("--window", type=float, default=10.0, help="half-width for continuous-dy")
     p_est.add_argument("--level", type=float, dest="level", default=1e4,
@@ -107,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_x = sub.add_parser("crosscheck", help="run all exact formulas on shared paths")
     add_common(p_x)
     p_x.add_argument("--delta", type=float, default=1.0)
-    p_x.add_argument("--horizon", type=int)
+    p_x.add_argument("--horizon", type=int, help=HORIZON_HELP)
     p_x.add_argument("--T", type=float)
 
     p_b = sub.add_parser("bound", help="closed-form lower bounds")
@@ -184,11 +167,6 @@ def _config(args: argparse.Namespace, skip=("config", "out", "format")) -> RunCo
     return RunConfig(command=args.command, options=options)
 
 
-def _policy(args: argparse.Namespace) -> TruncationPolicy | None:
-    horizon = getattr(args, "horizon", None)
-    return TruncationPolicy(initial=horizon) if horizon else None
-
-
 def _run_single_estimate(args, model, method: str) -> dict:
     seed, reps = args.seed, args.reps
     if method == "definitional":
@@ -202,9 +180,9 @@ def _run_single_estimate(args, model, method: str) -> dict:
         res = est_extremal_index_blocks(model, args.delta, int(args.level), reps,
                                         r_n=args.rn, seed=seed)
     elif method == "theta-candidate":
-        res = est_candidate_theta(model, args.delta, reps, policy=_policy(args), seed=seed)
+        res = est_candidate_theta(model, args.delta, reps, horizon=args.horizon, seed=seed)
     else:
-        res = ESTIMATORS[method](model, args.delta, reps, policy=_policy(args), seed=seed)
+        res = estimate(model, method, args.delta, reps, horizon=args.horizon, seed=seed)
     return res.to_dict()
 
 
@@ -226,7 +204,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_crosscheck(args) -> int:
     model = build_model(args)
-    report = crosscheck(model, args.delta, args.reps, policy=_policy(args),
+    report = crosscheck(model, args.delta, args.reps, horizon=args.horizon,
                         seed=args.seed, T=args.T)
     payload = report.to_dict()
     payload["config_hash"] = _config(args).hash

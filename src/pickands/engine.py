@@ -26,12 +26,12 @@ __all__ = [
     "by_row_blocks",
     "chunk_stream",
     "chunk_plan",
+    "doubling_stable",
     "map_chunks",
     "reduce_moments",
     "resolve_threads",
     "row_blocks",
     "run",
-    "select_level",
 ]
 
 # Target number of matrix entries (paths x grid points) held by one chunk.
@@ -44,6 +44,9 @@ MAX_CHUNK = 65536
 # block's temporaries stay in cache and a chunk's few full-size arrays set its
 # peak memory.
 ROW_BLOCK_BYTES = 1 << 20
+# How far, in standard errors of the deeper level, an estimate may move when
+# its truncation level doubles and still count as converged (doubling_stable).
+DOUBLING_TOL = 0.1
 
 
 def chunk_stream(seed: int, chunk: int) -> np.random.Generator:
@@ -192,10 +195,8 @@ def run(
     return reduce_moments(partials)
 
 
-def select_level(means: np.ndarray, ses: np.ndarray, rel_tol: float) -> tuple[int, bool]:
-    """Doubling rule: the first level whose change from the previous one is at
-    most ``rel_tol`` times its standard error, and True; else the last level, and False."""
-    for lvl in range(1, means.size):
-        if abs(means[lvl] - means[lvl - 1]) <= rel_tol * ses[lvl]:
-            return lvl, True
-    return means.size - 1, False
+def doubling_stable(means: np.ndarray, ses: np.ndarray) -> bool:
+    """Doubling rule over estimates at two or more levels, each twice the one
+    before: True when the last moved from the one before by at most
+    DOUBLING_TOL of its standard error."""
+    return bool(abs(means[-1] - means[-2]) <= DOUBLING_TOL * ses[-1])

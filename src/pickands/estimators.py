@@ -23,16 +23,20 @@ exact representation of this constant:
 * ``continuous-dy``  mesh approximation of the ratio formula that recovers
                      the continuous-time constant H^0.
 
-Infinite index sets are truncated at a horizon chosen by a doubling policy;
-per-replication values are evaluated at every doubling checkpoint of one
-simulated path, so the reported stability diagnostic measures the actual
-truncation effect under common random numbers.
+``estimate`` runs any of the exact formulas by name; ``crosscheck`` runs
+them all on shared paths. Their infinite index sets are truncated by one
+rule: paths run to a horizon of H grid points (by default
+``default_horizon``, past which w is certified not to return), the estimate
+is read at H, and it is flagged unstable when doubling from H/2 moved it by
+more than a tenth of its standard error. Both levels are read off the same
+simulated paths, so the flag measures the actual truncation effect under
+common random numbers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -48,49 +52,15 @@ from .models import (
 )
 
 __all__ = [
-    "TruncationPolicy",
     "EstimateResult",
     "CrosscheckReport",
     "default_horizon",
+    "estimate",
     "est_definitional",
-    "est_exceedance",
-    "est_difference",
-    "est_argmax",
-    "est_dieker_yakir",
-    "est_time_reversed",
     "est_continuous_dy",
     "crosscheck",
     "EXACT_METHODS",
 ]
-
-
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """Horizon-doubling control for the infinite index sets.
-
-    Starting from ``initial`` grid points, the horizon is doubled (factor
-    ``growth``) until the estimate moves by less than ``rel_tol`` times its
-    standard error, up to ``max_horizon`` points. A run that never
-    stabilizes is still reported, flagged unstable.
-    """
-
-    initial: int = 64
-    growth: int = 2
-    rel_tol: float = 0.1
-    max_horizon: int | None = None
-
-    def __post_init__(self):
-        if self.initial < 1:
-            raise ValueError("initial horizon must be >= 1")
-        if self.growth < 2:
-            raise ValueError("growth factor must be >= 2")
-
-    def levels(self) -> list[int]:
-        cap = self.max_horizon if self.max_horizon is not None else self.initial * self.growth**3
-        out = [self.initial]
-        while out[-1] * self.growth <= cap:
-            out.append(out[-1] * self.growth)
-        return out
 
 
 @dataclass(frozen=True)
@@ -128,7 +98,12 @@ class EstimateResult:
         return d
 
 
-def default_horizon(model: Model, delta: float, tail: float = 1e-6) -> int:
+# default_horizon certifies the first power of two from 16 grid points on
+# where P{w(t) + E > 0} falls below this.
+HORIZON_TAIL = 1e-6
+
+
+def default_horizon(model: Model, delta: float) -> int:
     """Grid points after which w is very unlikely to pop back above -E.
 
     Uses the closed form P{w(t) + E > 0} = 2 Phi(-sigma(t)/2) for Gaussian
@@ -148,21 +123,13 @@ def default_horizon(model: Model, delta: float, tail: float = 1e-6) -> int:
             return 2.0 * math.exp(-lam * n * delta)
 
     n = 16
-    while n < (1 << 16) and point(n) > tail:
+    while n < (1 << 16) and point(n) > HORIZON_TAIL:
         n *= 2
     return n
 
 
 def _ndtr(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
-def _policy_or_default(policy: TruncationPolicy | None, model: Model, delta: float) -> TruncationPolicy:
-    """Default: doubling levels that end at the certified tail horizon."""
-    if policy is not None:
-        return policy
-    cap = default_horizon(model, delta)
-    return TruncationPolicy(initial=max(16, cap // 4), max_horizon=cap)
 
 
 def _require(cond: bool, message: str) -> None:
@@ -177,17 +144,21 @@ def _require(cond: bool, message: str) -> None:
 
 
 def _values_exceedance(cummax: np.ndarray, expo: np.ndarray, levels: np.ndarray, delta: float) -> np.ndarray:
-    """Exceedance event over the lags ``cummax`` runs over: i >= 1, or i <= -1 for time reversal."""
+    """Exceedance event {E + w(delta i) <= 0} over the lags ``cummax`` runs over:
+    i >= 1, or i <= -1 for time reversal, which shares the constant."""
     m = cummax[:, levels - 1]
     return (m + expo[:, None] <= 0.0).astype(float) / delta
 
 
 def _values_difference(pos_cummax: np.ndarray, levels: np.ndarray, delta: float) -> np.ndarray:
+    """(1 - sup_{i >= 1} exp(w(delta i)))_+ ; with x(0) = 1 the identity
+    max(1, s) - s = (1 - s)_+ makes it the one-step difference of grid sup means."""
     m = pos_cummax[:, levels - 1]
     return -np.expm1(np.minimum(m, 0.0)) / delta
 
 
 def _values_argmax(pos_cummax: np.ndarray, neg_cummax: np.ndarray, levels: np.ndarray, delta: float) -> np.ndarray:
+    """The two-sided grid sup of w is attained at 0 (w(0) = 0), uniquely among negative lags."""
     mp = pos_cummax[:, levels - 1]
     mn = neg_cummax[:, levels - 1]
     return ((mn < 0.0) & (mp <= 0.0)).astype(float) / delta
@@ -272,111 +243,50 @@ def _shared_path_moments(model: Model, delta: float, reps: int, kernels: dict, l
     return engine.run(worker, seed, reps, n if one_sided else 2 * n + 1, threads)
 
 
-def _run_exact(model: Model, delta: float, reps: int, methods, policy: TruncationPolicy | None,
+def _run_exact(model: Model, delta: float, reps: int, methods, horizon: int | None,
                seed: int, threads: int | None, extra: dict | None = None) -> tuple[dict, dict]:
-    """Registry ``methods`` on shared paths, each at the level the doubling rule selects.
+    """Registry ``methods`` on shared paths, each read at ``horizon`` (default:
+    ``default_horizon``) and checked against half of it by the doubling rule.
 
     Returns the EstimateResults and the raw moments of every kernel, which
     include those of the ``extra`` kernels evaluated on the same paths.
     """
     _require(delta > 0, "delta must be positive")
     _require(reps >= 2, "need at least two replications to form a standard error")
-    policy = _policy_or_default(policy, model, delta)
-    levels = np.asarray(policy.levels())
+    if horizon is None:
+        horizon = default_horizon(model, delta)
+    _require(horizon >= 2, "horizon must be at least 2 grid points")
+    levels = np.asarray([horizon // 2, horizon])
     kernels = {m: _KERNELS[m] for m in methods} | (extra or {})
     moments = _shared_path_moments(model, delta, reps, kernels, levels, seed, threads)
     results = {}
     for m in methods:
         means, ses = moments[m]
-        lvl, stable = engine.select_level(means, ses, policy.rel_tol)
+        stable = engine.doubling_stable(means, ses)
         flags = () if stable else ("truncation-unstable",)
-        results[m] = EstimateResult(m, delta, float(means[lvl]), float(ses[lvl]), reps,
-                                    int(levels[lvl]), stable, seed, flags=flags)
+        results[m] = EstimateResult(m, delta, float(means[-1]), float(ses[-1]), reps,
+                                    int(horizon), stable, seed, flags=flags)
     return results, moments
 
 
-def est_exceedance(
+def estimate(
     model: Model,
+    method: str,
     delta: float,
     reps: int,
     *,
-    policy: TruncationPolicy | None = None,
+    horizon: int | None = None,
     seed: int = 0,
     threads: int | None = None,
 ) -> EstimateResult:
-    """H^delta = (1/delta) P{E + w(delta i) <= 0 for all i >= 1}.
+    """H^delta by the exact formula ``method``, one of EXACT_METHODS.
 
-    E is a fresh unit exponential per replication, independent of the path.
+    Paths run to ``horizon`` grid points (default: ``default_horizon``), the
+    estimate is read there, and it is flagged unstable when doubling from
+    half the horizon moved it by more than a tenth of its standard error.
     """
-    return _run_exact(model, delta, reps, ("exceedance",), policy, seed, threads)[0]["exceedance"]
-
-
-def est_difference(
-    model: Model,
-    delta: float,
-    reps: int,
-    *,
-    policy: TruncationPolicy | None = None,
-    seed: int = 0,
-    threads: int | None = None,
-) -> EstimateResult:
-    """H^delta = (1/delta) E (1 - sup_{i >= 1} exp(w(delta i)))_+ .
-
-    With x(0) = 1 the per-sample identity max(1, s) - s = (1 - s)_+ makes
-    this the one-step difference of grid sup expectations.
-    """
-    return _run_exact(model, delta, reps, ("difference",), policy, seed, threads)[0]["difference"]
-
-
-def est_argmax(
-    model: Model,
-    delta: float,
-    reps: int,
-    *,
-    policy: TruncationPolicy | None = None,
-    seed: int = 0,
-    threads: int | None = None,
-) -> EstimateResult:
-    """H^delta = (1/delta) P{sup_{i<0} w < 0 and sup_{i != 0} w <= 0}.
-
-    Since w(0) = 0 the event says the two-sided grid supremum of w is
-    attained, uniquely among negative indices, at 0.
-    """
-    return _run_exact(model, delta, reps, ("argmax",), policy, seed, threads)[0]["argmax"]
-
-
-def est_dieker_yakir(
-    model: Model,
-    delta: float,
-    reps: int,
-    *,
-    policy: TruncationPolicy | None = None,
-    seed: int = 0,
-    threads: int | None = None,
-) -> EstimateResult:
-    """H^delta = E[ max_i exp(w(delta i)) / (delta * sum_i exp(w(delta i))) ].
-
-    Two-sided ratio representation; per-sample values are bounded by
-    1/delta because the max is one summand of the sum.
-    """
-    return _run_exact(model, delta, reps, ("dieker-yakir",), policy, seed, threads)[0]["dieker-yakir"]
-
-
-def est_time_reversed(
-    model: Model,
-    delta: float,
-    reps: int,
-    *,
-    policy: TruncationPolicy | None = None,
-    seed: int = 0,
-    threads: int | None = None,
-) -> EstimateResult:
-    """H^delta = (1/delta) P{E + w(delta i) <= 0 for all i <= -1}.
-
-    The exceedance formula applied to the time-reversed process, which
-    shares the constant.
-    """
-    return _run_exact(model, delta, reps, ("time-reversed",), policy, seed, threads)[0]["time-reversed"]
+    _require(method in _KERNELS, f"unknown method {method!r}; expected one of {', '.join(EXACT_METHODS)}")
+    return _run_exact(model, delta, reps, (method,), horizon, seed, threads)[0][method]
 
 
 def est_definitional(
@@ -426,25 +336,25 @@ def est_continuous_dy(
     *,
     seed: int = 0,
     threads: int | None = None,
-    rel_tol: float = 0.1,
 ) -> EstimateResult:
     """Mesh estimate of H^0 via the ratio formula on [-window, window].
 
     Evaluates E[ max exp(w) / (eta * sum exp(w)) ] on the eta-mesh; the
     ratio formula is exact in eta for the sum, so the only mesh effect is
     the discrete sup, and the estimate converges to H^0 as eta -> 0. The
-    estimate is recomputed on the half window; a change larger than
-    ``rel_tol`` standard errors flags the window as too small.
+    estimate is recomputed on the half window; a change larger than the
+    doubling rule allows (``engine.doubling_stable``) flags the window as
+    too small.
     """
     _require(eta > 0, "eta must be positive")
-    _require(window >= eta, "window must cover at least one mesh step")
-    _require(reps >= 2, "need at least two replications to form a standard error")
     m = int(round(window / eta))
-    levels = np.asarray(sorted({max(1, m // 2), m}))
+    _require(m >= 2, "window must cover at least two mesh steps, so that it can be halved")
+    _require(reps >= 2, "need at least two replications to form a standard error")
+    levels = np.asarray([m // 2, m])
 
     kernel = {"dieker-yakir": _KERNELS["dieker-yakir"]}
     means, ses = _shared_path_moments(model, eta, reps, kernel, levels, seed, threads)["dieker-yakir"]
-    stable = bool(levels.size < 2 or abs(means[-1] - means[-2]) <= rel_tol * ses[-1])
+    stable = engine.doubling_stable(means, ses)
     flags = () if stable else ("window-unstable",)
     return EstimateResult("continuous-dy", 0.0, float(means[-1]), float(ses[-1]), reps,
                           m, stable, seed, mesh=eta, flags=flags)
@@ -464,10 +374,10 @@ class CrosscheckReport:
     match within CI width).
     """
 
-    results: dict = field(default_factory=dict)
-    overlap: dict = field(default_factory=dict)
-    all_overlap: bool = True
-    definitional_dominates: bool | None = None
+    results: dict
+    overlap: dict
+    all_overlap: bool
+    definitional_dominates: bool
     flags: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
@@ -512,51 +422,43 @@ def crosscheck(
     delta: float,
     reps: int,
     *,
-    policy: TruncationPolicy | None = None,
+    horizon: int | None = None,
     seed: int = 0,
     threads: int | None = None,
     T: float | None = None,
-    include_definitional: bool = True,
 ) -> CrosscheckReport:
     """Run the grid formulas on shared paths and compare their CIs.
 
     A single two-sided path (and one exponential variate) per replication
     feeds every estimator, so disagreement is formula error rather than
-    sampling noise. The five exact representations enter the pairwise
-    overlap matrix; the definitional functional is checked for dominance
-    instead, over [0, T] with T defaulting to the largest MC-feasible
-    horizon.
+    sampling noise. The five exact representations, truncated as by
+    ``estimate``, enter the pairwise overlap matrix; the definitional
+    functional is checked for dominance instead, over [0, T] with T
+    defaulting to the largest MC-feasible horizon.
     """
     _require(delta > 0, "delta must be positive")
     _require(reps >= 2, "need at least two replications to form a standard error")
-    policy = _policy_or_default(policy, model, delta)
-    n_max = policy.levels()[-1]
-    horizon_T = T if T is not None else min(n_max * delta, feasible_definitional_T(model, delta, reps))
+    if horizon is None:
+        horizon = default_horizon(model, delta)
+    horizon_T = T if T is not None else min(horizon * delta, feasible_definitional_T(model, delta, reps))
     # number of positive grid points inside [0, T]; 0 leaves only the origin
-    k_T = min(n_max, int(math.floor(horizon_T / delta + 1e-12)))
+    k_T = min(horizon, int(math.floor(horizon_T / delta + 1e-12)))
 
     def definitional(pos, levels, delta):
         sup = np.maximum(pos[:, k_T - 1], 0.0) if k_T >= 1 else np.zeros(pos.shape[0])
         return np.exp(sup) / horizon_T
 
-    extra = {"definitional": _Kernel(definitional, ("pos",))} if include_definitional else None
-    results, moments = _run_exact(model, delta, reps, EXACT_METHODS, policy, seed, threads, extra)
-    overlap = {}
-    all_ok = True
-    for i, a in enumerate(EXACT_METHODS):
-        for b in EXACT_METHODS[i + 1:]:
-            ok = _ci_overlap(results[a], results[b])
-            overlap[(a, b)] = ok
-            all_ok = all_ok and ok
-    dominates = None
-    if include_definitional:
-        means, ses = moments["definitional"]
-        d = results["definitional"] = EstimateResult("definitional", delta, float(means[0]), float(ses[0]),
-                                                     reps, k_T, True, seed)
-        dominates = all(
-            d.estimate + 3.0 * math.hypot(d.stderr, results[m].stderr) >= results[m].estimate
-            for m in EXACT_METHODS
-        )
+    extra = {"definitional": _Kernel(definitional, ("pos",))}
+    results, moments = _run_exact(model, delta, reps, EXACT_METHODS, horizon, seed, threads, extra)
+    overlap = {(a, b): _ci_overlap(results[a], results[b])
+               for i, a in enumerate(EXACT_METHODS) for b in EXACT_METHODS[i + 1:]}
+    means, ses = moments["definitional"]
+    d = results["definitional"] = EstimateResult("definitional", delta, float(means[0]), float(ses[0]),
+                                                 reps, k_T, True, seed)
+    dominates = all(
+        d.estimate + 3.0 * math.hypot(d.stderr, results[m].stderr) >= results[m].estimate
+        for m in EXACT_METHODS
+    )
     flags = ("underpowered",) if reps < 1000 else ()
-    return CrosscheckReport(results=results, overlap=overlap, all_overlap=all_ok,
+    return CrosscheckReport(results=results, overlap=overlap, all_overlap=all(overlap.values()),
                             definitional_dominates=dominates, flags=flags)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .estimators import EstimateResult, TruncationPolicy, est_exceedance
+from .estimators import EstimateResult, estimate
 from .models import GridSpec, Model, w_matrix
 
 __all__ = [
@@ -272,7 +272,7 @@ def est_candidate_theta(
     delta: float,
     reps: int,
     *,
-    policy: TruncationPolicy | None = None,
+    horizon: int | None = None,
     seed: int = 0,
     threads: int | None = None,
 ) -> EstimateResult:
@@ -282,7 +282,7 @@ def est_candidate_theta(
     the event coincides with the exceedance formula's, so the estimate is
     exactly delta times the exceedance estimate under a shared seed.
     """
-    base = est_exceedance(model, delta, reps, policy=policy, seed=seed, threads=threads)
+    base = estimate(model, "exceedance", delta, reps, horizon=horizon, seed=seed, threads=threads)
     return EstimateResult(
         "theta-candidate",
         delta,

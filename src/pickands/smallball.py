@@ -15,8 +15,9 @@ integer grid, which the library's exact grid sampler draws for every
 alpha. For alpha = 1 the two sides k > 0 and k < 0 are independent and the
 probability is the product of the two one-sided probabilities, each
 estimated from the same paths. The probability is estimated by Monte Carlo
-with the cutoff K doubled until stable; an affine-in-eta fit of the scaled
-values extrapolates the eta -> 0 constant.
+at twice the given cutoff and checked for stability against the cutoff
+itself; an affine-in-eta fit of the scaled values extrapolates the
+eta -> 0 constant.
 """
 
 from __future__ import annotations
@@ -80,16 +81,19 @@ class SmallBallEstimate:
         }
 
 
-def suggested_cutoff(alpha: float, eta: float, tail_tol: float | None = None) -> int:
+# suggested_cutoff's tolerance for the discarded constraints, as a share of
+# the probability scale eta^(2/alpha).
+CUTOFF_TAIL_SHARE = 0.01
+
+
+def suggested_cutoff(alpha: float, eta: float) -> int:
     """Smallest power-of-two K whose discarded constraints are negligible.
 
     Constraints at 1/k have marginal violation probability
     Phi(-eta k^(alpha/2)); K is grown until the summed tail drops below
-    ``tail_tol`` (default: 1% of the expected probability scale
-    eta^(2/alpha)).
+    CUTOFF_TAIL_SHARE of the expected probability scale eta^(2/alpha).
     """
-    if tail_tol is None:
-        tail_tol = 0.01 * eta ** (2.0 / alpha)
+    tail_tol = CUTOFF_TAIL_SHARE * eta ** (2.0 / alpha)
     k = 64
     while k < (1 << 20):
         tail = 0.0
@@ -140,10 +144,8 @@ def est_smallball_prob(
     *,
     seed: int = 0,
     threads: int | None = None,
-    doublings: int = 1,
-    rel_tol: float = 0.1,
 ) -> SmallBallEstimate:
-    """P{b_alpha(1/k) <= eta for all 0 < |k| <= K}, K doubled until stable.
+    """P{b_alpha(1/k) <= eta for all 0 < |k| <= K} at K = 2 * cutoff.
 
     Since |t|^alpha b_alpha(1/t) is again fBm, the probability is that of
     {b_alpha(k) <= eta |k|^alpha for all 0 < |k| <= K} on the integer grid,
@@ -151,14 +153,16 @@ def est_smallball_prob(
     independent Brownian motions, so the probability factorizes; it is then
     estimated by the product of the two side means of the same paths, which
     is unbiased and has less variance than the joint indicator's mean. Other
-    alphas average the joint indicator.
+    alphas average the joint indicator. The result is flagged unstable
+    when doubling K from ``cutoff`` moved it by more than the doubling rule
+    allows (``engine.doubling_stable``).
     """
     if not 0.0 < alpha <= 2.0:
         raise ValueError("alpha must lie in (0, 2]")
     if eta <= 0 or cutoff < 1 or reps < 2:
         raise ValueError("need eta > 0, cutoff >= 1 and reps >= 2")
     independent_sides = alpha == 1.0
-    levels = np.asarray([cutoff * 2**j for j in range(max(1, doublings + 1))])
+    levels = np.asarray([cutoff, 2 * cutoff])
     k_max = int(levels[-1])
 
     def worker(rng, count):
@@ -173,16 +177,16 @@ def est_smallball_prob(
     else:
         probs = means
 
-    lvl, stable = engine.select_level(probs, ses, rel_tol)
+    stable = engine.doubling_stable(probs, ses)
     flags = [] if stable else ["cutoff-unstable"]
-    if probs[lvl] == 0.0:
+    if probs[-1] == 0.0:
         flags.append("zero-probability; increase reps or eta")
     return SmallBallEstimate(
         alpha=alpha,
         eta=eta,
-        prob=float(probs[lvl]),
-        stderr=float(ses[lvl]),
-        cutoff=int(levels[lvl]),
+        prob=float(probs[-1]),
+        stderr=float(ses[-1]),
+        cutoff=k_max,
         replications=reps,
         seed=seed,
         stable=stable,

@@ -21,7 +21,7 @@ from pickands.estimators import (
     EXACT_METHODS,
     crosscheck,
     est_continuous_dy,
-    est_exceedance,
+    estimate,
 )
 from pickands.bounds import gaussian_lower_bound, levy_lower_bound
 from pickands.maxstable import (
@@ -84,7 +84,7 @@ class TestCriterion2:
         report("2", ok, f"continuous-dy eta=0.01 -> {res.estimate:.6f} vs 1/sqrt(pi)={target:.6f}")
 
     def test_exceedance_small_delta(self):
-        res = est_exceedance(FBM2, 0.1, 1_000_000, seed=1003)
+        res = estimate(FBM2, "exceedance", 0.1, 1_000_000, seed=1003)
         closed = alpha2_constant(0.1)
         ok = abs(res.estimate - closed) <= 3.0 * res.stderr and abs(res.estimate - 0.5641) <= 0.005
         report("2", ok, f"exceedance delta=0.1 -> {res.estimate:.5f} (closed form {closed:.5f}, quoted 0.5641)")
@@ -132,7 +132,7 @@ class TestCriterion5:
     @pytest.mark.parametrize("delta", [8.0, 16.0, 32.0])
     def test_levy_bounds_dominated(self, delta):
         bound = levy_lower_bound(BROWNIAN_LEVY, delta).value
-        est = est_exceedance(BROWNIAN_LEVY, delta, 200_000, seed=1006)
+        est = estimate(BROWNIAN_LEVY, "exceedance", delta, 200_000, seed=1006)
         frozen = FROZEN[("levy-brownian", delta)]
         ok = bound <= est.estimate + 3.0 * est.stderr and bound <= frozen
         report("5", ok, f"levy bound delta={delta}: {bound:.5f} <= est {est.estimate:.5f} (exact {frozen:.5f})")

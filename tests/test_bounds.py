@@ -13,7 +13,7 @@ from pickands.bounds import (
     levy_h0_bound,
     levy_lower_bound,
 )
-from pickands.estimators import est_exceedance
+from pickands.estimators import estimate
 from pickands.models import JumpLaw, LevyModel, ModelError, VarianceFunction
 
 
@@ -102,7 +102,7 @@ class TestBoundsDominatedByEstimates:
     def test_gaussian(self, alpha, delta):
         vf = VarianceFunction.fbm(alpha)
         bound = gaussian_lower_bound(vf, delta).value
-        est = est_exceedance(vf, delta, 60_000, seed=51)
+        est = estimate(vf, "exceedance", delta, 60_000, seed=51)
         assert bound <= est.estimate + 3.0 * est.stderr
 
     @pytest.mark.parametrize("delta", [8.0, 16.0, 32.0])
@@ -113,7 +113,7 @@ class TestBoundsDominatedByEstimates:
     @pytest.mark.parametrize("delta", [8.0, 16.0])
     def test_levy_vs_monte_carlo(self, delta):
         bound = levy_lower_bound(LevyModel.brownian(), delta).value
-        est = est_exceedance(LevyModel.brownian(), delta, 60_000, seed=52)
+        est = estimate(LevyModel.brownian(), "exceedance", delta, 60_000, seed=52)
         assert bound <= est.estimate + 3.0 * est.stderr
 
 

@@ -253,3 +253,28 @@ def test_readme_command_runs(args, tmp_path):
             args += [flag, value]
     proc = run_cli(args, check=False, cwd=tmp_path)
     assert proc.returncode in (0, 1), proc.stderr
+
+
+def test_readme_headline_is_stable():
+    # the first headline command at full size: the certified horizon of this
+    # model is 16, and doubling to it must not read as truncation-unstable
+    headline = README.read_text().split("## Reproducing the headline numbers")[1]
+    line = next(l for l in headline.splitlines() if l.startswith("pickands estimate"))
+    rec = json.loads(run_cli(shlex.split(line)[1:]).stdout)
+    assert rec["horizon"] == 16
+    assert rec["stable"] is True and rec["flags"] == []
+
+
+def readme_python_blocks() -> list[str]:
+    """Every ``python`` block of the README, with each ``reps=`` argument cut to 2000."""
+    return [re.sub(r"\breps=[\d_]+", "reps=2000", block)
+            for block in re.findall(r"```python\n(.*?)```", README.read_text(), re.S)]
+
+
+@pytest.mark.parametrize("code", readme_python_blocks(), ids=lambda code: code.splitlines()[0])
+def test_readme_python_block_runs(code):
+    exec(compile(code, str(README), "exec"), {})
+
+
+def test_readme_has_python_blocks():
+    assert readme_python_blocks()

@@ -59,11 +59,18 @@ class TestRowBlocks:
         assert all(step <= b.stop - b.start < 2 * step for b in blocks) or len(blocks) == 1
 
 
-class TestSelectLevel:
-    def test_first_stable_step(self):
+class TestDoublingStable:
+    def test_last_doubling_decides(self):
+        # only the last doubling counts: 1.52 -> 1.52 is stable whatever came before
         means, ses = np.array([1.0, 1.5, 1.52, 1.52]), np.array([0.1, 0.1, 0.3, 0.3])
-        assert engine.select_level(means, ses, 0.1) == (2, True)
+        assert engine.doubling_stable(means, ses)
+        assert not engine.doubling_stable(means[:2], ses[:2])
 
-    def test_never_stable_returns_last(self):
+    def test_moving_estimate_is_unstable(self):
         means, ses = np.array([1.0, 2.0, 3.0]), np.full(3, 0.1)
-        assert engine.select_level(means, ses, 0.1) == (2, False)
+        assert not engine.doubling_stable(means, ses)
+
+    def test_tolerance_is_a_tenth_of_the_deeper_se(self):
+        ses = np.array([1.0, 0.5])
+        assert engine.doubling_stable(np.array([1.0, 1.04]), ses)
+        assert not engine.doubling_stable(np.array([1.0, 1.06]), ses)

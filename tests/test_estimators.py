@@ -11,17 +11,12 @@ from pickands.bounds import levy_h0_bound
 from pickands.engine import ROW_BLOCK_BYTES, chunk_stream, resolve_threads
 from pickands.estimators import (
     EXACT_METHODS,
-    TruncationPolicy,
     _values_ratio,
     crosscheck,
     default_horizon,
-    est_argmax,
     est_continuous_dy,
     est_definitional,
-    est_dieker_yakir,
-    est_difference,
-    est_exceedance,
-    est_time_reversed,
+    estimate,
     feasible_definitional_T,
 )
 from pickands.models import (
@@ -39,13 +34,6 @@ LEVY_MODELS = {
     "normal-jumps": LevyModel(0.5, 1.0, JumpLaw("normal", mean=0.2, sd=0.7)),
     "exponential-jumps": LevyModel(0.5, 0.2, JumpLaw("exponential", rate=1.5)),
 }
-ALL_ESTIMATORS = {
-    "exceedance": est_exceedance,
-    "difference": est_difference,
-    "argmax": est_argmax,
-    "dieker-yakir": est_dieker_yakir,
-    "time-reversed": est_time_reversed,
-}
 
 
 def assert_within(result, target, k=3.0, floor=1e-9):
@@ -55,18 +43,18 @@ def assert_within(result, target, k=3.0, floor=1e-9):
 
 
 class TestAgainstAlpha2ClosedForm:
-    @pytest.mark.parametrize("method", sorted(ALL_ESTIMATORS))
+    @pytest.mark.parametrize("method", sorted(EXACT_METHODS))
     @pytest.mark.parametrize("delta", [1.0, 4.0])
     def test_matches_closed_form(self, method, delta):
-        res = ALL_ESTIMATORS[method](FBM2, delta, 150_000, seed=101)
+        res = estimate(FBM2, method, delta, 150_000, seed=101)
         assert_within(res, alpha2_constant(delta))
 
     def test_large_delta_saturates(self):
-        res = est_exceedance(FBM2, 10.0, 100_000, seed=3)
+        res = estimate(FBM2, "exceedance", 10.0, 100_000, seed=3)
         assert abs(10.0 * res.estimate - 1.0) <= 3.0 * 10.0 * res.stderr + 1e-9
 
     def test_small_delta(self):
-        res = est_exceedance(FBM2, 0.1, 200_000, seed=4)
+        res = estimate(FBM2, "exceedance", 0.1, 200_000, seed=4)
         assert_within(res, alpha2_constant(0.1))
 
 
@@ -77,29 +65,29 @@ class TestAgainstRandomWalkOracle:
 
     @pytest.mark.parametrize("method", ["exceedance", "difference", "argmax", "time-reversed"])
     def test_alpha1(self, method):
-        res = ALL_ESTIMATORS[method](FBM1, 1.0, 150_000, seed=11)
+        res = estimate(FBM1, method, 1.0, 150_000, seed=11)
         assert_within(res, FROZEN[("alpha1", 1.0)])
 
     @pytest.mark.parametrize("delta", [0.5, 2.0])
     def test_alpha1_deltas(self, delta):
-        res = est_exceedance(FBM1, delta, 150_000, seed=12)
+        res = estimate(FBM1, "exceedance", delta, 150_000, seed=12)
         assert_within(res, FROZEN[("alpha1", delta)])
 
     def test_levy_brownian(self):
-        res = est_exceedance(LevyModel.brownian(), 1.0, 150_000, seed=13)
+        res = estimate(LevyModel.brownian(), "exceedance", 1.0, 150_000, seed=13)
         assert_within(res, FROZEN[("levy-brownian", 1.0)])
 
     @pytest.mark.parametrize("method", ["argmax", "dieker-yakir", "time-reversed"])
     @pytest.mark.parametrize("delta", [1.0, 4.0])
     def test_levy_brownian_two_sided(self, delta, method):
         # the routes that read negative lags, against the closed-form Spitzer series
-        res = ALL_ESTIMATORS[method](LevyModel.brownian(), delta, 100_000, seed=15)
+        res = estimate(LevyModel.brownian(), method, delta, 100_000, seed=15)
         assert_within(res, levy_brownian_series(delta))
 
     def test_levy_matches_gaussian_alpha1(self):
         # sqrt(2) BM - t arises from both constructions; constants must agree
         levy = LevyModel(diffusion=np.sqrt(2.0))
-        res = est_difference(levy, 1.0, 150_000, seed=14)
+        res = estimate(levy, "difference", 1.0, 150_000, seed=14)
         assert_within(res, FROZEN[("alpha1", 1.0)])
 
 
@@ -157,6 +145,12 @@ class TestContinuousDy:
         assert levy_h0_bound(model).value <= res.estimate + 3.0 * res.stderr
 
 
+    def test_one_step_window_rejected(self):
+        # a window of one mesh step cannot be halved, so its truncation is unchecked
+        with pytest.raises(ValueError, match="two mesh steps"):
+            est_continuous_dy(FBM1, 0.5, 0.5, 100)
+
+
 class TestPerSampleProperties:
     def test_difference_identity(self, rng):
         s = np.exp(rng.normal(size=1000))
@@ -196,10 +190,10 @@ class TestPerSampleProperties:
 
 
 class TestInvariants:
-    @pytest.mark.parametrize("method", sorted(ALL_ESTIMATORS))
+    @pytest.mark.parametrize("method", sorted(EXACT_METHODS))
     def test_range_and_index_bound(self, method):
         delta = 0.5
-        res = ALL_ESTIMATORS[method](VarianceFunction.fbm(1.5), delta, 30_000, seed=21)
+        res = estimate(VarianceFunction.fbm(1.5), method, delta, 30_000, seed=21)
         assert -3.0 * res.stderr <= res.estimate <= 1.0 / delta + 3.0 * res.stderr
         assert delta * res.estimate <= 1.0 + 3.0 * delta * res.stderr
 
@@ -207,40 +201,59 @@ class TestInvariants:
         delta = 1.0
         T = feasible_definitional_T(FBM1, delta, 100_000)
         d = est_definitional(FBM1, delta, T, 100_000, seed=22)
-        e = est_exceedance(FBM1, delta, 100_000, seed=23)
+        e = estimate(FBM1, "exceedance", delta, 100_000, seed=23)
         assert d.estimate >= e.estimate - 3.0 * np.hypot(d.stderr, e.stderr)
 
     def test_reps_validation(self):
         with pytest.raises(ValueError):
-            est_exceedance(FBM1, 1.0, 1)
+            estimate(FBM1, "exceedance", 1.0, 1)
 
-    def test_truncation_policy_levels(self):
-        pol = TruncationPolicy(initial=16, growth=2, max_horizon=128)
-        assert pol.levels() == [16, 32, 64, 128]
-        with pytest.raises(ValueError):
-            TruncationPolicy(initial=0)
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="unknown method"):
+            estimate(FBM1, "continuous-dy", 1.0, 100)
 
     def test_default_horizon_scales(self):
         assert default_horizon(FBM2, 1.0) <= default_horizon(FBM2, 0.1)
         assert default_horizon(LevyModel.brownian(), 8.0) <= 64
 
 
+class TestTruncation:
+    def test_certified_horizon_16_is_stable(self):
+        # no path of this model crosses between lags 8 and 16, so the one doubling moves nothing
+        assert default_horizon(FBM2, 1.0) == 16
+        res = estimate(FBM2, "exceedance", 1.0, 20_000)
+        assert res.horizon == 16 and res.stable and res.flags == ()
+
+    def test_crosscheck_routes_stable(self):
+        report = crosscheck(VarianceFunction.fbm(1.5), 1.0, 5_000)
+        assert all(report.results[m].stable for m in EXACT_METHODS)
+
+    def test_explicit_horizon_is_recorded(self):
+        assert estimate(FBM1, "difference", 1.0, 4_000, horizon=48, seed=3).horizon == 48
+        report = crosscheck(FBM1, 1.0, 4_000, horizon=48, seed=3)
+        assert {report.results[m].horizon for m in EXACT_METHODS} == {48}
+
+    def test_horizon_below_two_rejected(self):
+        with pytest.raises(ValueError, match="horizon"):
+            estimate(FBM1, "exceedance", 1.0, 100, horizon=1)
+
+
 class TestDeterminism:
     def test_same_seed_same_result(self):
-        a = est_exceedance(FBM1, 1.0, 20_000, seed=5)
-        b = est_exceedance(FBM1, 1.0, 20_000, seed=5)
+        a = estimate(FBM1, "exceedance", 1.0, 20_000, seed=5)
+        b = estimate(FBM1, "exceedance", 1.0, 20_000, seed=5)
         assert a == b
 
     def test_thread_count_invariance(self):
-        a = est_dieker_yakir(VarianceFunction.fbm(1.5), 1.0, 30_000, seed=5, threads=1)
-        b = est_dieker_yakir(VarianceFunction.fbm(1.5), 1.0, 30_000, seed=5, threads=4)
+        a = estimate(VarianceFunction.fbm(1.5), "dieker-yakir", 1.0, 30_000, seed=5, threads=1)
+        b = estimate(VarianceFunction.fbm(1.5), "dieker-yakir", 1.0, 30_000, seed=5, threads=4)
         assert a.estimate == b.estimate and a.stderr == b.stderr
 
     def test_env_thread_override(self, monkeypatch):
         monkeypatch.setenv("PICKANDS_THREADS", "3")
-        a = est_exceedance(FBM1, 1.0, 20_000, seed=5)
+        a = estimate(FBM1, "exceedance", 1.0, 20_000, seed=5)
         monkeypatch.setenv("PICKANDS_THREADS", "1")
-        b = est_exceedance(FBM1, 1.0, 20_000, seed=5)
+        b = estimate(FBM1, "exceedance", 1.0, 20_000, seed=5)
         assert a == b
 
     @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
@@ -265,7 +278,7 @@ class TestDeterminism:
         with pytest.raises(ValueError, match="threads"):
             resolve_threads(threads)
         with pytest.raises(ValueError, match="threads"):
-            est_exceedance(FBM1, 1.0, 100, threads=threads)
+            estimate(FBM1, "exceedance", 1.0, 100, threads=threads)
 
 
 class TestCrosscheck:

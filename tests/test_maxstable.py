@@ -9,7 +9,7 @@ from scipy import stats
 
 from oracles import alpha2_constant, alpha2_fdd_exponent, alpha2_sup_mean, levy_brownian_series
 from pickands.engine import ROW_BLOCK_BYTES, chunk_stream
-from pickands.estimators import est_exceedance
+from pickands.estimators import estimate
 from pickands.maxstable import (
     _block_sup_values,
     _boundary_corrected_theta,
@@ -222,7 +222,7 @@ class TestBlockSupKernel:
 class TestCandidate:
     def test_exact_tie_to_exceedance(self):
         cand = est_candidate_theta(FBM2, 0.5, 30_000, seed=12)
-        exc = est_exceedance(FBM2, 0.5, 30_000, seed=12)
+        exc = estimate(FBM2, "exceedance", 0.5, 30_000, seed=12)
         assert cand.estimate == 0.5 * exc.estimate
         assert cand.stderr == 0.5 * exc.stderr
 
