@@ -2,12 +2,14 @@
 
 Subcommands: estimate, crosscheck, bound, maxstable, smallball. Every run
 is reproducible from its configuration and seed; records embed the
-configuration hash. Worker-thread count comes from PICKANDS_THREADS (unset:
-the CPUs the process may run on; 1 runs serially) and never changes
-numerical output; peak memory grows with it, about one chunk per thread.
+configuration hash. The worker-thread count has one setting, the
+PICKANDS_THREADS environment variable (unset: the CPUs the process may run
+on; 1 runs serially); it never changes numerical output, and peak memory
+grows with it, about one chunk per thread.
 
 Exit codes: 0 success, 1 a requested check failed, 2 invalid usage or
-input.
+input, such as fewer than two --reps or a nonpositive --T, --cutoff, --rn
+or --samples (never read as a request for the default).
 """
 
 from __future__ import annotations
@@ -235,6 +237,10 @@ def cmd_bound(args) -> int:
 
 
 def cmd_maxstable(args) -> int:
+    if args.samples < 1:
+        raise ValueError("--samples must be at least 1")
+    if args.rn is not None and args.rn < 1:
+        raise ValueError("--rn must be at least 1")
     model = build_model(args)
     config = _config(args)
     records = []
@@ -271,7 +277,7 @@ def cmd_maxstable(args) -> int:
                 "p_value": pvalue, "passes_1pct": bool(pvalue > 0.01),
             })
     else:
-        r_n = args.rn or math.isqrt(int(args.level))
+        r_n = args.rn if args.rn is not None else math.isqrt(int(args.level))
         blocks = _boundary_corrected_theta(model, args.delta, r_n, max(args.reps // 100, 100),
                                            seed=args.seed)
         cand = est_candidate_theta(model, args.delta, args.reps, seed=args.seed)
@@ -306,7 +312,7 @@ def ks_test(sample: np.ndarray, cdf) -> tuple[float, float]:
 
 
 def _export_samples(args, model) -> None:
-    grid = GridSpec(args.delta, 0, max(1, args.rn or 8))
+    grid = GridSpec(args.delta, 0, args.rn if args.rn is not None else 8)
     rng = engine.chunk_stream(args.seed, 1)
     zeta, _ = max_stable_batch(model, grid, rng, min(args.samples, 1000))
     rows = [{"sample": s, "index": int(i), "t": float(t), "zeta": float(z)}
@@ -321,7 +327,7 @@ def cmd_smallball(args) -> int:
     records = []
     triples = []
     for eta in etas:
-        cutoff = args.cutoff if args.cutoff else max(64, suggested_cutoff(args.alpha, eta) // 2)
+        cutoff = args.cutoff if args.cutoff is not None else max(64, suggested_cutoff(args.alpha, eta) // 2)
         res = est_smallball_prob(args.alpha, eta, cutoff, args.reps, seed=args.seed)
         triples.append((eta, res.prob, res.stderr))
         rec = res.to_dict()

@@ -4,8 +4,10 @@ Replications are partitioned into fixed-size chunks. Chunk ``c`` of a run
 with master seed ``s`` draws all of its randomness from a counter-based
 Philox stream keyed by ``(s, c)``, and partial results are reduced in chunk
 order. Output is therefore bit-identical for a given seed regardless of how
-many worker threads execute the chunks (``PICKANDS_THREADS``, by default the
-CPUs this process may run on).
+many worker threads execute the chunks. ``PICKANDS_THREADS`` is the one
+setting of that count (by default the CPUs this process may run on), and
+``chunk_plan`` is the one check that a run has the two replications a
+standard error needs; estimators do neither themselves.
 
 Each thread holds one chunk at a time, so peak memory is about the thread
 count times one chunk's working set. Samplers and value kernels keep that
@@ -65,26 +67,23 @@ def chunk_plan(reps: int, n_cols: int) -> list[int]:
     """Replication counts of the chunks that ``reps`` replications split into.
 
     The split depends only on ``reps`` and ``n_cols`` (the per-replication
-    row width), keeping the randomness assignment reproducible.
+    row width), keeping the randomness assignment reproducible. Fewer than
+    two replications raise ValueError before any chunk is drawn.
     """
-    if reps <= 0:
-        raise ValueError("reps must be positive")
+    if reps < 2:
+        raise ValueError("need at least two replications to form a standard error")
     size = CHUNK_BUDGET // max(1, int(n_cols))
     size = int(min(MAX_CHUNK, max(MIN_CHUNK, size), reps))
     return [min(size, reps - start) for start in range(0, reps, size)]
 
 
-def resolve_threads(threads: int | None = None) -> int:
-    """Worker count: explicit argument, else PICKANDS_THREADS, else the usable CPUs.
+def resolve_threads() -> int:
+    """Worker count: PICKANDS_THREADS, else the usable CPUs.
 
     The usable CPUs are those this process may run on (its affinity mask),
-    or all CPUs where the platform does not report a mask. An argument or a
-    set PICKANDS_THREADS that is not a positive integer raises ValueError.
+    or all CPUs where the platform does not report a mask. A set
+    PICKANDS_THREADS that is not a positive integer raises ValueError.
     """
-    if threads is not None:
-        if int(threads) != threads or threads < 1:
-            raise ValueError(f"threads must be a positive integer, got {threads!r}")
-        return int(threads)
     env = os.environ.get("PICKANDS_THREADS", "").strip()
     if not env:
         if hasattr(os, "sched_getaffinity"):
@@ -100,7 +99,6 @@ def map_chunks(
     seed: int,
     reps: int,
     n_cols: int,
-    threads: int | None = None,
 ) -> list[object]:
     """Run ``worker(rng, count)`` over every chunk of the plan.
 
@@ -108,7 +106,7 @@ def map_chunks(
     the caller is independent of the execution schedule.
     """
     counts = chunk_plan(reps, n_cols)
-    n_workers = resolve_threads(threads)
+    n_workers = resolve_threads()
 
     def chunk(index: int) -> object:
         return worker(chunk_stream(seed, index), counts[index])
@@ -160,8 +158,6 @@ def reduce_moments(partials: Sequence[tuple[int, np.ndarray, np.ndarray]]) -> tu
     n, s1, s2 = 0, 0.0, 0.0
     for count, a, b in partials:
         n, s1, s2 = n + count, s1 + a, s2 + b
-    if n < 2:
-        raise ValueError("need at least two replications to form a standard error")
     var = (s2 - np.square(s1) / n) / (n - 1)
     return s1 / n, np.sqrt(np.maximum(var, 0.0) / n)
 
@@ -171,7 +167,6 @@ def run(
     seed: int,
     reps: int,
     n_cols: int,
-    threads: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray] | dict:
     """Mean and standard error per column of the values ``worker(rng, count)`` returns.
 
@@ -189,7 +184,7 @@ def run(
             return {key: _chunk_sums(v, count) for key, v in values.items()}
         return _chunk_sums(values, count)
 
-    partials = map_chunks(sums, seed, reps, n_cols, threads)
+    partials = map_chunks(sums, seed, reps, n_cols)
     if isinstance(partials[0], dict):
         return {key: reduce_moments([p[key] for p in partials]) for key in partials[0]}
     return reduce_moments(partials)

@@ -36,7 +36,7 @@ common random numbers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -213,7 +213,7 @@ EXACT_METHODS = tuple(_KERNELS)
 
 
 def _shared_path_moments(model: Model, delta: float, reps: int, kernels: dict, levels: np.ndarray,
-                         seed: int, threads: int | None) -> dict:
+                         seed: int) -> dict:
     """Means and standard errors per level of every kernel, all on the same paths.
 
     Paths hold w(delta i) for 1 <= i <= n when every kernel reads positive
@@ -240,11 +240,11 @@ def _shared_path_moments(model: Model, delta: float, reps: int, kernels: dict, l
         return {name: k.values(*(paths[r] for r in k.reads), *(expo if k.expo else ()), levels, delta)
                 for name, k in kernels.items()}
 
-    return engine.run(worker, seed, reps, n if one_sided else 2 * n + 1, threads)
+    return engine.run(worker, seed, reps, n if one_sided else 2 * n + 1)
 
 
 def _run_exact(model: Model, delta: float, reps: int, methods, horizon: int | None,
-               seed: int, threads: int | None, extra: dict | None = None) -> tuple[dict, dict]:
+               seed: int, extra: dict | None = None) -> tuple[dict, dict]:
     """Registry ``methods`` on shared paths, each read at ``horizon`` (default:
     ``default_horizon``) and checked against half of it by the doubling rule.
 
@@ -252,13 +252,12 @@ def _run_exact(model: Model, delta: float, reps: int, methods, horizon: int | No
     include those of the ``extra`` kernels evaluated on the same paths.
     """
     _require(delta > 0, "delta must be positive")
-    _require(reps >= 2, "need at least two replications to form a standard error")
     if horizon is None:
         horizon = default_horizon(model, delta)
     _require(horizon >= 2, "horizon must be at least 2 grid points")
     levels = np.asarray([horizon // 2, horizon])
     kernels = {m: _KERNELS[m] for m in methods} | (extra or {})
-    moments = _shared_path_moments(model, delta, reps, kernels, levels, seed, threads)
+    moments = _shared_path_moments(model, delta, reps, kernels, levels, seed)
     results = {}
     for m in methods:
         means, ses = moments[m]
@@ -277,7 +276,6 @@ def estimate(
     *,
     horizon: int | None = None,
     seed: int = 0,
-    threads: int | None = None,
 ) -> EstimateResult:
     """H^delta by the exact formula ``method``, one of EXACT_METHODS.
 
@@ -286,7 +284,7 @@ def estimate(
     half the horizon moved it by more than a tenth of its standard error.
     """
     _require(method in _KERNELS, f"unknown method {method!r}; expected one of {', '.join(EXACT_METHODS)}")
-    return _run_exact(model, delta, reps, (method,), horizon, seed, threads)[0][method]
+    return _run_exact(model, delta, reps, (method,), horizon, seed)[0][method]
 
 
 def est_definitional(
@@ -297,7 +295,6 @@ def est_definitional(
     *,
     mesh: float | None = None,
     seed: int = 0,
-    threads: int | None = None,
 ) -> EstimateResult:
     """(1/T) E sup of exp(w) over the grid in [0, T].
 
@@ -305,10 +302,10 @@ def est_definitional(
     infimum over T), so it serves as an upper cross-check rather than an
     exact estimator. ``delta = 0`` with a ``mesh`` approximates the
     continuous-time functional; that limit is specific to the
-    fractional-Brownian family and is flagged as such.
+    fractional-Brownian family and is flagged as such. For delta > 0 the
+    grid step is delta, and ``mesh`` is neither used nor recorded.
     """
     _require(T > 0, "T must be positive")
-    _require(reps >= 2, "need at least two replications to form a standard error")
     flags: tuple[str, ...] = ()
     if delta == 0:
         _require(mesh is not None and mesh > 0, "delta = 0 requires a positive mesh")
@@ -316,14 +313,14 @@ def est_definitional(
         flags = ("continuum-mesh", "family-specific-limit")
     else:
         _require(delta > 0, "delta must be nonnegative")
-        step = delta
+        step, mesh = delta, None
     k_max = int(math.floor(T / step + 1e-12))
     grid = GridSpec(step, 0, k_max)
 
     def worker(rng, count):
         return np.exp(w_matrix(model, grid, rng, count).max(axis=1)) / T
 
-    mean, se = engine.run(worker, seed, reps, grid.n_points, threads)
+    mean, se = engine.run(worker, seed, reps, grid.n_points)
     return EstimateResult("definitional", delta, float(mean[0]), float(se[0]),
                           reps, k_max, True, seed, mesh=mesh, flags=flags)
 
@@ -335,29 +332,23 @@ def est_continuous_dy(
     reps: int,
     *,
     seed: int = 0,
-    threads: int | None = None,
 ) -> EstimateResult:
     """Mesh estimate of H^0 via the ratio formula on [-window, window].
 
     Evaluates E[ max exp(w) / (eta * sum exp(w)) ] on the eta-mesh; the
     ratio formula is exact in eta for the sum, so the only mesh effect is
-    the discrete sup, and the estimate converges to H^0 as eta -> 0. The
-    estimate is recomputed on the half window; a change larger than the
-    doubling rule allows (``engine.doubling_stable``) flags the window as
-    too small.
+    the discrete sup, and the estimate converges to H^0 as eta -> 0. This
+    is the dieker-yakir run of ``estimate`` at grid step eta and horizon
+    window / eta, recorded as a delta = 0 estimate; a doubling-rule
+    failure between the half and the full window flags the window as too
+    small.
     """
     _require(eta > 0, "eta must be positive")
     m = int(round(window / eta))
     _require(m >= 2, "window must cover at least two mesh steps, so that it can be halved")
-    _require(reps >= 2, "need at least two replications to form a standard error")
-    levels = np.asarray([m // 2, m])
-
-    kernel = {"dieker-yakir": _KERNELS["dieker-yakir"]}
-    means, ses = _shared_path_moments(model, eta, reps, kernel, levels, seed, threads)["dieker-yakir"]
-    stable = engine.doubling_stable(means, ses)
-    flags = () if stable else ("window-unstable",)
-    return EstimateResult("continuous-dy", 0.0, float(means[-1]), float(ses[-1]), reps,
-                          m, stable, seed, mesh=eta, flags=flags)
+    base = estimate(model, "dieker-yakir", eta, reps, horizon=m, seed=seed)
+    return replace(base, method="continuous-dy", delta=0.0, mesh=eta,
+                   flags=() if base.stable else ("window-unstable",))
 
 
 # --- cross-formula consistency ------------------------------------------------
@@ -424,7 +415,6 @@ def crosscheck(
     *,
     horizon: int | None = None,
     seed: int = 0,
-    threads: int | None = None,
     T: float | None = None,
 ) -> CrosscheckReport:
     """Run the grid formulas on shared paths and compare their CIs.
@@ -437,7 +427,7 @@ def crosscheck(
     defaulting to the largest MC-feasible horizon.
     """
     _require(delta > 0, "delta must be positive")
-    _require(reps >= 2, "need at least two replications to form a standard error")
+    _require(T is None or T > 0, "T must be positive")
     if horizon is None:
         horizon = default_horizon(model, delta)
     horizon_T = T if T is not None else min(horizon * delta, feasible_definitional_T(model, delta, reps))
@@ -449,7 +439,7 @@ def crosscheck(
         return np.exp(sup) / horizon_T
 
     extra = {"definitional": _Kernel(definitional, ("pos",))}
-    results, moments = _run_exact(model, delta, reps, EXACT_METHODS, horizon, seed, threads, extra)
+    results, moments = _run_exact(model, delta, reps, EXACT_METHODS, horizon, seed, extra)
     overlap = {(a, b): _ci_overlap(results[a], results[b])
                for i, a in enumerate(EXACT_METHODS) for b in EXACT_METHODS[i + 1:]}
     means, ses = moments["definitional"]

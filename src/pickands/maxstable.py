@@ -17,7 +17,7 @@ expected cost of one spectral path per grid point and sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -97,7 +97,6 @@ def fdd_probability(
     reps: int,
     *,
     seed: int = 0,
-    threads: int | None = None,
 ) -> FddEstimate:
     """P{zeta(t_j) <= x_j for all j} = exp(-E max_j exp(w(t_j)) / x_j).
 
@@ -120,8 +119,6 @@ def fdd_probability(
         raise ValueError("points and thresholds must be matching nonempty vectors")
     if np.any(x <= 0):
         raise ValueError("thresholds must be positive")
-    if reps < 2:
-        raise ValueError("need at least two replications to form a standard error")
     grid, cols = _containing_grid(t)
     span = int(cols.max() - cols.min())
     grid = GridSpec(grid.delta, -span, span)
@@ -141,7 +138,7 @@ def fdd_probability(
     def worker(rng, count):
         return values(w_matrix(model, grid, rng, count))
 
-    mean, se = engine.run(worker, seed, reps, grid.n_points, threads)
+    mean, se = engine.run(worker, seed, reps, grid.n_points)
     prob = math.exp(-mean[0])
     return FddEstimate(prob, prob * float(se[0]), float(mean[0]), float(se[0]), reps)
 
@@ -173,7 +170,6 @@ def est_extremal_index_blocks(
     *,
     r_n: int | None = None,
     seed: int = 0,
-    threads: int | None = None,
 ) -> EstimateResult:
     """Block formula theta = lim (n / r_n) P{max over a block of zeta > n}.
 
@@ -194,8 +190,8 @@ def est_extremal_index_blocks(
     [-r_n, r_n] evaluates every shifted ratio by sliding windows. Defaults
     to r_n = floor(sqrt(n)).
     """
-    if delta <= 0 or n < 2 or reps < 2:
-        raise ValueError("need delta > 0, n >= 2 and reps >= 2")
+    if delta <= 0 or n < 2:
+        raise ValueError("need delta > 0 and n >= 2")
     if r_n is None:
         r_n = int(math.isqrt(n))
     if not 1 <= r_n < n:
@@ -205,7 +201,7 @@ def est_extremal_index_blocks(
     def worker(rng, count):
         return _block_sup_values(w_matrix(model, grid, rng, count), r_n)
 
-    mean, se = engine.run(worker, seed, reps, grid.n_points, threads)
+    mean, se = engine.run(worker, seed, reps, grid.n_points)
     c_hat, c_se = float(mean[0]), float(se[0])
     p_hat = -math.expm1(-c_hat / n)
     theta = (n / r_n) * p_hat
@@ -214,23 +210,23 @@ def est_extremal_index_blocks(
     return EstimateResult("theta-blocks", delta, theta, se, reps, r_n, True, seed, flags=flags)
 
 
-def _boundary_corrected_theta(model: Model, delta: float, r: int, reps: int, *, seed: int = 0,
-                              threads: int | None = None) -> EstimateResult:
+def _boundary_corrected_theta(model: Model, delta: float, r: int, reps: int, *,
+                              seed: int = 0) -> EstimateResult:
     """Block statistic theta = (c(2r) - c(r)) / r, c(m) = E sup_{0<=i<=m} exp(w(delta i)).
 
     c(m) = theta m + b + o(1), so the difference cancels the boundary term b
     that biases the block formula's c(r) / r by O(1/r). Both sups come from
     one two-sided path on [-2r, 2r], c(r) from its central window [-r, r].
     """
-    if r < 1 or reps < 2:
-        raise ValueError("need r >= 1 and reps >= 2")
+    if r < 1:
+        raise ValueError("need r >= 1")
     grid = GridSpec(delta, -2 * r, 2 * r)
 
     def worker(rng, count):
         w = w_matrix(model, grid, rng, count)
         return (_block_sup_values(w, 2 * r) - _block_sup_values(w[:, r:3 * r + 1], r)) / r
 
-    mean, se = engine.run(worker, seed, reps, grid.n_points, threads)
+    mean, se = engine.run(worker, seed, reps, grid.n_points)
     return EstimateResult("theta-blocks", delta, float(mean[0]), float(se[0]), reps, r, True, seed,
                           flags=("boundary-corrected",))
 
@@ -274,7 +270,6 @@ def est_candidate_theta(
     *,
     horizon: int | None = None,
     seed: int = 0,
-    threads: int | None = None,
 ) -> EstimateResult:
     """theta = lim_m P{max_{1<=i<=m} y(i) <= 1} for the tail process y.
 
@@ -282,18 +277,9 @@ def est_candidate_theta(
     the event coincides with the exceedance formula's, so the estimate is
     exactly delta times the exceedance estimate under a shared seed.
     """
-    base = estimate(model, "exceedance", delta, reps, horizon=horizon, seed=seed, threads=threads)
-    return EstimateResult(
-        "theta-candidate",
-        delta,
-        delta * base.estimate,
-        delta * base.stderr,
-        reps,
-        base.horizon,
-        base.stable,
-        seed,
-        flags=base.flags,
-    )
+    base = estimate(model, "exceedance", delta, reps, horizon=horizon, seed=seed)
+    return replace(base, method="theta-candidate", estimate=delta * base.estimate,
+                   stderr=delta * base.stderr)
 
 
 def frechet_cdf(x: np.ndarray) -> np.ndarray:

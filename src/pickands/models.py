@@ -331,10 +331,9 @@ def gaussian_w_matrix(
     grid: GridSpec,
     rng: np.random.Generator,
     n: int,
-    method: str = "auto",
 ) -> np.ndarray:
     """n draws of w(delta i) = b(delta i) - sigma^2(delta i) / 2."""
-    b = gaussian_b_matrix(vf, grid, rng, n, method=method)
+    b = gaussian_b_matrix(vf, grid, rng, n)
     b -= 0.5 * variance_at(vf, grid.times())[None, :]
     b[:, grid.origin] = 0.0
     return b

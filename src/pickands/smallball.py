@@ -143,7 +143,6 @@ def est_smallball_prob(
     reps: int,
     *,
     seed: int = 0,
-    threads: int | None = None,
 ) -> SmallBallEstimate:
     """P{b_alpha(1/k) <= eta for all 0 < |k| <= K} at K = 2 * cutoff.
 
@@ -159,8 +158,8 @@ def est_smallball_prob(
     """
     if not 0.0 < alpha <= 2.0:
         raise ValueError("alpha must lie in (0, 2]")
-    if eta <= 0 or cutoff < 1 or reps < 2:
-        raise ValueError("need eta > 0, cutoff >= 1 and reps >= 2")
+    if eta <= 0 or cutoff < 1:
+        raise ValueError("need eta > 0 and cutoff >= 1")
     independent_sides = alpha == 1.0
     levels = np.asarray([cutoff, 2 * cutoff])
     k_max = int(levels[-1])
@@ -169,7 +168,7 @@ def est_smallball_prob(
         sides = _side_indicators(alpha, eta, levels, rng, count)
         return sides if independent_sides else sides[:, 0] * sides[:, 1]
 
-    means, ses = engine.run(worker, seed, reps, 2 * k_max + 1, threads)
+    means, ses = engine.run(worker, seed, reps, 2 * k_max + 1)
     if independent_sides:
         (q_pos, q_neg), (se_pos, se_neg) = means.reshape(2, -1), ses.reshape(2, -1)
         probs = q_pos * q_neg
@@ -203,7 +202,6 @@ class SmallBallExtrapolation:
     intercept_stderr: float
     slope: float
     slope_stderr: float
-    scaled: tuple = ()
     flags: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
@@ -254,6 +252,5 @@ def smallball_extrapolate(points, alpha: float) -> SmallBallExtrapolation:
         intercept_stderr=float(math.sqrt(cov[0, 0])),
         slope=float(beta[1]),
         slope_stderr=float(math.sqrt(cov[1, 1])),
-        scaled=tuple(zip(eta.tolist(), y.tolist(), se.tolist())),
         flags=tuple(flags),
     )

@@ -80,6 +80,16 @@ class TestEstimate:
                         "--method", "definitional", "--reps", "200", "--seed", "1"])
         assert json.loads(proc.stdout)["mesh"] == 0.01
 
+    def test_definitional_records_the_grid_step_it_used(self, tmp_path):
+        # at delta > 0 the grid step is delta, so a given --mesh is not recorded;
+        # --method all still hands the mesh to continuous-dy
+        out = tmp_path / "all.json"
+        run_cli(["estimate", "--family", "fbm", "--alpha", "1", "--delta", "1", "--mesh", "0.5",
+                 "--method", "all", "--reps", "200", "--seed", "1", "--out", str(out)])
+        recs = {r["method"]: r for r in json.loads(out.read_text())}
+        assert "mesh" not in recs["definitional"]
+        assert recs["continuous-dy"]["mesh"] == 0.5
+
     def test_method_all_at_delta_zero(self, tmp_path):
         # only definitional and continuous-dy are defined at delta = 0
         out = tmp_path / "all0.json"
@@ -226,6 +236,23 @@ class TestConfigFile:
         assert c1.hash == c2.hash
 
 
+@pytest.mark.parametrize("args", [
+    ["estimate", "--reps", "1"],
+    ["crosscheck", "--T", "-1"],
+    ["crosscheck", "--T", "0"],
+    ["smallball", "--alpha", "1", "--eta", "0.1", "--cutoff", "0"],
+    ["maxstable", "--check", "theta", "--rn", "0"],
+    ["maxstable", "--samples", "0"],
+], ids=" ".join)
+def test_out_of_range_input_exits_2(args):
+    # a value outside an option's range is invalid input: it is neither
+    # replaced by the default nor run, and it is not a failed check (exit 1)
+    args = args if "--reps" in args else [*args, "--reps", "200"]
+    proc = run_cli(args, check=False)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == "" and proc.stderr.startswith("pickands: ")
+
+
 def test_main_returns_int():
     assert main(["bound", "--family", "levy", "--brownian", "--delta", "16",
                  "--out", "/dev/null"]) == 0
@@ -253,6 +280,7 @@ def test_readme_command_runs(args, tmp_path):
             args += [flag, value]
     proc = run_cli(args, check=False, cwd=tmp_path)
     assert proc.returncode in (0, 1), proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_readme_headline_is_stable():

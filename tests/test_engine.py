@@ -1,10 +1,17 @@
 """Chunked Monte Carlo runner: moments of the concatenated values, chunk
-order, thread-count invariance, the doubling rule."""
+order, thread-count invariance, the replication check every estimator
+relies on, the doubling rule."""
 
 import numpy as np
 import pytest
 
 from pickands import engine
+from pickands.estimators import crosscheck, est_continuous_dy, est_definitional, estimate
+from pickands.maxstable import est_candidate_theta, est_extremal_index_blocks, fdd_probability
+from pickands.models import VarianceFunction
+from pickands.smallball import est_smallball_prob
+
+FBM15 = VarianceFunction.fbm(1.5)
 
 
 def _toy(rng, count):
@@ -39,15 +46,40 @@ class TestRun:
         assert out["first"][0].shape == (1,)
         assert np.allclose([m[0] for m in out["first"]], [m[0] for m in alone], rtol=1e-12, atol=0)
 
-    def test_thread_count_invariance(self):
-        one = engine.run(_toy, 6, self.REPS, self.N_COLS, threads=1)
-        three = engine.run(_toy, 6, self.REPS, self.N_COLS, threads=3)
+    def test_thread_count_invariance(self, monkeypatch):
+        monkeypatch.setenv("PICKANDS_THREADS", "1")
+        one = engine.run(_toy, 6, self.REPS, self.N_COLS)
+        monkeypatch.setenv("PICKANDS_THREADS", "3")
+        three = engine.run(_toy, 6, self.REPS, self.N_COLS)
         for a, b in zip(one, three):
             assert a.tobytes() == b.tobytes()
 
     def test_single_replication_rejected(self):
         with pytest.raises(ValueError):
             engine.run(_toy, 0, 1, 1)
+
+
+# every public estimator called with one replication
+SINGLE_REPLICATION = {
+    "estimate": lambda: estimate(FBM15, "exceedance", 1.0, 1),
+    "est_definitional": lambda: est_definitional(FBM15, 1.0, 2.0, 1),
+    "est_continuous_dy": lambda: est_continuous_dy(FBM15, 0.5, 2.0, 1),
+    "crosscheck": lambda: crosscheck(FBM15, 1.0, 1),
+    "fdd_probability": lambda: fdd_probability(FBM15, [0.0, 1.0], [2.0, 3.0], 1),
+    "est_extremal_index_blocks": lambda: est_extremal_index_blocks(FBM15, 1.0, 100, 1),
+    "est_candidate_theta": lambda: est_candidate_theta(FBM15, 1.0, 1),
+    "est_smallball_prob": lambda: est_smallball_prob(1.5, 0.1, 16, 1),
+}
+
+
+@pytest.mark.parametrize("name", SINGLE_REPLICATION)
+def test_estimators_reject_one_replication_before_drawing(name, monkeypatch):
+    def no_draws(seed, chunk):
+        raise AssertionError("a chunk was drawn")
+
+    monkeypatch.setattr(engine, "chunk_stream", no_draws)
+    with pytest.raises(ValueError, match="^need at least two replications to form a standard error$"):
+        SINGLE_REPLICATION[name]()
 
 
 class TestRowBlocks:

@@ -232,7 +232,8 @@ class TestEmbeddingCache:
         def worker(rng, count):
             return gaussian_w_matrix(vf, grid, rng, count)[:, -1]
 
-        run(worker, 1, 64, n_cols, threads=3)
+        monkeypatch.setenv("PICKANDS_THREADS", "3")
+        run(worker, 1, 64, n_cols)
         assert calls == [grid.n_points]
 
 

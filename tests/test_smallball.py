@@ -69,15 +69,18 @@ class TestEstimator:
         assert lo.prob <= hi.prob
 
     @pytest.mark.parametrize("alpha", [1.0, 1.5])
-    def test_thread_count_invariance(self, alpha):
+    def test_thread_count_invariance(self, alpha, monkeypatch):
         # K = 2048 puts 1023 paths in a chunk, so the run spans three chunks
-        one = est_smallball_prob(alpha, 0.1, 1024, 3000, seed=8, threads=1)
-        three = est_smallball_prob(alpha, 0.1, 1024, 3000, seed=8, threads=3)
+        monkeypatch.setenv("PICKANDS_THREADS", "1")
+        one = est_smallball_prob(alpha, 0.1, 1024, 3000, seed=8)
+        monkeypatch.setenv("PICKANDS_THREADS", "3")
+        three = est_smallball_prob(alpha, 0.1, 1024, 3000, seed=8)
         assert one.to_dict() == three.to_dict()
 
-    def test_peak_memory_is_row_blocks_not_grid_squared(self, peak_bytes):
+    def test_peak_memory_is_row_blocks_not_grid_squared(self, peak_bytes, monkeypatch):
         # a 2K x 2K Cholesky factor of the reciprocal grid alone would take 134 MB
-        _, peak = peak_bytes(lambda: est_smallball_prob(1.5, 0.1, 1024, 4000, threads=1))
+        monkeypatch.setenv("PICKANDS_THREADS", "1")
+        _, peak = peak_bytes(lambda: est_smallball_prob(1.5, 0.1, 1024, 4000))
         assert peak <= 16 * 2**20
 
     def test_validation(self):
