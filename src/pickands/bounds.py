@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
-from scipy.special import gammaincc
 
 from .models import LevyModel, ModelError, VarianceFunction, levy_lambda, variance_at
 
@@ -52,6 +50,44 @@ class BoundResult:
         }
 
 
+def gammaincc(s: float, y: float) -> float:
+    """Regularized upper incomplete gamma Q(s, y) = Gamma(s, y) / Gamma(s), s > 0, y >= 0.
+
+    1 - P(s, y) from the series of the lower function for y < s + 1, the
+    continued fraction of the upper one (modified Lentz) otherwise, each
+    run until its next term changes the result by under 1e-15.
+    """
+    if y <= 0.0:
+        return 1.0
+    front = math.exp(s * math.log(y) - y - math.lgamma(s))  # y^s e^-y / Gamma(s)
+    if y < s + 1.0:
+        # P(s, y) = front * sum_{n>=0} y^n / (s (s + 1) ... (s + n))
+        term = total = 1.0 / s
+        a = s
+        while term > total * 1e-16:
+            a += 1.0
+            term *= y / a
+            total += term
+        return 1.0 - front * total
+    # Q(s, y) = front / (y + 1 - s - 1 (1 - s) / (y + 3 - s - 2 (2 - s) / (y + 5 - s - ...)))
+    tiny = 1e-300
+    b = y + 1.0 - s
+    c, d = 1.0 / tiny, 1.0 / b
+    h = d
+    for i in range(1, 1000):
+        an = -i * (i - s)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) > tiny else tiny)
+        c = b + an / c
+        c = c if abs(c) > tiny else tiny
+        step = d * c
+        h *= step
+        if abs(step - 1.0) < 1e-15:
+            break
+    return front * h
+
+
 def exponent_series(vf: VarianceFunction, delta: float, tail_tol: float = SERIES_TAIL_TOL):
     """sum_{k>=1} exp(-sigma^2(delta k) / 8) with a certified truncation tail.
 
@@ -76,7 +112,7 @@ def exponent_series(vf: VarianceFunction, delta: float, tail_tol: float = SERIES
             k0 += block
             # integral comparison: sum_{k > K} <= int_K^inf exp(-a x^alpha) dx
             y = a * k0**vf.alpha
-            tail = gammaincc(1.0 / vf.alpha, y) * gamma_fn(1.0 / vf.alpha) / (vf.alpha * a ** (1.0 / vf.alpha))
+            tail = gammaincc(1.0 / vf.alpha, y) * math.gamma(1.0 / vf.alpha) / (vf.alpha * a ** (1.0 / vf.alpha))
             if tail < tail_tol or total > 4.0:
                 return total, float(tail), k0 - 1
         return total, float(tail), k0 - 1
@@ -129,7 +165,7 @@ def gaussian_power_bound(c: float, kappa: float, delta: float) -> BoundResult:
     """
     if c <= 0 or kappa <= 0 or delta <= 0:
         raise ValueError("c, kappa and delta must be positive")
-    bracket = 1.0 - (1.0 / delta) * gamma_fn(1.0 / kappa) / (kappa * (c**2 / 8.0) ** (1.0 / kappa))
+    bracket = 1.0 - (1.0 / delta) * math.gamma(1.0 / kappa) / (kappa * (c**2 / 8.0) ** (1.0 / kappa))
     return BoundResult(
         value=max(0.0, bracket / delta),
         formula="gaussian-power",

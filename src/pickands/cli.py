@@ -19,7 +19,6 @@ import math
 import sys
 
 import numpy as np
-from scipy.special import smirnov
 
 from . import engine
 from .bounds import gaussian_lower_bound, gaussian_power_bound, levy_h0_bound, levy_lower_bound
@@ -297,12 +296,35 @@ def cmd_maxstable(args) -> int:
     return 0 if ok else 1
 
 
+def smirnov(n: int, d: float) -> float:
+    """P{D+ >= d}, the exact one-sided Kolmogorov-Smirnov tail for a sample of n.
+
+    Birnbaum and Tingey (1951):
+
+        d * sum_{0 <= j <= n(1 - d)} C(n, j) (1 - d - j/n)^(n - j) (d + j/n)^(j - 1),
+
+    each term taken in log space, with log C(n, j) a cumulative sum of logs.
+    A term with 1 - d - j/n = 0 is zero and is dropped.
+    """
+    if d <= 0.0:
+        return 1.0
+    if d >= 1.0:
+        return 0.0
+    j = np.arange(math.floor(n * (1.0 - d)) + 1.0)
+    # C(n, j) / C(n, j - 1) = (n - j + 1) / j
+    log_binom = np.concatenate(([0.0], np.cumsum(np.log((n - j[:-1]) / j[1:]))))
+    rest = 1.0 - d - j / n
+    keep = rest > 0.0
+    j, log_binom, rest = j[keep], log_binom[keep], rest[keep]
+    return d * float(np.exp(log_binom + (n - j) * np.log(rest) + (j - 1.0) * np.log(d + j / n)).sum())
+
+
 def ks_test(sample: np.ndarray, cdf) -> tuple[float, float]:
     """Two-sided Kolmogorov-Smirnov statistic D of ``sample`` against ``cdf``, and its p-value.
 
-    The p-value is min(1, 2 P{D+ >= D}) with the exact one-sided tail
-    (scipy.special.smirnov); it matches the exact two-sided value wherever
-    that is small, which is where a test decision is made.
+    The p-value is min(1, 2 P{D+ >= D}) with the exact one-sided tail of
+    Birnbaum and Tingey (``smirnov``); it matches the exact two-sided value
+    wherever that is small, which is where a test decision is made.
     """
     x = np.sort(sample)
     n = x.size

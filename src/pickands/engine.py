@@ -23,6 +23,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; every run draws from it, so load it with the package
 
 __all__ = [
     "by_row_blocks",

@@ -117,6 +117,8 @@ def fdd_probability(
     x = np.asarray(thresholds, dtype=float)
     if t.shape != x.shape or t.ndim != 1 or t.size == 0:
         raise ValueError("points and thresholds must be matching nonempty vectors")
+    if len(set(t.tolist())) != t.size:
+        raise ValueError("points must be distinct")
     if np.any(x <= 0):
         raise ValueError("thresholds must be positive")
     grid, cols = _containing_grid(t)

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
+import numpy.fft  # numpy loads it lazily; the circulant embedding uses it, so load it with the package
 
 from . import engine
 

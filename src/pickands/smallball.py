@@ -26,9 +26,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import engine
+from .estimators import _ndtr
 from .models import GridSpec, VarianceFunction, gaussian_b_matrix
 
 __all__ = [
@@ -100,8 +100,8 @@ def suggested_cutoff(alpha: float, eta: float) -> int:
         j = k + 1
         while True:
             block = np.arange(j, j + 4096, dtype=float)
-            vals = ndtr(-eta * block ** (alpha / 2.0))
-            tail += float(vals.sum())
+            vals = list(map(_ndtr, (-eta * block ** (alpha / 2.0)).tolist()))
+            tail += math.fsum(vals)
             if vals[-1] < tail_tol * 1e-4 or tail > tail_tol:
                 break
             j += 4096

@@ -3,11 +3,14 @@ Carlo estimates, and series-truncation bracketing."""
 
 import numpy as np
 import pytest
+from scipy import special
 
 from oracles import FROZEN, alpha2_constant
+from pickands import bounds
 from pickands.bounds import (
     check_ln8,
     exponent_series,
+    gammaincc,
     gaussian_lower_bound,
     gaussian_power_bound,
     levy_h0_bound,
@@ -46,6 +49,23 @@ class TestGaussianSeriesBound:
         vf = VarianceFunction.tabulated(t, 2.0 * t)
         b = gaussian_lower_bound(vf, 10.0)
         assert b.value == pytest.approx(0.0910575, rel=1e-4)
+
+
+class TestUpperIncompleteGamma:
+    @pytest.mark.parametrize("alpha", [0.05, 0.25, 0.5, 1.0, 1.5, 1.9, 2.0])
+    def test_matches_scipy(self, alpha):
+        s = 1.0 / alpha
+        for y in np.geomspace(1e-6, 700.0, 300):
+            assert gammaincc(s, y) == pytest.approx(special.gammaincc(s, y), rel=1e-12), y
+
+    def test_series_matches_scipy_version(self, monkeypatch):
+        grid = [(a, d) for a in (0.25, 0.5, 0.75, 1.25, 1.5, 1.75, 2.0) for d in (0.5, 1.0, 2.0, 4.0, 10.0)]
+        ours = [exponent_series(VarianceFunction.fbm(a), d) for a, d in grid]
+        monkeypatch.setattr(bounds, "gammaincc", special.gammaincc)
+        for (total, tail, n_terms), (a, d) in zip(ours, grid):
+            ref_total, ref_tail, ref_n_terms = exponent_series(VarianceFunction.fbm(a), d)
+            assert (total, n_terms) == (ref_total, ref_n_terms), (a, d)
+            assert tail == pytest.approx(ref_tail, rel=1e-12)
 
 
 class TestPowerBound:

@@ -11,9 +11,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
-from pickands.cli import ESTIMATORS, ks_test, main
+from pickands.cli import ESTIMATORS, ks_test, main, smirnov
 from pickands.maxstable import frechet_cdf
 from pickands.report import RunConfig, parse_config_file
 
@@ -193,12 +193,44 @@ class TestKsTest:
             assert (p > 0.01) == (ref.pvalue > 0.01)
         assert small >= 5
 
-    def test_marginal_run_does_not_import_scipy_stats(self, tmp_path):
-        code = ("import sys; from pickands.cli import main; "
-                f"main(['maxstable', '--check', 'marginal', '--samples', '50', '--out', {str(tmp_path / 'm.json')!r}]); "
-                "print('scipy.stats' in sys.modules)")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-        assert proc.stdout.strip() == "False"
+    @pytest.mark.parametrize("n", [1, 8, 60, 5000])
+    def test_one_sided_tail_matches_scipy(self, n):
+        # a grid of d with both ends, and values d = 1 - j/n exactly, where a term of the sum is 0
+        ds = [*np.linspace(0.0, 1.0, 101), *(1.0 - np.arange(n + 1) / n)[:: max(1, n // 40)]]
+        for d in ds:
+            ref = float(special.smirnov(n, d))
+            assert smirnov(n, d) == pytest.approx(ref, rel=1e-10, abs=1e-300), d
+        assert smirnov(n, 0.0) == 1.0 and smirnov(n, 1.0) == 0.0
+        # scipy gives nan outside [0, 1]; the tail is 1 below and 0 above
+        assert smirnov(n, -0.5) == 1.0 and smirnov(n, 1.5) == 0.0
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, pickands.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def test_commands_run_with_scipy_blocked(tmp_path):
+    # scipy is a test dependency only: one command of each kind runs with it unimportable
+    commands = [
+        ["estimate", "--reps", "2000"],
+        ["crosscheck", "--reps", "2000"],
+        ["bound", "--family", "fbm", "--alpha", "1.5", "--kappa", "1.5", "--cbound", "1.2"],
+        ["bound", "--family", "levy", "--brownian"],
+        ["maxstable", "--check", "fdd", "--reps", "20000", "--samples", "2000"],
+        ["maxstable", "--check", "marginal", "--samples", "200"],
+        ["maxstable", "--family", "fbm", "--alpha", "2", "--check", "theta", "--reps", "20000",
+         "--level", "1000"],
+        ["smallball", "--alpha", "2", "--eta", "0.2,0.1,0.05", "--reps", "2000"],
+    ]
+    code = ("import json, sys; sys.modules['scipy'] = None\n"
+            "from pickands.cli import main\n"
+            f"print(json.dumps([main([*argv, '--seed', '8', '--out', {str(tmp_path / 'r')!r}]) "
+            f"for argv in {commands!r}]))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == [0] * len(commands), proc.stderr
 
 
 class TestSmallball:
@@ -243,6 +275,9 @@ class TestConfigFile:
     ["smallball", "--alpha", "1", "--eta", "0.1", "--cutoff", "0"],
     ["maxstable", "--check", "theta", "--rn", "0"],
     ["maxstable", "--samples", "0"],
+    # a check on one time given twice is not a two-point check
+    ["maxstable", "--check", "fdd", "--delta", "0"],
+    ["maxstable", "--check", "fdd", "--points", "1,1"],
 ], ids=" ".join)
 def test_out_of_range_input_exits_2(args):
     # a value outside an option's range is invalid input: it is neither

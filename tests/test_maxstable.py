@@ -134,6 +134,11 @@ class TestFddOracle:
         with pytest.raises(ValueError):
             fdd_probability(FBM2, [0.0], [-1.0], 100)
 
+    @pytest.mark.parametrize("points", [[0.0, 0.0], [1.0, 2.0, 1.0]])
+    def test_repeated_points_rejected(self, points):
+        with pytest.raises(ValueError, match="points must be distinct"):
+            fdd_probability(FBM2, points, [2.0] * len(points), 100)
+
 
 class TestBlocks:
     def test_matches_exact_finite_block_value(self):

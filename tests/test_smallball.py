@@ -7,6 +7,7 @@ import pytest
 from scipy.special import ndtr
 
 from oracles import smallball_cholesky, smallball_one_sided
+from pickands import smallball
 from pickands.engine import chunk_stream
 from pickands.smallball import (
     _side_indicators,
@@ -99,6 +100,13 @@ class TestSuggestedCutoff:
         k = suggested_cutoff(1.0, eta)
         tail = sum(float(ndtr(-eta * math.sqrt(j))) for j in range(k + 1, 20 * k))
         assert tail <= 0.01 * eta**2 * 1.001
+
+    def test_matches_scipy_version(self, monkeypatch):
+        # the benchmark's etas 0.2, 0.1 and 0.05 among them
+        grid = [(a, e) for a in (0.5, 1.0, 1.5, 2.0) for e in (0.5, 0.2, 0.1, 0.05, 0.02)]
+        ours = [suggested_cutoff(a, e) for a, e in grid]
+        monkeypatch.setattr(smallball, "_ndtr", ndtr)
+        assert ours == [suggested_cutoff(a, e) for a, e in grid]
 
 
 class TestExtrapolation:
