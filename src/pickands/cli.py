@@ -9,7 +9,8 @@ grows with it, about one chunk per thread.
 
 Exit codes: 0 success, 1 a requested check failed, 2 invalid usage or
 input, such as fewer than two --reps or a nonpositive --T, --cutoff, --rn
-or --samples (never read as a request for the default).
+or --samples (never read as a request for the default), or a smallball eta
+that no automatic cutoff reaches (give --cutoff).
 """
 
 from __future__ import annotations
@@ -348,9 +349,12 @@ def cmd_smallball(args) -> int:
     config = _config(args)
     records = []
     triples = []
-    for eta in etas:
+    for index, eta in enumerate(etas):
         cutoff = args.cutoff if args.cutoff is not None else max(64, suggested_cutoff(args.alpha, eta) // 2)
-        res = est_smallball_prob(args.alpha, eta, cutoff, args.reps, seed=args.seed)
+        # one seed per eta, distinct within the sweep, so the etas' estimates
+        # are independent; the record keeps it
+        seed = args.seed * len(etas) + index
+        res = est_smallball_prob(args.alpha, eta, cutoff, args.reps, seed=seed)
         triples.append((eta, res.prob, res.stderr))
         rec = res.to_dict()
         rec["config_hash"] = config.hash

@@ -11,13 +11,15 @@ where b_alpha is standard fractional Brownian motion (variance |t|^alpha).
 
 The process |t|^alpha b_alpha(1/t) is again standard fBm (time inversion),
 so the event is {b_alpha(k) <= eta |k|^alpha for all 0 < |k| <= K} on the
-integer grid, which the library's exact grid sampler draws for every
-alpha. For alpha = 1 the two sides k > 0 and k < 0 are independent and the
-probability is the product of the two one-sided probabilities, each
-estimated from the same paths. The probability is estimated by Monte Carlo
-at twice the given cutoff and checked for stability against the cutoff
-itself; an affine-in-eta fit of the scaled values extrapolates the
-eta -> 0 constant.
+integer grid. For alpha = 1 the two sides k > 0 and k < 0 are independent
+Gaussian random walks; each is drawn step block by step block and stops at
+its first crossing of eta k, and the probability is the product of the two
+one-sided probabilities, each estimated from the same paths. Other alphas
+draw whole paths on -K..K with the library's exact grid sampler, since a
+path of correlated increments cannot be stopped part-way. The probability
+is estimated by Monte Carlo at twice the given cutoff and checked for
+stability against the cutoff itself; an affine-in-eta fit of the scaled
+values extrapolates the eta -> 0 constant.
 """
 
 from __future__ import annotations
@@ -82,45 +84,90 @@ class SmallBallEstimate:
 
 
 # suggested_cutoff's tolerance for the discarded constraints, as a share of
-# the probability scale eta^(2/alpha).
+# the probability scale eta^(2/alpha), and the largest cutoff it returns.
 CUTOFF_TAIL_SHARE = 0.01
+CUTOFF_CAP = 1 << 20
+# Width of the first column block of an alpha = 1 side walk; later blocks
+# double (see _walk_edges).
+WALK_FIRST_BLOCK = 4
 
 
 def suggested_cutoff(alpha: float, eta: float) -> int:
-    """Smallest power-of-two K whose discarded constraints are negligible.
+    """Smallest power-of-two K, from 64 up to CUTOFF_CAP, whose discarded
+    constraints are negligible.
 
     Constraints at 1/k have marginal violation probability
-    Phi(-eta k^(alpha/2)); K is grown until the summed tail drops below
-    CUTOFF_TAIL_SHARE of the expected probability scale eta^(2/alpha).
+    Phi(-eta k^(alpha/2)); K is the first power of two at which the summed
+    tail is below CUTOFF_TAIL_SHARE of the expected probability scale
+    eta^(2/alpha). A K whose terms up to 2K alone break the tolerance is
+    passed over on one term. From the first K left, every term is computed
+    once, 4096 at a time, until a block ends on a term below 1e-4 of the
+    tolerance, and the tail at each power of two is read off their suffix
+    sums. Raises ValueError when even CUTOFF_CAP leaves too large a tail.
     """
     tail_tol = CUTOFF_TAIL_SHARE * eta ** (2.0 / alpha)
     k = 64
-    while k < (1 << 20):
-        tail = 0.0
-        j = k + 1
-        while True:
-            block = np.arange(j, j + 4096, dtype=float)
-            vals = list(map(_ndtr, (-eta * block ** (alpha / 2.0)).tolist()))
-            tail += math.fsum(vals)
-            if vals[-1] < tail_tol * 1e-4 or tail > tail_tol:
-                break
-            j += 4096
-        if tail <= tail_tol:
-            return k
+    # the K terms on (K, 2K] are each at least the one at 2K
+    while k <= CUTOFF_CAP and k * _ndtr(-eta * (2 * k) ** (alpha / 2.0)) > tail_tol:
         k *= 2
-    return k
+    if k <= CUTOFF_CAP:
+        first, blocks = k, []
+        # a run of terms past 2 * CUTOFF_CAP means those on (CUTOFF_CAP, 2 * CUTOFF_CAP],
+        # each above 1e-4 of the tolerance, already break it
+        for start in range(first + 1, 2 * CUTOFF_CAP + 1, 4096):
+            j = np.arange(start, start + 4096, dtype=float)
+            blocks.append(np.fromiter(map(_ndtr, (-eta * j ** (alpha / 2.0)).tolist()), float, j.size))
+            if blocks[-1][-1] < tail_tol * 1e-4:
+                break
+        tails = np.cumsum(np.concatenate(blocks)[::-1])[::-1]  # tails[i]: the terms past first + i
+        while k <= CUTOFF_CAP:
+            if k - first >= tails.size or tails[k - first] <= tail_tol:
+                return k
+            k *= 2
+    raise ValueError(f"the constraints beyond the largest automatic cutoff {CUTOFF_CAP} are not "
+                     f"negligible at alpha={alpha}, eta={eta}; pass an explicit cutoff (--cutoff)")
+
+
+def _walk_edges(levels: np.ndarray) -> list[int]:
+    """Column-block edges of an alpha = 1 side walk: WALK_FIRST_BLOCK doubling
+    up to the last level, with every level an edge as well."""
+    k_max = int(levels[-1])
+    edges = {int(level) for level in levels}
+    edge = WALK_FIRST_BLOCK
+    while edge < k_max:
+        edges.add(edge)
+        edge *= 2
+    return sorted(edges)
 
 
 def _side_indicators(alpha: float, eta: float, levels: np.ndarray,
                      rng: np.random.Generator, count: int) -> np.ndarray:
     """(count, 2, levels.size) indicators of {b(1/k) <= eta for 0 < k <= L} (side 0)
     and {b(1/k) <= eta for -L <= k < 0} (side 1), one path per row, for each
-    cutoff L in ``levels``.
+    cutoff L in ``levels`` (increasing).
 
     By time inversion b~(t) = |t|^alpha b(1/t) is again fBm, so the events are
-    {b~(k) <= eta |k|^alpha}, read off exact draws of b~ on the integer grid
-    -K..K. Paths are drawn and reduced one row block at a time.
+    {b~(k) <= eta |k|^alpha}. At alpha = 1 each side of b~ is an independent
+    random walk with N(0, 1) steps. It is drawn in column blocks
+    (``_walk_edges``), and a row stops drawing once its walk has crossed
+    eta k: survivors carry their position into the next block. All normals
+    come from ``rng`` in a fixed order, side 0's blocks and then side 1's.
+    Other alphas read the events off exact draws of b~ on the integer grid
+    -K..K, drawn and reduced one row block at a time.
     """
+    if alpha == 1.0:
+        out = np.zeros((count, 2, levels.size))
+        edges = _walk_edges(levels)
+        for side in range(2):
+            rows, pos, lo = np.arange(count), np.zeros(count), 0
+            for hi in edges:
+                walk = rng.standard_normal((rows.size, hi - lo))
+                walk[:, 0] += pos
+                np.cumsum(walk, axis=1, out=walk)
+                below = np.all(walk <= eta * np.arange(lo + 1, hi + 1), axis=1)
+                rows, pos, lo = rows[below], walk[below, -1], hi
+                out[rows[:, None], side, np.flatnonzero(levels == hi)] = 1.0
+        return out
     k_max = int(levels[-1])
     vf = VarianceFunction.power(alpha, 1.0)
     grid = GridSpec(1.0, -k_max, k_max)

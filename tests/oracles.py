@@ -178,6 +178,22 @@ def smallball_one_sided(eta: float, k_max: int, h: float = 0.004, x_min: float =
     return safe + float(v.sum())
 
 
+def smallball_walk_probability(eta: float, k_max: int) -> float:
+    """p_K = P{S_k <= eta k for all 1 <= k <= K}, S a random walk with N(0, 1)
+    steps; by time inversion the quantity smallball_one_sided integrates.
+
+    Spitzer's identity sum_n p_n s^n = exp(sum_k a_k s^k), with
+    a_k = P{S_k <= eta k} / k = Phi(eta sqrt k) / k, differentiated in s gives
+    the recursion n p_n = sum_{k=1..n} k a_k p_{n-k}, p_0 = 1. It is exact at
+    every finite K."""
+    k_a = ndtr(eta * np.sqrt(np.arange(1.0, k_max + 1.0)))
+    p = np.empty(k_max + 1)
+    p[0] = 1.0
+    for n in range(1, k_max + 1):
+        p[n] = k_a[:n] @ p[n - 1::-1] / n
+    return float(p[k_max])
+
+
 def smallball_cholesky(alpha: float, eta: float, levels, reps: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """P{b(1/k) <= eta for all 0 < |k| <= L} and its standard error for each
     cutoff L in ``levels``, b fBm with variance |t|^alpha.

@@ -16,6 +16,7 @@ from scipy import special, stats
 from pickands.cli import ESTIMATORS, ks_test, main, smirnov
 from pickands.maxstable import frechet_cdf
 from pickands.report import RunConfig, parse_config_file
+from pickands.smallball import CUTOFF_CAP, est_smallball_prob
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -244,6 +245,24 @@ class TestSmallball:
             for key in ("eta", "cutoff", "prob", "stderr", "scaled"):
                 assert key in rec
         assert abs(recs[-1]["intercept"] - np.sqrt(2.0 / np.pi)) < 0.1
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    def test_each_eta_reproduces_from_its_record(self, alpha, tmp_path):
+        # every eta of a sweep draws from its own seed, which its record keeps
+        out = tmp_path / "sb.json"
+        run_cli(["smallball", "--alpha", str(alpha), "--eta", "0.2,0.1,0.05", "--reps", "2000",
+                 "--seed", "6", "--out", str(out)])
+        recs = json.loads(out.read_text())[:3]
+        assert len({rec["seed"] for rec in recs}) == 3
+        for rec in recs:
+            rec.pop("config_hash")
+            res = est_smallball_prob(alpha, rec["eta"], rec["cutoff"] // 2, rec["reps"], seed=rec["seed"])
+            assert res.to_dict() == rec
+
+    def test_eta_beyond_the_cutoff_cap_exits_2(self):
+        proc = run_cli(["smallball", "--alpha", "0.5", "--eta", "0.1", "--reps", "200"], check=False)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert str(CUTOFF_CAP) in proc.stderr and "--cutoff" in proc.stderr
 
 
 class TestConfigFile:

@@ -13,6 +13,7 @@ from oracles import (
     levy_brownian_constant,
     levy_brownian_series,
     smallball_one_sided,
+    smallball_walk_probability,
     stay_below_probability,
 )
 
@@ -70,3 +71,10 @@ def test_smallball_oracle_refinement():
     assert abs(q - q_fine) < 5e-5
     # fewer constraints can only increase the probability
     assert smallball_one_sided(0.3, 32) >= q
+
+
+def test_smallball_walk_recursion_matches_quadrature():
+    # Spitzer's power-series recursion against the killed-density integration
+    assert smallball_walk_probability(0.3, 128) == pytest.approx(smallball_one_sided(0.3, 128), abs=5e-5)
+    # one constraint: P{N(0, 1) <= eta}
+    assert smallball_walk_probability(0.3, 1) == pytest.approx(0.6179114222, abs=1e-9)

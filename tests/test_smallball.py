@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from oracles import smallball_cholesky, smallball_one_sided
+from oracles import smallball_cholesky, smallball_one_sided, smallball_walk_probability
 from pickands import smallball
 from pickands.engine import chunk_stream
 from pickands.smallball import (
+    CUTOFF_CAP,
     _side_indicators,
     est_smallball_prob,
     smallball_extrapolate,
@@ -42,6 +43,32 @@ class TestEstimator:
         lvl = [k, 2 * k].index(res.cutoff)
         assert not res.factorized
         assert abs(res.prob - probs[lvl]) <= 3.0 * math.hypot(res.stderr, ses[lvl])
+
+    @pytest.mark.parametrize("eta, cutoff", [(0.3, 64), (0.3, 512), (0.2, 256), (0.2, 2048),
+                                             (0.1, 128), (0.1, 2048)])
+    def test_alpha1_against_spitzer_recursion(self, eta, cutoff):
+        # exact finite-K value: each side is a Gaussian random walk below eta k up to K = 2 * cutoff
+        res = est_smallball_prob(1.0, eta, cutoff, 40_000, seed=14)
+        exact = smallball_walk_probability(eta, 2 * cutoff) ** 2
+        assert abs(res.prob - exact) <= 3.0 * res.stderr
+
+    def test_alpha1_walk_stops_at_first_crossing(self):
+        class CountingNormals:
+            """Draws only standard normals, and counts them."""
+
+            def __init__(self, rng):
+                self.rng, self.drawn = rng, 0
+
+            def standard_normal(self, size):
+                out = self.rng.standard_normal(size)
+                self.drawn += out.size
+                return out
+
+        rng = CountingNormals(chunk_stream(9, 0))
+        sides = _side_indicators(1.0, 0.05, np.array([8192, 16384]), rng, 1500)
+        assert sides.shape == (1500, 2, 2)
+        # the full grid takes 2 x 16384 normals per path
+        assert rng.drawn < 2 * 16384 * 1500 / 5
 
     def test_factorization_matches_joint_sampler(self):
         # alpha = 1: the product of the side means against the joint
@@ -102,11 +129,35 @@ class TestSuggestedCutoff:
         assert tail <= 0.01 * eta**2 * 1.001
 
     def test_matches_scipy_version(self, monkeypatch):
-        # the benchmark's etas 0.2, 0.1 and 0.05 among them
+        # the benchmark's etas 0.2, 0.1 and 0.05 among them; at alpha = 0.5
+        # eta <= 0.1 lies beyond the cap, and both versions must raise there
+        def cutoff_or_raise(alpha, eta):
+            try:
+                return suggested_cutoff(alpha, eta)
+            except ValueError:
+                return "raises"
+
         grid = [(a, e) for a in (0.5, 1.0, 1.5, 2.0) for e in (0.5, 0.2, 0.1, 0.05, 0.02)]
-        ours = [suggested_cutoff(a, e) for a, e in grid]
+        ours = [cutoff_or_raise(a, e) for a, e in grid]
+        assert ours.count("raises") == 3
         monkeypatch.setattr(smallball, "_ndtr", ndtr)
-        assert ours == [suggested_cutoff(a, e) for a, e in grid]
+        assert ours == [cutoff_or_raise(a, e) for a, e in grid]
+
+    def test_benchmark_cutoffs(self):
+        assert [suggested_cutoff(1.0, e) for e in (0.2, 0.1, 0.05)] == [512, 4096, 16384]
+        assert [suggested_cutoff(2.0, e) for e in (0.2, 0.1, 0.05)] == [64, 64, 128]
+
+    def test_cap_is_checked(self):
+        # the cap itself passes at alpha = 0.5, eta = 0.2 ...
+        assert suggested_cutoff(0.5, 0.2) == CUTOFF_CAP
+        # (beyond 12 * CUTOFF_CAP every term is below 1e-32)
+        tail = sum(ndtr(-0.2 * np.arange(j, j + CUTOFF_CAP, dtype=float) ** 0.25).sum()
+                   for j in range(CUTOFF_CAP + 1, 12 * CUTOFF_CAP, CUTOFF_CAP))
+        assert tail <= 0.01 * 0.2**4
+        # ... and fails loudly at eta = 0.1, where its first discarded term alone exceeds the tolerance
+        assert ndtr(-0.1 * (CUTOFF_CAP + 1) ** 0.25) > 0.01 * 0.1**4
+        with pytest.raises(ValueError, match=f"{CUTOFF_CAP}.*--cutoff"):
+            suggested_cutoff(0.5, 0.1)
 
 
 class TestExtrapolation:
