@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .models import LevyModel, ModelError, VarianceFunction, levy_lambda, variance_at
+from .report import Record
 
 __all__ = [
     "BoundResult",
@@ -31,7 +32,7 @@ MAX_SERIES_TERMS = 1 << 22
 
 
 @dataclass(frozen=True)
-class BoundResult:
+class BoundResult(Record):
     """A lower bound for H^delta (or H^0), clamped at 0."""
 
     value: float
@@ -39,15 +40,6 @@ class BoundResult:
     inputs: dict = field(default_factory=dict)
     series_tail_bound: float = 0.0
     note: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "formula": self.formula,
-            "inputs": self.inputs,
-            "series_tail_bound": self.series_tail_bound,
-            "note": self.note,
-        }
 
 
 def gammaincc(s: float, y: float) -> float:
@@ -131,22 +123,21 @@ def exponent_series(vf: VarianceFunction, delta: float, tail_tol: float = SERIES
 def gaussian_lower_bound(vf: VarianceFunction, delta: float) -> BoundResult:
     """H^delta >= (1/delta) max(0, 1 - sum_{k>=1} exp(-sigma^2(delta k)/8)).
 
-    Requires sigma^2 eventually nondecreasing so the series tail can be
-    bounded; a series reaching 1 clamps the bound to 0 (too-slow growth of
-    sigma^2 gives no information at this delta).
+    The sum is taken at its certified upper end, the partial sum plus the
+    bound on its truncation tail. Requires sigma^2 eventually nondecreasing
+    so the tail can be bounded; a sum that may reach 1 clamps the bound to
+    0 (too-slow growth of sigma^2 gives no information at this delta).
     """
-    total, tail, n_terms = exponent_series(vf, delta)
+    total, tail, _ = exponent_series(vf, delta)
     note = ""
     if not math.isfinite(tail):
         note = "series tail could not be certified; bound clamped to 0"
         value = 0.0
-    elif total + tail >= 1.0 and total - 0.0 < 1.0 <= total + tail:
-        note = "series straddles 1 within its tail bound"
-        value = max(0.0, (1.0 - total - tail) / delta)
     else:
-        value = max(0.0, (1.0 - total) / delta)
+        value = max(0.0, (1.0 - total - tail) / delta)
         if value == 0.0:
-            note = "series exceeds 1; bound uninformative at this delta"
+            note = ("series straddles 1 within its tail bound" if total < 1.0
+                    else "series exceeds 1; bound uninformative at this delta")
     return BoundResult(
         value=value,
         formula="gaussian-series",

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import engine
 from .bounds import gaussian_lower_bound, gaussian_power_bound, levy_h0_bound, levy_lower_bound
-from .estimators import EXACT_METHODS, crosscheck, est_continuous_dy, est_definitional, estimate
+from .estimators import EXACT_METHODS, _ci_overlap, crosscheck, est_continuous_dy, est_definitional, estimate
 from .maxstable import (
     _boundary_corrected_theta,
     _containing_grid,
@@ -39,7 +39,7 @@ from .models import (
     LevyModel,
     VarianceFunction,
 )
-from .report import RunConfig, parse_config_file, write_records
+from .report import config_hash, parse_config_file, write_records
 from .smallball import est_smallball_prob, smallball_extrapolate, suggested_cutoff
 
 # the methods of `estimate`, in the order `--method all` runs them
@@ -164,9 +164,16 @@ def parse_jump_law(text: str | None) -> JumpLaw | None:
     raise SystemExit(f"unknown jump law {text!r}")
 
 
-def _config(args: argparse.Namespace, skip=("config", "out", "format")) -> RunConfig:
-    options = {k: v for k, v in vars(args).items() if k not in skip and k != "command" and v is not None}
-    return RunConfig(command=args.command, options=options)
+def _stamp(args: argparse.Namespace) -> dict:
+    """The fields added to every record of a run: the hash of its configuration
+    (every option given or defaulted, except where the output goes), and the
+    seed for bound and maxstable, whose results do not record one."""
+    options = {k: v for k, v in vars(args).items()
+               if k not in ("command", "config", "out", "format") and v is not None}
+    stamp = {"config_hash": config_hash(args.command, options)}
+    if args.command in ("bound", "maxstable"):
+        stamp["seed"] = args.seed
+    return stamp
 
 
 def _run_single_estimate(args, model, method: str) -> dict:
@@ -194,13 +201,8 @@ def cmd_estimate(args) -> int:
         methods = [args.method]
     else:
         methods = list(CONTINUUM_METHODS if args.delta == 0 else ESTIMATORS)
-    records = []
-    config = _config(args)
-    for method in methods:
-        rec = _run_single_estimate(args, model, method)
-        rec["config_hash"] = config.hash
-        records.append(rec)
-    write_records(records, args.out, args.format)
+    records = [_run_single_estimate(args, model, method) for method in methods]
+    write_records(records, args.out, args.format, _stamp(args))
     return 0
 
 
@@ -208,9 +210,7 @@ def cmd_crosscheck(args) -> int:
     model = build_model(args)
     report = crosscheck(model, args.delta, args.reps, horizon=args.horizon,
                         seed=args.seed, T=args.T)
-    payload = report.to_dict()
-    payload["config_hash"] = _config(args).hash
-    write_records([payload], args.out, args.format)
+    write_records([report.to_dict()], args.out, args.format, _stamp(args))
     if not report.all_overlap:
         bad = [f"{a}~{b}" for (a, b), ok in report.overlap.items() if not ok]
         print(f"crosscheck: non-overlapping pairs: {', '.join(bad)}", file=sys.stderr)
@@ -220,7 +220,6 @@ def cmd_crosscheck(args) -> int:
 
 def cmd_bound(args) -> int:
     model = build_model(args)
-    config = _config(args)
     records = []
     if isinstance(model, VarianceFunction):
         records.append(gaussian_lower_bound(model, args.delta).to_dict())
@@ -229,10 +228,7 @@ def cmd_bound(args) -> int:
     else:
         records.append(levy_lower_bound(model, args.delta).to_dict())
         records.append(levy_h0_bound(model).to_dict())
-    for rec in records:
-        rec["config_hash"] = config.hash
-        rec["seed"] = args.seed
-    write_records(records, args.out, args.format)
+    write_records(records, args.out, args.format, _stamp(args))
     return 0
 
 
@@ -242,7 +238,6 @@ def cmd_maxstable(args) -> int:
     if args.rn is not None and args.rn < 1:
         raise ValueError("--rn must be at least 1")
     model = build_model(args)
-    config = _config(args)
     records = []
     ok = True
     if args.check == "fdd":
@@ -281,17 +276,12 @@ def cmd_maxstable(args) -> int:
         blocks = _boundary_corrected_theta(model, args.delta, r_n, max(args.reps // 100, 100),
                                            seed=args.seed)
         cand = est_candidate_theta(model, args.delta, args.reps, seed=args.seed)
-        lo = max(blocks.ci95()[0], cand.ci95()[0])
-        hi = min(blocks.ci95()[1], cand.ci95()[1])
-        ok = lo <= hi
+        ok = _ci_overlap(blocks, cand)
         records.append({"check": "theta", "blocks": blocks.to_dict(),
                         "candidate": cand.to_dict(), "ci_overlap": ok})
     if args.export:
         _export_samples(args, model)
-    for rec in records:
-        rec["config_hash"] = config.hash
-        rec["seed"] = args.seed
-    write_records(records, args.out, args.format)
+    write_records(records, args.out, args.format, _stamp(args))
     if not ok:
         print(f"maxstable: {args.check} check failed", file=sys.stderr)
     return 0 if ok else 1
@@ -346,7 +336,6 @@ def _export_samples(args, model) -> None:
 
 def cmd_smallball(args) -> int:
     etas = [float(v) for v in args.eta.split(",")]
-    config = _config(args)
     records = []
     triples = []
     for index, eta in enumerate(etas):
@@ -356,15 +345,10 @@ def cmd_smallball(args) -> int:
         seed = args.seed * len(etas) + index
         res = est_smallball_prob(args.alpha, eta, cutoff, args.reps, seed=seed)
         triples.append((eta, res.prob, res.stderr))
-        rec = res.to_dict()
-        rec["config_hash"] = config.hash
-        records.append(rec)
+        records.append(res.to_dict())
     if len(etas) >= 3:
-        fit = smallball_extrapolate(triples, args.alpha)
-        rec = fit.to_dict()
-        rec["config_hash"] = config.hash
-        records.append(rec)
-    write_records(records, args.out, args.format)
+        records.append(smallball_extrapolate(triples, args.alpha).to_dict())
+    write_records(records, args.out, args.format, _stamp(args))
     return 0
 
 

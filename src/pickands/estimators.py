@@ -50,6 +50,7 @@ from .models import (
     variance_at,
     w_matrix,
 )
+from .report import Record
 
 __all__ = [
     "EstimateResult",
@@ -64,38 +65,22 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class EstimateResult:
+class EstimateResult(Record):
     """Point estimate with uncertainty and truncation diagnostics."""
 
     method: str
     delta: float
     estimate: float
     stderr: float
-    replications: int
+    reps: int
     horizon: int
     stable: bool
     seed: int
-    mesh: float | None = None
     flags: tuple[str, ...] = ()
+    mesh: float | None = None
 
     def ci95(self) -> tuple[float, float]:
         return (self.estimate - 1.96 * self.stderr, self.estimate + 1.96 * self.stderr)
-
-    def to_dict(self) -> dict:
-        d = {
-            "method": self.method,
-            "delta": self.delta,
-            "estimate": self.estimate,
-            "stderr": self.stderr,
-            "reps": self.replications,
-            "horizon": self.horizon,
-            "stable": self.stable,
-            "seed": self.seed,
-            "flags": list(self.flags),
-        }
-        if self.mesh is not None:
-            d["mesh"] = self.mesh
-        return d
 
 
 # default_horizon certifies the first power of two from 16 grid points on
@@ -372,6 +357,8 @@ class CrosscheckReport:
     flags: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
+        """Not the record rule: the overlap matrix is keyed by method pairs,
+        written as "a|b", and the results are written as records."""
         return {
             "results": {k: v.to_dict() for k, v in self.results.items()},
             "overlap": {f"{a}|{b}": bool(v) for (a, b), v in self.overlap.items()},

@@ -76,18 +76,7 @@ class FddEstimate:
 
     probability: float
     stderr: float
-    exponent: float
-    exponent_stderr: float
-    replications: int
-
-    def to_dict(self) -> dict:
-        return {
-            "probability": self.probability,
-            "stderr": self.stderr,
-            "exponent": self.exponent,
-            "exponent_stderr": self.exponent_stderr,
-            "reps": self.replications,
-        }
+    reps: int
 
 
 def fdd_probability(
@@ -142,7 +131,7 @@ def fdd_probability(
 
     mean, se = engine.run(worker, seed, reps, grid.n_points)
     prob = math.exp(-mean[0])
-    return FddEstimate(prob, prob * float(se[0]), float(mean[0]), float(se[0]), reps)
+    return FddEstimate(prob, prob * float(se[0]), reps)
 
 
 def _containing_grid(times: np.ndarray) -> tuple[GridSpec, np.ndarray]:

@@ -275,29 +275,37 @@ def _cholesky_factor(cov: np.ndarray) -> np.ndarray:
     raise ModelError("Cholesky factorization failed; covariance is not positive semidefinite")
 
 
+def _cholesky_b_matrix(vf: VarianceFunction, grid: GridSpec, rng: np.random.Generator,
+                       n: int) -> np.ndarray:
+    """n draws of b on the grid from the Cholesky factor of the grid covariance
+    with the origin row removed (b(0) = 0)."""
+    cov = gaussian_grid_cov(vf, grid)
+    keep = np.delete(np.arange(grid.n_points), grid.origin)
+    factor = _cholesky_factor(cov[np.ix_(keep, keep)])
+    z = rng.standard_normal((n, keep.size))
+    b = np.zeros((n, grid.n_points))
+    b[:, keep] = z @ factor.T
+    return b
+
+
 def gaussian_b_matrix(
     vf: VarianceFunction,
     grid: GridSpec,
     rng: np.random.Generator,
     n: int,
-    method: str = "auto",
 ) -> np.ndarray:
     """n exact draws of (b(delta i))_{i in grid} as an (n, n_points) array.
 
-    ``method`` is one of
-
-    * ``auto``       degenerate shortcut for parametric alpha = 2 (b is a
-                     random line) and i.i.d. increments for parametric
-                     alpha = 1, circulant embedding otherwise, with Cholesky
-                     fallback when the embedding has negative eigenvalues;
-    * ``embedding``  force circulant embedding of the increment sequence;
-    * ``cholesky``   force Cholesky of the full grid covariance.
+    Parametric alpha = 2 is a random line and parametric alpha = 1 has
+    i.i.d. increments; every other model draws its increments by circulant
+    embedding, with a Cholesky fallback when the embedding has negative
+    eigenvalues.
     """
     n_inc = grid.n_points - 1
     if n_inc == 0:
         return np.zeros((n, 1))
 
-    if method == "auto" and vf.parametric:
+    if vf.parametric:
         if vf.alpha == 2.0:
             # b(t) = sqrt(scale) * t * Z: one normal per path.
             z = rng.standard_normal((n, 1))
@@ -310,21 +318,10 @@ def gaussian_b_matrix(
                             np.sqrt(vf.scale * grid.delta), out=b[block, 1:])
             return _increments_to_b(b, grid.origin)
 
-    if method in ("auto", "embedding"):
-        eigs = _grid_eigs(vf, grid.delta, n_inc)
-        if eigs is not None:
-            return _increments_to_b(_stationary_sequence(eigs, rng, n, n_inc), grid.origin)
-        if method == "embedding":
-            raise ModelError("circulant embedding has structurally negative eigenvalues")
-
-    # Cholesky of the grid covariance with the origin row removed (b(0) = 0).
-    cov = gaussian_grid_cov(vf, grid)
-    keep = np.delete(np.arange(grid.n_points), grid.origin)
-    factor = _cholesky_factor(cov[np.ix_(keep, keep)])
-    z = rng.standard_normal((n, keep.size))
-    b = np.zeros((n, grid.n_points))
-    b[:, keep] = z @ factor.T
-    return b
+    eigs = _grid_eigs(vf, grid.delta, n_inc)
+    if eigs is not None:
+        return _increments_to_b(_stationary_sequence(eigs, rng, n, n_inc), grid.origin)
+    return _cholesky_b_matrix(vf, grid, rng, n)
 
 
 def gaussian_w_matrix(

@@ -1,9 +1,12 @@
-"""Run configuration and machine-readable record output.
+"""Records, configuration hashes and machine-readable output.
 
-Every CLI run is described by a flat key-value configuration; records
-embed a hash of that configuration plus the seed so results are
-reproducible and diffable. JSON writes one object per record; CSV mirrors
-the record fields as columns. No timestamps: identical configuration and
+Every result is reported as a record by one rule (``Record.to_dict``): its
+dataclass fields, in declaration order, leaving out fields whose value is
+None and writing tuples as lists. The CLI adds the same fields to every
+record of a run: a hash of the run's configuration (``config_hash``), and
+the seed for the commands whose results do not record it themselves. JSON
+writes one object per record; CSV writes the record keys as columns, in
+the order they first appear. No timestamps: identical configuration and
 seed must produce byte-identical output.
 """
 
@@ -14,28 +17,28 @@ import hashlib
 import io
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import fields
 
-__all__ = ["RunConfig", "config_hash", "parse_config_file", "write_records"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Flat, fully serializable description of one CLI run."""
-
-    command: str
-    options: dict = field(default_factory=dict)
-
-    def canonical(self) -> str:
-        return json.dumps({"command": self.command, **self.options}, sort_keys=True, default=str)
-
-    @property
-    def hash(self) -> str:
-        return config_hash(self)
+__all__ = ["Record", "config_hash", "parse_config_file", "write_records"]
 
 
-def config_hash(config: RunConfig) -> str:
-    return hashlib.sha256(config.canonical().encode()).hexdigest()[:12]
+class Record:
+    """Base of the dataclass results that are written as records."""
+
+    def to_dict(self) -> dict:
+        """The fields in declaration order, None left out, tuples as lists."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None:
+                out[f.name] = list(value) if isinstance(value, tuple) else value
+        return out
+
+
+def config_hash(command: str, options: dict) -> str:
+    """First 12 hex digits of the SHA-256 of the command and its options, keys sorted."""
+    canonical = json.dumps({"command": command, **options}, sort_keys=True, default=str)
+    return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
 def parse_config_file(path: str) -> dict:
@@ -67,8 +70,10 @@ def _json_default(value):
     raise TypeError(f"not JSON serializable: {type(value).__name__}")
 
 
-def write_records(records: list[dict], out: str | None, fmt: str) -> None:
-    """Write records as JSON (one array) or CSV to ``out`` (stdout if None)."""
+def write_records(records: list[dict], out: str | None, fmt: str, stamp: dict | None = None) -> None:
+    """Write records as JSON (one array) or CSV to ``out`` (stdout if None),
+    each followed by the fields of ``stamp``."""
+    records = [rec | (stamp or {}) for rec in records]
     if fmt == "json":
         text = json.dumps(records if len(records) != 1 else records[0], indent=2,
                           sort_keys=True, default=_json_default)

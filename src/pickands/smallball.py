@@ -32,6 +32,7 @@ import numpy as np
 from . import engine
 from .estimators import _ndtr
 from .models import GridSpec, VarianceFunction, gaussian_b_matrix
+from .report import Record
 
 __all__ = [
     "SmallBallEstimate",
@@ -43,44 +44,25 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class SmallBallEstimate:
-    """Monte Carlo estimate of the reciprocal-grid lower-tail probability."""
+class SmallBallEstimate(Record):
+    """Monte Carlo estimate of the reciprocal-grid lower-tail probability.
+
+    ``scaled`` is eta^(-2/alpha) * prob, the quantity with a finite
+    eta -> 0 limit, and ``scaled_stderr`` its standard error.
+    """
 
     alpha: float
     eta: float
+    cutoff: int
     prob: float
     stderr: float
-    cutoff: int
-    replications: int
+    scaled: float
+    scaled_stderr: float
+    reps: int
     seed: int
     stable: bool
     factorized: bool
     flags: tuple[str, ...] = ()
-
-    @property
-    def scaled(self) -> float:
-        """eta^(-2/alpha) * prob, the quantity with a finite eta -> 0 limit."""
-        return self.eta ** (-2.0 / self.alpha) * self.prob
-
-    @property
-    def scaled_stderr(self) -> float:
-        return self.eta ** (-2.0 / self.alpha) * self.stderr
-
-    def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "eta": self.eta,
-            "cutoff": self.cutoff,
-            "prob": self.prob,
-            "stderr": self.stderr,
-            "scaled": self.scaled,
-            "scaled_stderr": self.scaled_stderr,
-            "reps": self.replications,
-            "seed": self.seed,
-            "stable": self.stable,
-            "factorized": self.factorized,
-            "flags": list(self.flags),
-        }
 
 
 # suggested_cutoff's tolerance for the discarded constraints, as a share of
@@ -227,13 +209,16 @@ def est_smallball_prob(
     flags = [] if stable else ["cutoff-unstable"]
     if probs[-1] == 0.0:
         flags.append("zero-probability; increase reps or eta")
+    prob, stderr = float(probs[-1]), float(ses[-1])
     return SmallBallEstimate(
         alpha=alpha,
         eta=eta,
-        prob=float(probs[-1]),
-        stderr=float(ses[-1]),
         cutoff=k_max,
-        replications=reps,
+        prob=prob,
+        stderr=stderr,
+        scaled=eta ** (-2.0 / alpha) * prob,
+        scaled_stderr=eta ** (-2.0 / alpha) * stderr,
+        reps=reps,
         seed=seed,
         stable=stable,
         factorized=independent_sides,
@@ -242,7 +227,7 @@ def est_smallball_prob(
 
 
 @dataclass(frozen=True)
-class SmallBallExtrapolation:
+class SmallBallExtrapolation(Record):
     """Weighted affine fit of the scaled probabilities against eta."""
 
     intercept: float
@@ -250,15 +235,6 @@ class SmallBallExtrapolation:
     slope: float
     slope_stderr: float
     flags: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "intercept": self.intercept,
-            "intercept_stderr": self.intercept_stderr,
-            "slope": self.slope,
-            "slope_stderr": self.slope_stderr,
-            "flags": list(self.flags),
-        }
 
 
 def smallball_extrapolate(points, alpha: float) -> SmallBallExtrapolation:

@@ -1,6 +1,8 @@
 """Closed-form lower bounds: worked values, clamps, domination by Monte
 Carlo estimates, and series-truncation bracketing."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import special
@@ -49,6 +51,14 @@ class TestGaussianSeriesBound:
         vf = VarianceFunction.tabulated(t, 2.0 * t)
         b = gaussian_lower_bound(vf, 10.0)
         assert b.value == pytest.approx(0.0910575, rel=1e-4)
+
+    def test_tabulated_bound_counts_the_series_tail(self):
+        # terms e^-1, e^-2 on the table, then a geometric tail of ratio 1/e,
+        # so the certified sum is 1/(e - 1); the partial sum alone gives 0.49679
+        vf = VarianceFunction.tabulated([0.0, 1.0, 2.0], [0.0, 8.0, 16.0])
+        b = gaussian_lower_bound(vf, 1.0)
+        assert b.value == pytest.approx(1.0 - 1.0 / (math.e - 1.0), rel=1e-12)
+        assert b.series_tail_bound == pytest.approx(math.exp(-3.0) / (1.0 - math.exp(-1.0)), rel=1e-12)
 
 
 class TestUpperIncompleteGamma:

@@ -1,6 +1,7 @@
 """Command-line interface: dispatch, record schema, exit codes,
 reproducibility across thread counts."""
 
+import csv
 import json
 import os
 import re
@@ -15,7 +16,7 @@ from scipy import special, stats
 
 from pickands.cli import ESTIMATORS, ks_test, main, smirnov
 from pickands.maxstable import frechet_cdf
-from pickands.report import RunConfig, parse_config_file
+from pickands.report import config_hash, parse_config_file
 from pickands.smallball import CUTOFF_CAP, est_smallball_prob
 
 
@@ -103,13 +104,35 @@ class TestEstimate:
         assert run_cli([*args, "--delta", "-1"], check=False).returncode == 2
 
     def test_csv_format(self, tmp_path):
-        out = tmp_path / "r.csv"
-        run_cli(["estimate", "--family", "fbm", "--alpha", "1", "--delta", "1",
-                 "--method", "exceedance", "--reps", "5000", "--seed", "2",
-                 "--format", "csv", "--out", str(out)])
-        lines = out.read_text().strip().splitlines()
-        assert lines[0].split(",")[:2] == ["method", "delta"]
-        assert len(lines) == 2
+        # the columns are the record fields in order, then what the CLI adds
+        def csv_rows(args):
+            out = tmp_path / "r.csv"
+            run_cli([*args, "--format", "csv", "--out", str(out)])
+            with open(out, newline="") as fh:
+                reader = csv.DictReader(fh)
+                return reader.fieldnames, list(reader)
+
+        estimate = ["method", "delta", "estimate", "stderr", "reps", "horizon", "stable", "seed", "flags"]
+        header, rows = csv_rows(["estimate", "--family", "fbm", "--alpha", "1", "--delta", "1",
+                                 "--method", "exceedance", "--reps", "5000", "--seed", "2"])
+        assert header == [*estimate, "config_hash"] and len(rows) == 1
+        header, _ = csv_rows(["estimate", "--family", "fbm", "--alpha", "1", "--delta", "0",
+                              "--method", "definitional", "--reps", "200", "--seed", "2"])
+        assert header == [*estimate, "mesh", "config_hash"]
+        header, _ = csv_rows(["bound", "--family", "power", "--alpha", "1", "--scale", "2",
+                              "--delta", "10"])
+        assert header == ["value", "formula", "inputs", "series_tail_bound", "note", "config_hash", "seed"]
+        header, rows = csv_rows(["smallball", "--alpha", "2", "--eta", "0.2,0.1,0.05",
+                                 "--cutoff", "16", "--reps", "2000", "--seed", "2"])
+        per_eta = ["alpha", "eta", "cutoff", "prob", "stderr", "scaled", "scaled_stderr", "reps",
+                   "seed", "stable", "factorized", "flags", "config_hash"]
+        fit = ["intercept", "intercept_stderr", "slope", "slope_stderr"]
+        assert header == [*per_eta, *fit] and len(rows) == 4
+        for row in rows[:3]:
+            assert all(row[k] for k in per_eta if k != "flags") and not any(row[f] for f in fit)
+        # the fit row fills only its own fields, its flags and the config hash
+        assert all(rows[3][f] for f in fit) and not any(rows[3][k] for k in per_eta[:-2])
+        assert rows[3]["config_hash"] == rows[0]["config_hash"]
 
 
 class TestCrosscheck:
@@ -282,9 +305,9 @@ class TestConfigFile:
         assert values == {"alpha": 1.5, "family": "fbm", "phi_jump": "constant:1"}
 
     def test_config_hash_stable(self):
-        c1 = RunConfig("estimate", {"alpha": 2, "delta": 1})
-        c2 = RunConfig("estimate", {"delta": 1, "alpha": 2})
-        assert c1.hash == c2.hash
+        c1 = config_hash("estimate", {"alpha": 2, "delta": 1})
+        c2 = config_hash("estimate", {"delta": 1, "alpha": 2})
+        assert c1 == c2
 
 
 @pytest.mark.parametrize("args", [

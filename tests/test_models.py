@@ -23,7 +23,7 @@ from pickands.models import (
     levy_w_matrix,
     variance_at,
 )
-from pickands.models import _cached_grid_eigs, _embedding_eigs, _grid_eigs
+from pickands.models import _cached_grid_eigs, _cholesky_b_matrix, _embedding_eigs, _grid_eigs
 
 
 class TestVarianceFunction:
@@ -131,14 +131,14 @@ class TestGaussianSampler:
         assert z.max() < 3.0
 
     @pytest.mark.parametrize("alpha,method", [
-        (0.5, "auto"), (1.0, "auto"), (1.5, "auto"), (2.0, "auto"),
-        (1.5, "embedding"), (1.5, "cholesky"),
+        (0.5, "auto"), (1.0, "auto"), (1.5, "auto"), (2.0, "auto"), (1.5, "cholesky"),
     ])
     def test_sample_covariance(self, alpha, method):
         vf = VarianceFunction.fbm(alpha)
         grid = GridSpec(0.5, -3, 4)
         theo = gaussian_grid_cov(vf, grid)
-        b = gaussian_b_matrix(vf, grid, np.random.default_rng(2), self.N, method=method)
+        sampler = _cholesky_b_matrix if method == "cholesky" else gaussian_b_matrix
+        b = sampler(vf, grid, np.random.default_rng(2), self.N)
         _assert_entrywise(_cov_z(b, theo, self.N))
 
     def test_embedding_matches_cholesky(self):
@@ -147,8 +147,8 @@ class TestGaussianSampler:
         grid = GridSpec(0.5, -15, 16)
         theo = gaussian_grid_cov(vf, grid)
         n = 100_000
-        b1 = gaussian_b_matrix(vf, grid, np.random.default_rng(1), n, method="embedding")
-        b2 = gaussian_b_matrix(vf, grid, np.random.default_rng(2), n, method="cholesky")
+        b1 = gaussian_b_matrix(vf, grid, np.random.default_rng(1), n)  # embedding at alpha = 1.5
+        b2 = _cholesky_b_matrix(vf, grid, np.random.default_rng(2), n)
         diff = (b1.T @ b1) / n - (b2.T @ b2) / n
         se = np.sqrt(2.0 * (np.outer(np.diag(theo), np.diag(theo)) + theo**2) / n)
         mask = se > 0

@@ -9,6 +9,8 @@ from scipy.special import ndtr
 from oracles import smallball_cholesky, smallball_one_sided, smallball_walk_probability
 from pickands import smallball
 from pickands.engine import chunk_stream
+from pickands.estimators import estimate
+from pickands.models import VarianceFunction
 from pickands.smallball import (
     CUTOFF_CAP,
     _side_indicators,
@@ -116,6 +118,41 @@ class TestEstimator:
             est_smallball_prob(2.5, 0.1, 16, 100)
         with pytest.raises(ValueError):
             est_smallball_prob(1.0, 0.0, 16, 100)
+
+
+def argmax_route(alpha, eta, cutoff, reps, seed):
+    """delta times the argmax estimate of H^delta for VarianceFunction.fbm(alpha)
+    at delta = (2 eta^2)^(1/alpha) and horizon 2 * cutoff, and its standard error.
+
+    With w(t) = sqrt(2) b(t) - |t|^alpha, self-similarity makes
+    {w(delta k) <= 0 for 0 < |k| <= K} the event {b(k) <= eta |k|^alpha},
+    so this estimates what est_smallball_prob(alpha, eta, cutoff, reps) does.
+    """
+    delta = (2.0 * eta**2) ** (1.0 / alpha)
+    res = estimate(VarianceFunction.fbm(alpha), "argmax", delta, reps, horizon=2 * cutoff, seed=seed)
+    return delta * res.estimate, delta * res.stderr
+
+
+class TestArgmaxIdentity:
+    @pytest.mark.parametrize("eta", [0.2, 0.05])
+    def test_alpha2_same_seed_agrees(self, eta):
+        # both routes draw one normal per path, in the same order
+        res = est_smallball_prob(2.0, eta, 16, 20_000, seed=1)
+        prob, _ = argmax_route(2.0, eta, 16, 20_000, seed=1)
+        assert prob == pytest.approx(res.prob, rel=1e-12)
+
+    @pytest.mark.parametrize("eta, cutoff", [(0.2, 64), (0.3, 32)])
+    def test_alpha1_against_spitzer_recursion(self, eta, cutoff):
+        # the argmax route averages the joint indicator; over 30 seeds at 20000
+        # reps its z against the exact value had mean 0.2-0.3 and SD 0.9
+        prob, se = argmax_route(1.0, eta, cutoff, 40_000, seed=5)
+        exact = smallball_walk_probability(eta, 2 * cutoff) ** 2
+        assert abs(prob - exact) <= 3.0 * se
+
+    def test_alpha15_routes_agree(self):
+        res = est_smallball_prob(1.5, 0.3, 16, 20_000, seed=3)
+        prob, se = argmax_route(1.5, 0.3, 16, 20_000, seed=4)
+        assert abs(res.prob - prob) <= 4.0 * math.hypot(res.stderr, se)
 
 
 class TestSuggestedCutoff:
