@@ -42,51 +42,16 @@ class BoundResult(Record):
     note: str = ""
 
 
-def gammaincc(s: float, y: float) -> float:
-    """Regularized upper incomplete gamma Q(s, y) = Gamma(s, y) / Gamma(s), s > 0, y >= 0.
-
-    1 - P(s, y) from the series of the lower function for y < s + 1, the
-    continued fraction of the upper one (modified Lentz) otherwise, each
-    run until its next term changes the result by under 1e-15.
-    """
-    if y <= 0.0:
-        return 1.0
-    front = math.exp(s * math.log(y) - y - math.lgamma(s))  # y^s e^-y / Gamma(s)
-    if y < s + 1.0:
-        # P(s, y) = front * sum_{n>=0} y^n / (s (s + 1) ... (s + n))
-        term = total = 1.0 / s
-        a = s
-        while term > total * 1e-16:
-            a += 1.0
-            term *= y / a
-            total += term
-        return 1.0 - front * total
-    # Q(s, y) = front / (y + 1 - s - 1 (1 - s) / (y + 3 - s - 2 (2 - s) / (y + 5 - s - ...)))
-    tiny = 1e-300
-    b = y + 1.0 - s
-    c, d = 1.0 / tiny, 1.0 / b
-    h = d
-    for i in range(1, 1000):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        d = 1.0 / (d if abs(d) > tiny else tiny)
-        c = b + an / c
-        c = c if abs(c) > tiny else tiny
-        step = d * c
-        h *= step
-        if abs(step - 1.0) < 1e-15:
-            break
-    return front * h
-
-
-def exponent_series(vf: VarianceFunction, delta: float, tail_tol: float = SERIES_TAIL_TOL):
+def exponent_series(vf: VarianceFunction, delta: float):
     """sum_{k>=1} exp(-sigma^2(delta k) / 8) with a certified truncation tail.
 
-    Returns (partial_sum, tail_bound, n_terms). For power kinds the tail is
-    bounded by the integral of the decreasing integrand (geometric form for
-    alpha = 1); for other kinds the tail is bounded geometrically from the
-    last observed decay ratio, valid once sigma^2 is nondecreasing.
+    Returns (partial_sum, tail_bound, n_terms); tail_bound is inf when no
+    bound is certified. For power kinds the tail is bounded by the integral
+    of the decreasing integrand (geometric form for alpha = 1). For
+    tabulated kinds the series is summed to the end of the table and
+    continued geometrically with the last term ratio: an upper bound when
+    sigma^2 is convex, so it is certified only when sigma^2 has nondecreasing
+    increments on the table's delta grid and the last ratio is below 1.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -95,53 +60,61 @@ def exponent_series(vf: VarianceFunction, delta: float, tail_tol: float = SERIES
         if vf.alpha == 1.0:
             q = math.exp(-a)
             return q / (1.0 - q), 0.0, 0
-        total = 0.0
-        k0 = 1
-        block = 1024
-        while k0 < MAX_SERIES_TERMS:
-            k = np.arange(k0, k0 + block, dtype=float)
-            total += float(np.exp(-a * k**vf.alpha).sum())
-            k0 += block
-            # integral comparison: sum_{k > K} <= int_K^inf exp(-a x^alpha) dx
-            y = a * k0**vf.alpha
-            tail = gammaincc(1.0 / vf.alpha, y) * math.gamma(1.0 / vf.alpha) / (vf.alpha * a ** (1.0 / vf.alpha))
-            if tail < tail_tol or total > 4.0:
-                return total, float(tail), k0 - 1
-        return total, float(tail), k0 - 1
-    # tabulated kind: sum until the table ends, then bound geometrically
+        # integral comparison: sum_{k > K} exp(-a k^alpha) <= int_K^inf exp(-a x^alpha) dx
+        # = Gamma(s, y) / (alpha a^s), s = 1/alpha, y = a K^alpha. For t >= y, concavity of log gives
+        # t^(s-1) <= y^(s-1) exp((s-1)(t-y)/y) (t^(s-1) <= y^(s-1) if s < 1), so for y > c = (s-1)_+,
+        # Gamma(s, y) <= y^s e^-y / (y - c). As y^s / a^s = K, the bound is K e^-y / (alpha (y - c)),
+        # free of Gamma(s) and a^s, which overflow and underflow at small alpha
+        c = max(1.0 / vf.alpha - 1.0, 0.0)
+        total, K = 0.0, 0
+        while K < MAX_SERIES_TERMS:
+            total += float(np.exp(-a * np.arange(K + 1, K + 1025, dtype=float) ** vf.alpha).sum())
+            K += 1024
+            y = a * K**vf.alpha
+            tail = math.exp(-y) * K / vf.alpha / (y - c) if y > c else math.inf
+            if tail < SERIES_TAIL_TOL or total > 4.0:
+                break
+        return total, tail, K
+    # tabulated kind: sum until the table ends, then continue geometrically
     kmax = int(vf.table_t[-1] / delta)
     if kmax < 1:
         raise ModelError("table too short to evaluate the series at this delta")
-    terms = np.exp(-variance_at(vf, delta * np.arange(1, kmax + 1)) / 8.0)
-    ratio = float(terms[-1] / terms[-2]) if kmax >= 2 else 1.0
-    if ratio >= 1.0:
-        return float(terms.sum()), math.inf, kmax
-    tail = float(terms[-1] * ratio / (1.0 - ratio))
-    return float(terms.sum()), tail, kmax
+    sigma2 = variance_at(vf, delta * np.arange(1, kmax + 1))
+    log_terms = -sigma2 / 8.0
+    total = float(np.exp(log_terms).sum())
+    steps = np.diff(sigma2)
+    convex = np.all(np.diff(steps) >= -1e-12 * sigma2[-1])
+    if kmax < 2 or not convex or steps[-1] <= 0.0:
+        return total, math.inf, kmax
+    log_ratio = -steps[-1] / 8.0
+    tail = math.exp(log_terms[-1] + log_ratio) / -math.expm1(log_ratio)
+    return total, tail, kmax
 
 
 def gaussian_lower_bound(vf: VarianceFunction, delta: float) -> BoundResult:
     """H^delta >= (1/delta) max(0, 1 - sum_{k>=1} exp(-sigma^2(delta k)/8)).
 
     The sum is taken at its certified upper end, the partial sum plus the
-    bound on its truncation tail. Requires sigma^2 eventually nondecreasing
-    so the tail can be bounded; a sum that may reach 1 clamps the bound to
-    0 (too-slow growth of sigma^2 gives no information at this delta).
+    bound on its truncation tail. A partial sum that reaches 1, or a tail
+    that cannot be bounded, clamps the bound to 0 (too-slow growth of
+    sigma^2 gives no information at this delta).
     """
     total, tail, _ = exponent_series(vf, delta)
-    note = ""
-    if not math.isfinite(tail):
+    value = 0.0
+    if total >= 1.0:
+        note = "series exceeds 1; bound uninformative at this delta"
+    elif not math.isfinite(tail):
         note = "series tail could not be certified; bound clamped to 0"
-        value = 0.0
     else:
         value = max(0.0, (1.0 - total - tail) / delta)
-        if value == 0.0:
-            note = ("series straddles 1 within its tail bound" if total < 1.0
-                    else "series exceeds 1; bound uninformative at this delta")
+        note = "" if value > 0.0 else "series straddles 1 within its tail bound"
+    inputs = {"delta": delta, "kind": vf.kind}
+    if vf.parametric:
+        inputs |= {"alpha": vf.alpha, "scale": vf.scale}
     return BoundResult(
         value=value,
         formula="gaussian-series",
-        inputs={"delta": delta, "kind": vf.kind, "alpha": getattr(vf, "alpha", None), "scale": getattr(vf, "scale", None)},
+        inputs=inputs,
         series_tail_bound=tail if math.isfinite(tail) else 0.0,
         note=note,
     )

@@ -60,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser, with_model: bool = True) -> None:
-        p.add_argument("--config", help="key = value file; command-line flags override it")
+        p.add_argument("--config", help="key = value file, read as flags; flags on the line override it")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--reps", type=int, default=100_000)
         p.add_argument("--out", help="output path (default: stdout)")
@@ -120,20 +120,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(args: argparse.Namespace, argv: list[str]) -> None:
-    """Apply file values for every option not explicitly given on the line."""
-    if not getattr(args, "config", None):
-        return
-    values = parse_config_file(args.config)
-    for key, value in values.items():
-        if key in ("config", "command"):
-            continue
-        if not hasattr(args, key):
-            raise SystemExit(f"unknown configuration key {key!r}")
-        flag = "--" + key.replace("_", "-")
-        explicit = any(tok == flag or tok.startswith(flag + "=") for tok in argv)
-        if not explicit:
-            setattr(args, key, value)
+def _config_flags(path: str) -> list[str]:
+    """The lines of a configuration file as flags: ``--key=value``, a bare
+    ``--key`` for true and nothing for false."""
+    return [f"--{key.replace('_', '-')}" + ("" if value is True else f"={value}")
+            for key, value in parse_config_file(path).items() if value is not False]
 
 
 def build_model(args: argparse.Namespace):
@@ -366,7 +357,13 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = parser.parse_args(argv)
-    _apply_config_file(args, argv)
+    if args.config:
+        # the file's flags go after the subcommand, before the user's, so the user's win
+        try:
+            flags = _config_flags(args.config)
+        except (OSError, ValueError) as exc:
+            parser.error(str(exc))
+        args = parser.parse_args([argv[0], *flags, *argv[1:]])
     try:
         return COMMANDS[args.command](args)
     except ValueError as exc:  # ModelError included

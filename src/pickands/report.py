@@ -6,8 +6,9 @@ None and writing tuples as lists. The CLI adds the same fields to every
 record of a run: a hash of the run's configuration (``config_hash``), and
 the seed for the commands whose results do not record it themselves. JSON
 writes one object per record; CSV writes the record keys as columns, in
-the order they first appear. No timestamps: identical configuration and
-seed must produce byte-identical output.
+the order they first appear, with nested dicts spread into dotted columns
+(``inputs.delta``, ``results.exceedance.estimate``). No timestamps:
+identical configuration and seed must produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ def parse_config_file(path: str) -> dict:
     """Read ``key = value`` lines; '#' starts a comment, blank lines skipped.
 
     Values are parsed as JSON scalars when possible (numbers, booleans),
-    else kept as strings. CLI flags override these values.
+    else kept as strings. The CLI reads them as flags placed before its
+    own, so flags given on the line override them.
     """
     out: dict = {}
     with open(path, encoding="utf-8") as fh:
@@ -79,16 +81,13 @@ def write_records(records: list[dict], out: str | None, fmt: str, stamp: dict | 
                           sort_keys=True, default=_json_default)
         text += "\n"
     elif fmt == "csv":
+        rows = [_flatten(rec) for rec in records]
+        keys = list(dict.fromkeys(k for row in rows for k in row))
         buf = io.StringIO()
-        keys: list[str] = []
-        for rec in records:
-            for k in rec:
-                if k not in keys:
-                    keys.append(k)
         writer = csv.DictWriter(buf, fieldnames=keys)
         writer.writeheader()
-        for rec in records:
-            writer.writerow({k: _csv_cell(rec.get(k)) for k in keys})
+        for row in rows:
+            writer.writerow({k: _csv_cell(row.get(k)) for k in keys})
         text = buf.getvalue()
     else:
         raise ValueError(f"unknown format {fmt!r}")
@@ -97,6 +96,17 @@ def write_records(records: list[dict], out: str | None, fmt: str, stamp: dict | 
     else:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _flatten(rec: dict, prefix: str = "") -> dict:
+    """Nested dicts spread into dotted keys, such as ``results.exceedance.estimate``."""
+    out = {}
+    for k, v in rec.items():
+        if isinstance(v, dict):
+            out |= _flatten(v, f"{prefix}{k}.")
+        else:
+            out[prefix + k] = v
+    return out
 
 
 def _csv_cell(value):

@@ -8,11 +8,9 @@ import pytest
 from scipy import special
 
 from oracles import FROZEN, alpha2_constant
-from pickands import bounds
 from pickands.bounds import (
     check_ln8,
     exponent_series,
-    gammaincc,
     gaussian_lower_bound,
     gaussian_power_bound,
     levy_h0_bound,
@@ -38,13 +36,20 @@ class TestGaussianSeriesBound:
         assert b.value == 0.0
         assert b.note
 
-    def test_truncation_brackets_longer_sum(self):
-        vf = VarianceFunction.fbm(1.5)
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.5, 2.0])
+    def test_truncation_brackets_longer_sum(self, alpha):
+        vf = VarianceFunction.fbm(alpha)
         total, tail, n_terms = exponent_series(vf, 2.0)
         k = np.arange(1, 10 * max(n_terms, 64) + 1, dtype=float)
-        longer = float(np.exp(-2.0 * (2.0 * k) ** 1.5 / 8.0).sum())
+        longer = float(np.exp(-2.0 * (2.0 * k) ** alpha / 8.0).sum())
         assert total <= longer + 1e-15
         assert longer <= total + tail + 1e-15
+
+    def test_tiny_alpha_exceeds_one(self):
+        # the partial sum passes 1 long before any tail is certified
+        b = gaussian_lower_bound(VarianceFunction.fbm(0.005), 1.0)
+        assert b.value == 0.0
+        assert "exceeds 1" in b.note
 
     def test_tabulated_kind(self):
         t = np.linspace(0.0, 400.0, 4001)
@@ -60,22 +65,36 @@ class TestGaussianSeriesBound:
         assert b.value == pytest.approx(1.0 - 1.0 / (math.e - 1.0), rel=1e-12)
         assert b.series_tail_bound == pytest.approx(math.exp(-3.0) / (1.0 - math.exp(-1.0)), rel=1e-12)
 
+    def test_concave_table_is_not_certified(self):
+        # the last term ratio bounds the tail only while the ratios keep
+        # falling; the power model's own series gives 0.012003
+        t = np.linspace(0.0, 200.0, 2001)
+        b = gaussian_lower_bound(VarianceFunction.tabulated(t, 2.0 * t**0.5), 50.0)
+        assert b.value <= gaussian_lower_bound(VarianceFunction.power(0.5, 2.0), 50.0).value
+        assert b.inputs == {"delta": 50.0, "kind": "tabulated"}
 
-class TestUpperIncompleteGamma:
-    @pytest.mark.parametrize("alpha", [0.05, 0.25, 0.5, 1.0, 1.5, 1.9, 2.0])
-    def test_matches_scipy(self, alpha):
-        s = 1.0 / alpha
-        for y in np.geomspace(1e-6, 700.0, 300):
-            assert gammaincc(s, y) == pytest.approx(special.gammaincc(s, y), rel=1e-12), y
+    def test_underflowing_table_terms(self):
+        # the last terms underflow to 0; their log-ratio is still finite
+        t = np.linspace(0.0, 400.0, 4001)
+        b = gaussian_lower_bound(VarianceFunction.tabulated(t, 2.0 * t**2), 10.0)
+        ref = gaussian_lower_bound(VarianceFunction.power(2.0, 2.0), 10.0)
+        assert ref.value == pytest.approx(0.1, abs=1e-9)
+        assert b.value == pytest.approx(ref.value, abs=1e-9) and b.note == ""
 
-    def test_series_matches_scipy_version(self, monkeypatch):
-        grid = [(a, d) for a in (0.25, 0.5, 0.75, 1.25, 1.5, 1.75, 2.0) for d in (0.5, 1.0, 2.0, 4.0, 10.0)]
-        ours = [exponent_series(VarianceFunction.fbm(a), d) for a, d in grid]
-        monkeypatch.setattr(bounds, "gammaincc", special.gammaincc)
-        for (total, tail, n_terms), (a, d) in zip(ours, grid):
-            ref_total, ref_tail, ref_n_terms = exponent_series(VarianceFunction.fbm(a), d)
-            assert (total, n_terms) == (ref_total, ref_n_terms), (a, d)
-            assert tail == pytest.approx(ref_tail, rel=1e-12)
+
+class TestIntegralTail:
+    def test_tail_bounds_the_exact_integral(self):
+        # int_K^inf exp(-a x^alpha) dx = Gamma(s, y) / (alpha a^s), s = 1/alpha, y = a K^alpha;
+        # the certified tail is at least that and within a factor 2.2 of it
+        for alpha in (0.25, 0.5, 0.75, 1.25, 1.5, 1.75, 2.0):
+            for delta in (0.5, 1.0, 2.0, 4.0, 10.0):
+                _, tail, n_terms = exponent_series(VarianceFunction.fbm(alpha), delta)
+                a, s = 2.0 * delta**alpha / 8.0, 1.0 / alpha
+                exact = special.gammaincc(s, a * n_terms**alpha) * special.gamma(s) / (alpha * a**s)
+                if math.isinf(tail):  # a K^alpha <= s - 1: no bound is certified
+                    assert a * n_terms**alpha <= s - 1.0
+                else:
+                    assert exact * (1.0 - 1e-12) <= tail <= 2.2 * exact, (alpha, delta)
 
 
 class TestPowerBound:

@@ -121,7 +121,17 @@ class TestEstimate:
         assert header == [*estimate, "mesh", "config_hash"]
         header, _ = csv_rows(["bound", "--family", "power", "--alpha", "1", "--scale", "2",
                               "--delta", "10"])
-        assert header == ["value", "formula", "inputs", "series_tail_bound", "note", "config_hash", "seed"]
+        # a nested dict is spread into dotted columns
+        assert header == ["value", "formula", "inputs.delta", "inputs.kind", "inputs.alpha", "inputs.scale",
+                          "series_tail_bound", "note", "config_hash", "seed"]
+        header, rows = csv_rows(["crosscheck", "--family", "fbm", "--alpha", "1.5", "--delta", "1",
+                                 "--reps", "5000", "--seed", "2"])
+        exact = ["exceedance", "difference", "argmax", "dieker-yakir", "time-reversed"]
+        result = ["method", "delta", "estimate", "stderr", "reps", "horizon", "stable", "seed", "flags"]
+        assert header == [*(f"results.{m}.{f}" for m in [*exact, "definitional"] for f in result),
+                          *(f"overlap.{a}|{b}" for i, a in enumerate(exact) for b in exact[i + 1:]),
+                          "all_overlap", "definitional_dominates", "flags", "config_hash"]
+        assert len(rows) == 1 and rows[0]["results.exceedance.method"] == "exceedance"
         header, rows = csv_rows(["smallball", "--alpha", "2", "--eta", "0.2,0.1,0.05",
                                  "--cutoff", "16", "--reps", "2000", "--seed", "2"])
         per_eta = ["alpha", "eta", "cutoff", "prob", "stderr", "scaled", "scaled_stderr", "reps",
@@ -297,6 +307,35 @@ class TestConfigFile:
         assert rec["method"] == "exceedance" and rec["reps"] == 5000
         b = run_cli(["estimate", "--config", str(cfg), "--seed", "9", "--reps", "1000"]).stdout
         assert json.loads(b)["reps"] == 1000
+
+    def test_file_hashes_as_its_flags(self, tmp_path):
+        # the file is read as the same flags, with the same types, so the
+        # output, config_hash included, is that of the flags
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha = 2\ndelta = 1\nreps = 2000\n")
+        a = run_cli(["estimate", "--config", str(cfg)]).stdout
+        b = run_cli(["estimate", "--alpha", "2", "--delta", "1", "--reps", "2000"]).stdout
+        assert a == b
+
+    def test_abbreviated_flag_overrides_the_file(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("alpha = 2\nreps = 2000\n")
+        rec = json.loads(run_cli(["estimate", "--config", str(cfg), "--rep", "3000"]).stdout)
+        assert rec["reps"] == 3000
+
+    @pytest.mark.parametrize("line,message", [
+        ("reps = abc", "argument --reps: invalid int value"),
+        # rejected before the estimate runs, not when the records are written
+        ("format = xml", "argument --format: invalid choice"),
+        ("bogus = 1", "unrecognized arguments: --bogus=1"),
+        ("delta 1", "expected 'key = value'"),
+    ])
+    def test_bad_file_exits_2(self, tmp_path, line, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"alpha = 2\nreps = 2000\n{line}\n")
+        proc = run_cli(["estimate", "--config", str(cfg)], check=False)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert message in proc.stderr and "Traceback" not in proc.stderr
 
     def test_parse_config_file(self, tmp_path):
         cfg = tmp_path / "x.cfg"
