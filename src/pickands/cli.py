@@ -152,7 +152,7 @@ def parse_jump_law(text: str | None) -> JumpLaw | None:
         return JumpLaw("normal", mean=vals[0] if vals else 0.0, sd=vals[1] if len(vals) > 1 else 1.0)
     if kind == "exponential":
         return JumpLaw("exponential", rate=vals[0] if vals else 1.0)
-    raise SystemExit(f"unknown jump law {text!r}")
+    raise ValueError(f"unknown jump law {text!r}; expected constant, normal or exponential")
 
 
 def _stamp(args: argparse.Namespace) -> dict:

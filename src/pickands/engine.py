@@ -12,7 +12,9 @@ standard error needs; estimators do neither themselves.
 Each thread holds one chunk at a time, so peak memory is about the thread
 count times one chunk's working set. Samplers and value kernels keep that
 working set small by walking a chunk in row blocks (``row_blocks``,
-``by_row_blocks``) of a fixed byte size, which changes no value.
+``by_row_blocks``) of a fixed byte size, which changes no value, and by
+reading running maxima and sums at the few lags that a kernel uses
+(``running_at``) instead of over every column.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ __all__ = [
     "resolve_threads",
     "row_blocks",
     "run",
+    "running_at",
 ]
 
 # Target number of matrix entries (paths x grid points) held by one chunk.
@@ -147,6 +150,41 @@ def by_row_blocks(kernel: Callable[..., np.ndarray]) -> Callable[..., np.ndarray
         return np.concatenate([kernel(a[rows], *args) for rows in row_blocks(len(a), a[:1].nbytes)])
 
     return blocked
+
+
+def running_at(ufunc: np.ufunc, side: np.ndarray, lags) -> np.ndarray:
+    """``ufunc.accumulate(side, axis=1)`` read at ``lags`` only, for ``ufunc``
+    np.maximum or np.add.
+
+    Column j of the (rows, len(lags)) result reduces the first ``lags[j]``
+    columns of each row of ``side`` (lag k is column k - 1); lag 0, the
+    empty prefix, gives -inf for a maximum and 0 for a sum. Lags may come
+    in any order and repeat. Columns past the largest lag are never read:
+    one ``ufunc.reduceat`` over the segments between the distinct lags, then
+    a running combine over those few segments. A side with a negative
+    column stride (the negative lags of a path, read outward from the
+    origin) is reduced in memory order, its segments mirrored. Maxima equal
+    the accumulate's exactly; sums add pairwise within a segment, so they
+    may differ in the last bits.
+
+    The result is Fortran-ordered, as ``accumulate(side, axis=1)[:, lags - 1]``
+    is, so sums over its rows add in the same order.
+    """
+    cuts = sorted({int(k) for k in lags if k > 0})
+    out = np.empty((len(side), len(lags)), order="F")
+    if cuts:
+        width = cuts[-1]
+        if side.strides[1] < 0:
+            seg = ufunc.reduceat(side[:, width - 1::-1], [width - k for k in reversed(cuts)], axis=1)[:, ::-1]
+        else:
+            seg = ufunc.reduceat(side[:, :width], [0, *cuts[:-1]], axis=1)
+        # a column at a time: accumulate along a short axis pays a loop per row
+        for j in range(1, len(cuts)):
+            ufunc(seg[:, j - 1], seg[:, j], out=seg[:, j])
+    empty = -np.inf if ufunc is np.maximum else 0.0
+    for j, k in enumerate(lags):
+        out[:, j] = seg[:, cuts.index(k)] if k > 0 else empty
+    return out
 
 
 def _chunk_sums(values: np.ndarray, count: int) -> tuple[int, np.ndarray, np.ndarray]:

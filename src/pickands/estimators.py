@@ -128,60 +128,58 @@ def _require(cond: bool, message: str) -> None:
 # horizon.
 
 
-def _values_exceedance(cummax: np.ndarray, expo: np.ndarray, levels: np.ndarray, delta: float) -> np.ndarray:
-    """Exceedance event {E + w(delta i) <= 0} over the lags ``cummax`` runs over:
-    i >= 1, or i <= -1 for time reversal, which shares the constant."""
-    m = cummax[:, levels - 1]
+def _values_exceedance(m: np.ndarray, expo: np.ndarray, levels: np.ndarray, delta: float) -> np.ndarray:
+    """Exceedance event {E + w(delta i) <= 0} from the maxima ``m`` of w over
+    the lags 1 <= i <= level, or -level <= i <= -1 for time reversal, which
+    shares the constant."""
     return (m + expo[:, None] <= 0.0).astype(float) / delta
 
 
-def _values_difference(pos_cummax: np.ndarray, levels: np.ndarray, delta: float) -> np.ndarray:
+def _values_difference(pos: np.ndarray, levels: np.ndarray, delta: float) -> np.ndarray:
     """(1 - sup_{i >= 1} exp(w(delta i)))_+ ; with x(0) = 1 the identity
     max(1, s) - s = (1 - s)_+ makes it the one-step difference of grid sup means."""
-    m = pos_cummax[:, levels - 1]
-    return -np.expm1(np.minimum(m, 0.0)) / delta
+    return -np.expm1(np.minimum(pos, 0.0)) / delta
 
 
-def _values_argmax(pos_cummax: np.ndarray, neg_cummax: np.ndarray, levels: np.ndarray, delta: float) -> np.ndarray:
+def _values_argmax(pos: np.ndarray, neg: np.ndarray, levels: np.ndarray, delta: float) -> np.ndarray:
     """The two-sided grid sup of w is attained at 0 (w(0) = 0), uniquely among negative lags."""
-    mp = pos_cummax[:, levels - 1]
-    mn = neg_cummax[:, levels - 1]
-    return ((mn < 0.0) & (mp <= 0.0)).astype(float) / delta
+    return ((neg < 0.0) & (pos <= 0.0)).astype(float) / delta
 
 
 @engine.by_row_blocks
 def _values_ratio(w: np.ndarray, levels: np.ndarray, step: float) -> np.ndarray:
     """max exp(w) / (step * sum exp(w)) over |i| <= level, in log domain.
 
-    ``w`` holds a symmetric two-sided grid, origin in the middle column.
-    Shifting by the row maximum over the full grid keeps every exponential
-    in [0, 1]; the shift cancels exactly in the ratio.
+    ``w`` holds a symmetric two-sided grid out to the last level, origin in
+    the middle column. Each side's maxima and sums are read at the levels
+    only (``engine.running_at``). Shifting by the maximum at the last level,
+    the row maximum, keeps every exponential in [0, 1]; the shift cancels
+    exactly in the ratio, and the value at the last level is
+    1 / (step * sum).
     """
-    origin = w.shape[1] // 2
-    shift = w.max(axis=1, keepdims=True)
+    n = w.shape[1] // 2
+    pos, neg = slice(n + 1, None), slice(n - 1, None, -1)
+    m = np.maximum(w[:, n, None], np.maximum(engine.running_at(np.maximum, w[:, pos], levels),
+                                             engine.running_at(np.maximum, w[:, neg], levels)))
+    shift = m[:, -1:]
     e = np.exp(w - shift)
-    pos_csum = np.cumsum(e[:, origin + 1:], axis=1)
-    neg_csum = np.cumsum(e[:, :origin][:, ::-1], axis=1)
-    pos_cmax = np.maximum.accumulate(w[:, origin + 1:], axis=1)
-    neg_cmax = np.maximum.accumulate(w[:, :origin][:, ::-1], axis=1)
-    out = np.empty((w.shape[0], levels.size))
-    for j, lvl in enumerate(levels):
-        s = e[:, origin] + pos_csum[:, lvl - 1] + neg_csum[:, lvl - 1]
-        m = np.maximum(w[:, origin], np.maximum(pos_cmax[:, lvl - 1], neg_cmax[:, lvl - 1]))
-        out[:, j] = np.exp(m - shift[:, 0]) / (step * s)
-    return out
+    s = e[:, n, None] + engine.running_at(np.add, e[:, pos], levels) + engine.running_at(np.add, e[:, neg], levels)
+    return np.exp(m - shift) / (step * s)
 
 
 @dataclass(frozen=True)
 class _Kernel:
-    """A value kernel and its inputs, passed in this order: the running maxima
-    of w over positive lags ("pos") or negative lags ("neg"), or the whole
-    two-sided path ("path"); then the exponential E if ``expo``; then the
-    levels and the grid step."""
+    """A value kernel and its inputs, passed in this order: the maxima of w
+    over the positive lags ("pos") or the negative lags ("neg") out to each
+    level, a (count, n_levels) array, or the whole two-sided path ("path");
+    then the exponential E if ``expo``; then the levels and the grid step.
+    A kernel with a ``lag`` reads its maxima out to that one lag instead, a
+    (count, 1) array."""
 
     values: Callable[..., np.ndarray]
     reads: tuple[str, ...]
     expo: bool = False
+    lag: int | None = None
 
 
 _KERNELS = {
@@ -203,26 +201,34 @@ def _shared_path_moments(model: Model, delta: float, reps: int, kernels: dict, l
 
     Paths hold w(delta i) for 1 <= i <= n when every kernel reads positive
     lags only, and for |i| <= n otherwise (n the last level). E is drawn
-    after w, and only if some kernel reads it; only the running maxima that
-    some kernel reads are built.
+    after w, and only if some kernel reads it. The maxima of each side that
+    some kernel reads are read at the levels and at the kernels' own lags
+    only (``engine.running_at``), in one pass over the side.
     """
     n = int(levels[-1])
     reads = {r for k in kernels.values() for r in k.reads}
     one_sided = reads == {"pos"}
     with_expo = any(k.expo for k in kernels.values())
+    # the sides are read at the levels, then at each kernel's own lag
+    own = [name for name, k in kernels.items() if k.lag is not None]
+    lags = np.r_[levels, [kernels[name].lag for name in own]].astype(int)
+    cols = {name: slice(levels.size + j, levels.size + j + 1) for j, name in enumerate(own)}
 
     def worker(rng, count):
         if one_sided:
-            w = w_matrix(model, GridSpec(delta, 0, n), rng, count)[:, 1:]
-            paths = {"pos": np.maximum.accumulate(w, axis=1, out=w)}
+            w = w_matrix(model, GridSpec(delta, 0, n), rng, count)
+            sides = {"pos": w[:, 1:]}
         else:
-            paths = {"path": w_matrix(model, GridSpec(delta, -n, n), rng, count)}
-            if "pos" in reads:
-                paths["pos"] = np.maximum.accumulate(paths["path"][:, n + 1:], axis=1)
-            if "neg" in reads:
-                paths["neg"] = np.maximum.accumulate(paths["path"][:, :n][:, ::-1], axis=1)
+            w = w_matrix(model, GridSpec(delta, -n, n), rng, count)
+            sides = {"pos": w[:, n + 1:], "neg": w[:, n - 1::-1]}
+        maxima = {r: engine.running_at(np.maximum, sides[r], lags) for r in reads - {"path"}}
         expo = (rng.exponential(size=count),) if with_expo else ()
-        return {name: k.values(*(paths[r] for r in k.reads), *(expo if k.expo else ()), levels, delta)
+
+        def inputs(name, k):
+            at = cols.get(name, slice(0, levels.size))
+            return (w if r == "path" else maxima[r][:, at] for r in k.reads)
+
+        return {name: k.values(*inputs(name, k), *(expo if k.expo else ()), levels, delta)
                 for name, k in kernels.items()}
 
     return engine.run(worker, seed, reps, n if one_sided else 2 * n + 1)
@@ -422,10 +428,9 @@ def crosscheck(
     k_T = min(horizon, int(math.floor(horizon_T / delta + 1e-12)))
 
     def definitional(pos, levels, delta):
-        sup = np.maximum(pos[:, k_T - 1], 0.0) if k_T >= 1 else np.zeros(pos.shape[0])
-        return np.exp(sup) / horizon_T
+        return np.exp(np.maximum(pos[:, 0], 0.0)) / horizon_T
 
-    extra = {"definitional": _Kernel(definitional, ("pos",))}
+    extra = {"definitional": _Kernel(definitional, ("pos",), lag=k_T)}
     results, moments = _run_exact(model, delta, reps, EXACT_METHODS, horizon, seed, extra)
     overlap = {(a, b): _ci_overlap(results[a], results[b])
                for i, a in enumerate(EXACT_METHODS) for b in EXACT_METHODS[i + 1:]}

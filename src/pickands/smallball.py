@@ -135,7 +135,8 @@ def _side_indicators(alpha: float, eta: float, levels: np.ndarray,
     eta k: survivors carry their position into the next block. All normals
     come from ``rng`` in a fixed order, side 0's blocks and then side 1's.
     Other alphas read the events off exact draws of b~ on the integer grid
-    -K..K, drawn and reduced one row block at a time.
+    -K..K, drawn one row block at a time, from each side's maxima of
+    b~(k) - eta |k|^alpha read at the levels only (``engine.running_at``).
     """
     if alpha == 1.0:
         out = np.zeros((count, 2, levels.size))
@@ -158,10 +159,9 @@ def _side_indicators(alpha: float, eta: float, levels: np.ndarray,
     for block in engine.row_blocks(count, 8 * grid.n_points):
         x = gaussian_b_matrix(vf, grid, rng, block.stop - block.start)
         x -= barrier
-        # running maxima outward from the origin: column j <-> |k| = j + 1
+        # maxima outward from the origin, read at the levels: column j <-> |k| = j + 1
         for side, run in enumerate((x[:, k_max + 1:], x[:, k_max - 1::-1])):
-            np.maximum.accumulate(run, axis=1, out=run)
-            out[block, side] = run[:, levels - 1] <= 0.0
+            out[block, side] = engine.running_at(np.maximum, run, levels) <= 0.0
     return out
 
 

@@ -351,6 +351,7 @@ class TestConfigFile:
 
 @pytest.mark.parametrize("args", [
     ["estimate", "--reps", "1"],
+    ["estimate", "--family", "levy", "--phi-jump-rate", "1", "--phi-jump", "bogus:1"],
     ["crosscheck", "--T", "-1"],
     ["crosscheck", "--T", "0"],
     ["smallball", "--alpha", "1", "--eta", "0.1", "--cutoff", "0"],

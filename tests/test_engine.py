@@ -1,6 +1,6 @@
 """Chunked Monte Carlo runner: moments of the concatenated values, chunk
 order, thread-count invariance, the replication check every estimator
-relies on, the doubling rule."""
+relies on, the doubling rule, running reductions read at a few lags."""
 
 import numpy as np
 import pytest
@@ -89,6 +89,80 @@ class TestRowBlocks:
         step = max(2, engine.ROW_BLOCK_BYTES // row_bytes)
         assert [i for b in blocks for i in range(b.start, b.stop)] == list(range(n_rows))
         assert all(step <= b.stop - b.start < 2 * step for b in blocks) or len(blocks) == 1
+
+
+class TestRunningAt:
+    """running_at against the full running maximum and sum read at the lags,
+    with the empty prefix (lag 0) giving -inf and 0."""
+
+    W = np.random.default_rng(9).standard_normal((37, 33))  # a two-sided path, origin in column 16
+
+    @staticmethod
+    def reference(ufunc, side, lags):
+        empty = np.full((len(side), 1), -np.inf if ufunc is np.maximum else 0.0)
+        return np.hstack([empty, ufunc.accumulate(side, axis=1)])[:, np.asarray(lags)]
+
+    @pytest.mark.parametrize("lags", [[16], [3], [8, 16], [4, 4, 9], [0, 8, 16], [8, 16, 16], [0]],
+                             ids=["one level, the row width", "one level", "two levels", "repeated lags",
+                                  "k_T = 0", "k_T = horizon", "origin only"])
+    @pytest.mark.parametrize("side", ["pos", "neg"])
+    def test_matches_accumulate(self, lags, side):
+        # the negative side is a negative-stride view, read outward from the origin
+        view = self.W[:, 17:] if side == "pos" else self.W[:, 15::-1]
+        assert view.strides[1] < 0 or side == "pos"
+        top = engine.running_at(np.maximum, view, lags)
+        total = engine.running_at(np.add, view, lags)
+        assert top.tobytes() == self.reference(np.maximum, view, lags).tobytes()
+        np.testing.assert_allclose(total, self.reference(np.add, view, lags), rtol=1e-13, atol=1e-15)
+        assert top.flags.f_contiguous and total.flags.f_contiguous
+
+    def test_columns_past_the_last_lag_are_not_read(self):
+        pos, neg = self.W[:, 17:].copy(), self.W[:, :16].copy()
+        pos[:, 8:] = neg[:, :8] = np.nan
+        for side in (pos, neg[:, ::-1]):
+            for ufunc in (np.maximum, np.add):
+                assert not np.isnan(engine.running_at(ufunc, side, [4, 8])).any()
+
+
+class TestLevelReadsKeepBytes:
+    """Seeded outputs of the kernels that read maxima only, pinned as float.hex.
+
+    Maxima are exact, so reading them at the levels changes no value; the
+    level-major (Fortran) layout of the (count, levels) values fixes the
+    order in which a chunk's rows are summed, and the real-valued
+    difference kernel's sums would move with a row-major one.
+    """
+
+    @pytest.mark.parametrize("method, value, stderr", [
+        ("exceedance", "0x1.2fc962fc962fdp-1", "0x1.1152c4ba18744p-6"),
+        ("difference", "0x1.32cc723fce123p-1", "0x1.729554652b83dp-7"),
+        ("argmax", "0x1.2f1a9fbe76c8bp-1", "0x1.112538c6a379cp-6"),
+        ("time-reversed", "0x1.28f5c28f5c28fp-1", "0x1.0f83351de44b8p-6"),
+    ])
+    def test_estimate(self, method, value, stderr):
+        res = estimate(FBM15, method, 0.5, 3000, seed=11)
+        assert res.horizon == 32
+        assert (res.estimate.hex(), res.stderr.hex()) == (value, stderr)
+
+    # k_T = 4 (the feasible default), 0 (the origin only), 8 (a level) and 16 (the horizon)
+    @pytest.mark.parametrize("T, k_T, value, stderr", [
+        (None, 4, "0x1.2731317291e5fp+0", "0x1.a2e65c8c95972p-4"),
+        (0.3, 0, "0x1.aaaaaaaaaaaabp+1", "0x1.ee62c8763eeabp-31"),
+        (4.0, 8, "0x1.edb2d7a7e37fdp-1", "0x1.f4e4f27947313p-3"),
+        (8.0, 16, "0x1.17957d45c593dp+1", "0x1.a7ca08f4c728cp+0"),
+    ])
+    def test_crosscheck_definitional(self, T, k_T, value, stderr):
+        res = crosscheck(FBM15, 0.5, 3000, horizon=16, seed=11, T=T).results["definitional"]
+        assert res.horizon == k_T
+        assert (res.estimate.hex(), res.stderr.hex()) == (value, stderr)
+
+    @pytest.mark.parametrize("alpha, prob, stderr", [
+        (2.0, "0x1.38a94d242e6bep-3", "0x1.ae6b2478927e3p-8"),
+        (1.5, "0x1.e76c8b4395810p-4", "0x1.837bc1e784e8ap-8"),
+    ])
+    def test_smallball(self, alpha, prob, stderr):
+        res = est_smallball_prob(alpha, 0.2, 32, 3000, seed=11)
+        assert (res.prob.hex(), res.stderr.hex()) == (prob, stderr)
 
 
 class TestDoublingStable:

@@ -308,7 +308,8 @@ class TestRatioKernel:
     LEVELS = np.array([64, 256, 512])
 
     @staticmethod
-    def unblocked(w, levels, step):
+    def full_width(w, levels, step):
+        """The ratio from full-width running sums and maxima, read at the levels."""
         origin = w.shape[1] // 2
         shift = w.max(axis=1, keepdims=True)
         e = np.exp(w - shift)
@@ -329,7 +330,13 @@ class TestRatioKernel:
     @pytest.mark.parametrize("rows", [1, 7, ROWS])
     def test_row_blocks_change_no_value(self, rows):
         w = self.paths(rows)
-        assert _values_ratio(w, self.LEVELS, 0.5).tobytes() == self.unblocked(w, self.LEVELS, 0.5).tobytes()
+        assert _values_ratio(w, self.LEVELS, 0.5).tobytes() == _values_ratio.__wrapped__(w, self.LEVELS, 0.5).tobytes()
+
+    def test_matches_full_width_sums(self):
+        # the sums at the levels add pairwise within a segment, the running sums one column at a time
+        w = self.paths(self.ROWS)
+        np.testing.assert_allclose(_values_ratio(w, self.LEVELS, 0.5), self.full_width(w, self.LEVELS, 0.5),
+                                   rtol=1e-13, atol=0)
 
     def test_peak_within_bound(self, peak_bytes):
         w = self.paths(self.ROWS)
