@@ -9,8 +9,9 @@ grows with it, about one chunk per thread.
 
 Exit codes: 0 success, 1 a requested check failed, 2 invalid usage or
 input, such as fewer than two --reps or a nonpositive --T, --cutoff, --rn
-or --samples (never read as a request for the default), or a smallball eta
-that no automatic cutoff reaches (give --cutoff).
+or --samples (never read as a request for the default), a smallball eta
+that no automatic cutoff reaches (give --cutoff), or a bound run with only
+one of --kappa and --cbound, or with either for a Levy model.
 """
 
 from __future__ import annotations
@@ -211,10 +212,15 @@ def cmd_crosscheck(args) -> int:
 
 def cmd_bound(args) -> int:
     model = build_model(args)
+    power = (args.kappa is not None, args.cbound is not None)
+    if any(power) and not isinstance(model, VarianceFunction):
+        raise ValueError("--kappa and --cbound set the Gaussian power bound; a Levy model takes neither")
+    if any(power) and not all(power):
+        raise ValueError("the power bound needs both --kappa and --cbound")
     records = []
     if isinstance(model, VarianceFunction):
         records.append(gaussian_lower_bound(model, args.delta).to_dict())
-        if args.kappa is not None and args.cbound is not None:
+        if all(power):
             records.append(gaussian_power_bound(args.cbound, args.kappa, args.delta).to_dict())
     else:
         records.append(levy_lower_bound(model, args.delta).to_dict())

@@ -13,7 +13,7 @@ Each thread holds one chunk at a time, so peak memory is about the thread
 count times one chunk's working set. Samplers and value kernels keep that
 working set small by walking a chunk in row blocks (``row_blocks``,
 ``by_row_blocks``) of a fixed byte size, which changes no value, and by
-reading running maxima and sums at the few lags that a kernel uses
+reading running maxima and sums at a kernel's truncation levels only
 (``running_at``) instead of over every column.
 """
 
@@ -152,39 +152,33 @@ def by_row_blocks(kernel: Callable[..., np.ndarray]) -> Callable[..., np.ndarray
     return blocked
 
 
-def running_at(ufunc: np.ufunc, side: np.ndarray, lags) -> np.ndarray:
-    """``ufunc.accumulate(side, axis=1)`` read at ``lags`` only, for ``ufunc``
+def running_at(ufunc: np.ufunc, side: np.ndarray, levels) -> np.ndarray:
+    """``ufunc.accumulate(side, axis=1)`` read at ``levels`` only, for ``ufunc``
     np.maximum or np.add.
 
-    Column j of the (rows, len(lags)) result reduces the first ``lags[j]``
-    columns of each row of ``side`` (lag k is column k - 1); lag 0, the
-    empty prefix, gives -inf for a maximum and 0 for a sum. Lags may come
-    in any order and repeat. Columns past the largest lag are never read:
-    one ``ufunc.reduceat`` over the segments between the distinct lags, then
-    a running combine over those few segments. A side with a negative
-    column stride (the negative lags of a path, read outward from the
-    origin) is reduced in memory order, its segments mirrored. Maxima equal
-    the accumulate's exactly; sums add pairwise within a segment, so they
-    may differ in the last bits.
+    Column j of the (rows, len(levels)) result reduces the first ``levels[j]``
+    columns of each row of ``side`` (level k is column k - 1); the levels
+    increase from 1. Columns past the last level are never read: one
+    ``ufunc.reduceat`` over the segments between the levels, then a running
+    combine over those few segments. A side with a negative column stride
+    (the negative lags of a path, read outward from the origin) is reduced
+    in memory order, its segments mirrored. Maxima equal the accumulate's
+    exactly; sums add pairwise within a segment, so they may differ in the
+    last bits.
 
-    The result is Fortran-ordered, as ``accumulate(side, axis=1)[:, lags - 1]``
+    The result is Fortran-ordered, as ``accumulate(side, axis=1)[:, levels - 1]``
     is, so sums over its rows add in the same order.
     """
-    cuts = sorted({int(k) for k in lags if k > 0})
-    out = np.empty((len(side), len(lags)), order="F")
-    if cuts:
-        width = cuts[-1]
-        if side.strides[1] < 0:
-            seg = ufunc.reduceat(side[:, width - 1::-1], [width - k for k in reversed(cuts)], axis=1)[:, ::-1]
-        else:
-            seg = ufunc.reduceat(side[:, :width], [0, *cuts[:-1]], axis=1)
-        # a column at a time: accumulate along a short axis pays a loop per row
-        for j in range(1, len(cuts)):
-            ufunc(seg[:, j - 1], seg[:, j], out=seg[:, j])
-    empty = -np.inf if ufunc is np.maximum else 0.0
-    for j, k in enumerate(lags):
-        out[:, j] = seg[:, cuts.index(k)] if k > 0 else empty
-    return out
+    width = int(levels[-1])
+    if side.strides[1] < 0:
+        seg = ufunc.reduceat(side[:, width - 1::-1], [width - k for k in reversed(levels)], axis=1)[:, ::-1]
+    else:
+        seg = ufunc.reduceat(side[:, :width], [0, *levels[:-1]], axis=1)
+    seg = np.asfortranarray(seg)
+    # a column at a time: accumulate along a short axis pays a loop per row
+    for j in range(1, len(levels)):
+        ufunc(seg[:, j - 1], seg[:, j], out=seg[:, j])
+    return seg
 
 
 def _chunk_sums(values: np.ndarray, count: int) -> tuple[int, np.ndarray, np.ndarray]:

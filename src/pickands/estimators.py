@@ -173,13 +173,11 @@ class _Kernel:
     over the positive lags ("pos") or the negative lags ("neg") out to each
     level, a (count, n_levels) array, or the whole two-sided path ("path");
     then the exponential E if ``expo``; then the levels and the grid step.
-    A kernel with a ``lag`` reads its maxima out to that one lag instead, a
-    (count, 1) array."""
+    A kernel that reads elsewhere than at the levels reads the whole path."""
 
     values: Callable[..., np.ndarray]
     reads: tuple[str, ...]
     expo: bool = False
-    lag: int | None = None
 
 
 _KERNELS = {
@@ -202,17 +200,13 @@ def _shared_path_moments(model: Model, delta: float, reps: int, kernels: dict, l
     Paths hold w(delta i) for 1 <= i <= n when every kernel reads positive
     lags only, and for |i| <= n otherwise (n the last level). E is drawn
     after w, and only if some kernel reads it. The maxima of each side that
-    some kernel reads are read at the levels and at the kernels' own lags
-    only (``engine.running_at``), in one pass over the side.
+    some kernel reads are read at the levels only (``engine.running_at``),
+    once for all kernels.
     """
     n = int(levels[-1])
     reads = {r for k in kernels.values() for r in k.reads}
     one_sided = reads == {"pos"}
     with_expo = any(k.expo for k in kernels.values())
-    # the sides are read at the levels, then at each kernel's own lag
-    own = [name for name, k in kernels.items() if k.lag is not None]
-    lags = np.r_[levels, [kernels[name].lag for name in own]].astype(int)
-    cols = {name: slice(levels.size + j, levels.size + j + 1) for j, name in enumerate(own)}
 
     def worker(rng, count):
         if one_sided:
@@ -221,14 +215,9 @@ def _shared_path_moments(model: Model, delta: float, reps: int, kernels: dict, l
         else:
             w = w_matrix(model, GridSpec(delta, -n, n), rng, count)
             sides = {"pos": w[:, n + 1:], "neg": w[:, n - 1::-1]}
-        maxima = {r: engine.running_at(np.maximum, sides[r], lags) for r in reads - {"path"}}
+        inputs = {"path": w} | {r: engine.running_at(np.maximum, sides[r], levels) for r in reads - {"path"}}
         expo = (rng.exponential(size=count),) if with_expo else ()
-
-        def inputs(name, k):
-            at = cols.get(name, slice(0, levels.size))
-            return (w if r == "path" else maxima[r][:, at] for r in k.reads)
-
-        return {name: k.values(*inputs(name, k), *(expo if k.expo else ()), levels, delta)
+        return {name: k.values(*(inputs[r] for r in k.reads), *(expo if k.expo else ()), levels, delta)
                 for name, k in kernels.items()}
 
     return engine.run(worker, seed, reps, n if one_sided else 2 * n + 1)
@@ -427,10 +416,11 @@ def crosscheck(
     # number of positive grid points inside [0, T]; 0 leaves only the origin
     k_T = min(horizon, int(math.floor(horizon_T / delta + 1e-12)))
 
-    def definitional(pos, levels, delta):
-        return np.exp(np.maximum(pos[:, 0], 0.0)) / horizon_T
+    def definitional(w, levels, delta):
+        # [0, T] from the origin, column horizon, where w = 0
+        return np.exp(w[:, horizon:horizon + k_T + 1].max(axis=1)) / horizon_T
 
-    extra = {"definitional": _Kernel(definitional, ("pos",), lag=k_T)}
+    extra = {"definitional": _Kernel(definitional, ("path",))}
     results, moments = _run_exact(model, delta, reps, EXACT_METHODS, horizon, seed, extra)
     overlap = {(a, b): _ci_overlap(results[a], results[b])
                for i, a in enumerate(EXACT_METHODS) for b in EXACT_METHODS[i + 1:]}

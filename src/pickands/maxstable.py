@@ -178,8 +178,8 @@ def est_extremal_index_blocks(
                                               / sum_{k in A} x(k - j) ],
 
     whose per-replication value is bounded by |A|; one two-sided path on
-    [-r_n, r_n] evaluates every shifted ratio by sliding windows. Defaults
-    to r_n = floor(sqrt(n)).
+    [-r_n, r_n] evaluates every shifted ratio, each window read outward
+    from the centre column it holds. Defaults to r_n = floor(sqrt(n)).
     """
     if delta <= 0 or n < 2:
         raise ValueError("need delta > 0 and n >= 2")
@@ -222,33 +222,25 @@ def _boundary_corrected_theta(model: Model, delta: float, r: int, reps: int, *,
                           flags=("boundary-corrected",))
 
 
-def _sliding_max(a: np.ndarray, width: int) -> np.ndarray:
-    """Row-wise maxima of every contiguous window of ``width`` columns.
-
-    Block decomposition: each window is covered by the suffix of one
-    width-aligned block plus the prefix of the next.
-    """
-    rows, cols = a.shape
-    pad = (-cols) % width
-    ap = np.pad(a, ((0, 0), (0, pad)), constant_values=-np.inf)
-    blocks = ap.reshape(rows, -1, width)
-    prefix = np.maximum.accumulate(blocks, axis=2).reshape(rows, -1)
-    suffix = np.maximum.accumulate(blocks[:, :, ::-1], axis=2)[:, :, ::-1].reshape(rows, -1)
-    starts = np.arange(cols - width + 1)
-    return np.maximum(suffix[:, starts], prefix[:, starts + width - 1])
-
-
 @engine.by_row_blocks
 def _block_sup_values(w: np.ndarray, r: int) -> np.ndarray:
-    """Per-path estimates of E sup_{0<=i<=r} exp(w(delta i)) from a path on [-r, r]."""
+    """Per-path estimates of E sup_{0<=i<=r} exp(w(delta i)) from a path on [-r, r].
+
+    Every window of r + 1 columns holds the centre column r, so its maximum
+    is the larger of the running maxima from the centre out to its two ends.
+    """
     shift = w.max(axis=1, keepdims=True)
     e = np.exp(w - shift)
     csum = np.concatenate([np.zeros((w.shape[0], 1)), np.cumsum(e, axis=1)], axis=1)
     width = r + 1
     sums = csum[:, width:] - csum[:, :-width]          # window sums, start = 0..r
-    # window maxima, start = 0..r; C order, so that the ratios below are C-ordered
-    # and each row adds in the same order whatever the number of rows
-    maxes = np.ascontiguousarray(_sliding_max(w, width)) - shift
+    # window maxima, start s = 0..r: columns s..r on the left, r..s + r on the
+    # right; C order, so that the ratios below are C-ordered and each row adds
+    # in the same order whatever the number of rows
+    left = np.maximum.accumulate(w[:, r::-1], axis=1)[:, ::-1]
+    maxes = np.maximum.accumulate(w[:, r:], axis=1)
+    np.maximum(left, maxes, out=maxes)
+    maxes -= shift
     # the window starting at column r - j covers grid indices (0..r) - j,
     # so summing the ratio over all r + 1 starts sums over all shifts j
     return (np.exp(maxes) / sums).sum(axis=1)

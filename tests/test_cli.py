@@ -360,6 +360,10 @@ class TestConfigFile:
     # a check on one time given twice is not a two-point check
     ["maxstable", "--check", "fdd", "--delta", "0"],
     ["maxstable", "--check", "fdd", "--points", "1,1"],
+    # the power bound needs both of its parameters, and a Gaussian model
+    ["bound", "--family", "power", "--alpha", "1", "--delta", "10", "--kappa", "1"],
+    ["bound", "--family", "power", "--alpha", "1", "--delta", "10", "--cbound", "1.4"],
+    ["bound", "--family", "levy", "--brownian", "--delta", "16", "--kappa", "1", "--cbound", "1.4"],
 ], ids=" ".join)
 def test_out_of_range_input_exits_2(args):
     # a value outside an option's range is invalid input: it is neither

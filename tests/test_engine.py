@@ -7,7 +7,12 @@ import pytest
 
 from pickands import engine
 from pickands.estimators import crosscheck, est_continuous_dy, est_definitional, estimate
-from pickands.maxstable import est_candidate_theta, est_extremal_index_blocks, fdd_probability
+from pickands.maxstable import (
+    _boundary_corrected_theta,
+    est_candidate_theta,
+    est_extremal_index_blocks,
+    fdd_probability,
+)
 from pickands.models import VarianceFunction
 from pickands.smallball import est_smallball_prob
 
@@ -92,28 +97,26 @@ class TestRowBlocks:
 
 
 class TestRunningAt:
-    """running_at against the full running maximum and sum read at the lags,
-    with the empty prefix (lag 0) giving -inf and 0."""
+    """running_at against the full running maximum and sum read at the levels."""
 
     W = np.random.default_rng(9).standard_normal((37, 33))  # a two-sided path, origin in column 16
 
     @staticmethod
-    def reference(ufunc, side, lags):
-        empty = np.full((len(side), 1), -np.inf if ufunc is np.maximum else 0.0)
-        return np.hstack([empty, ufunc.accumulate(side, axis=1)])[:, np.asarray(lags)]
+    def reference(ufunc, side, levels):
+        return ufunc.accumulate(side, axis=1)[:, np.asarray(levels) - 1]
 
-    @pytest.mark.parametrize("lags", [[16], [3], [8, 16], [4, 4, 9], [0, 8, 16], [8, 16, 16], [0]],
-                             ids=["one level, the row width", "one level", "two levels", "repeated lags",
-                                  "k_T = 0", "k_T = horizon", "origin only"])
+    @pytest.mark.parametrize("levels", [[16], [3], [8, 16], [1, 2], [2, 5, 16]],
+                             ids=["one level, the row width", "one level", "two levels",
+                                  "the first two levels", "three levels"])
     @pytest.mark.parametrize("side", ["pos", "neg"])
-    def test_matches_accumulate(self, lags, side):
+    def test_matches_accumulate(self, levels, side):
         # the negative side is a negative-stride view, read outward from the origin
         view = self.W[:, 17:] if side == "pos" else self.W[:, 15::-1]
         assert view.strides[1] < 0 or side == "pos"
-        top = engine.running_at(np.maximum, view, lags)
-        total = engine.running_at(np.add, view, lags)
-        assert top.tobytes() == self.reference(np.maximum, view, lags).tobytes()
-        np.testing.assert_allclose(total, self.reference(np.add, view, lags), rtol=1e-13, atol=1e-15)
+        top = engine.running_at(np.maximum, view, levels)
+        total = engine.running_at(np.add, view, levels)
+        assert top.tobytes() == self.reference(np.maximum, view, levels).tobytes()
+        np.testing.assert_allclose(total, self.reference(np.add, view, levels), rtol=1e-13, atol=1e-15)
         assert top.flags.f_contiguous and total.flags.f_contiguous
 
     def test_columns_past_the_last_lag_are_not_read(self):
@@ -163,6 +166,21 @@ class TestLevelReadsKeepBytes:
     def test_smallball(self, alpha, prob, stderr):
         res = est_smallball_prob(alpha, 0.2, 32, 3000, seed=11)
         assert (res.prob.hex(), res.stderr.hex()) == (prob, stderr)
+
+
+class TestBlockStatisticsKeepBytes:
+    """Seeded outputs of the block kernel, pinned as float.hex: its window
+    maxima are exact, and its window sums and the row sums of its ratios
+    add in a fixed order."""
+
+    def test_block_formula(self):
+        res = est_extremal_index_blocks(FBM15, 0.5, 1000, 3000, seed=11)
+        assert res.horizon == 31
+        assert (res.estimate.hex(), res.stderr.hex()) == ("0x1.57e25b7d687cdp-2", "0x1.9ae160fa97068p-10")
+
+    def test_boundary_corrected(self):
+        res = _boundary_corrected_theta(FBM15, 0.5, 31, 3000, seed=11)
+        assert (res.estimate.hex(), res.stderr.hex()) == ("0x1.35620e06e1dedp-2", "0x1.97b1c418ab4d1p-10")
 
 
 class TestDoublingStable:

@@ -13,7 +13,6 @@ from pickands.estimators import estimate
 from pickands.maxstable import (
     _block_sup_values,
     _boundary_corrected_theta,
-    _sliding_max,
     est_candidate_theta,
     est_extremal_index_blocks,
     fdd_probability,
@@ -198,7 +197,9 @@ class TestBlockSupKernel:
         csum = np.concatenate([np.zeros((w.shape[0], 1)), np.cumsum(e, axis=1)], axis=1)
         width = r + 1
         sums = csum[:, width:] - csum[:, :-width]
-        maxes = np.ascontiguousarray(_sliding_max(w, width)) - shift
+        # every window's maximum by brute force
+        windows = np.lib.stride_tricks.sliding_window_view(w, width, axis=1)
+        maxes = np.ascontiguousarray(windows.max(axis=2)) - shift
         return (np.exp(maxes) / sums).sum(axis=1)
 
     @staticmethod
