@@ -3,8 +3,6 @@ of Brown-Resnick stationary processes built from Gaussian and Levy inputs."""
 
 from .bounds import (
     BoundResult,
-    Ln8Report,
-    check_ln8,
     gaussian_lower_bound,
     gaussian_power_bound,
     levy_h0_bound,
@@ -30,7 +28,6 @@ from .models import (
     LevyModel,
     ModelError,
     VarianceFunction,
-    gaussian_grid_cov,
     laplace_exponent,
     levy_lambda,
     variance_at,

@@ -1,4 +1,4 @@
-"""Closed-form lower bounds and positivity diagnostics for H^delta.
+"""Closed-form lower bounds for H^delta.
 
 The Gaussian bound comes from a Bonferroni argument on the grid sup, whose
 pair terms reduce to exp(-sigma^2(delta k) / 8) under stationary
@@ -19,12 +19,10 @@ from .report import Record
 
 __all__ = [
     "BoundResult",
-    "Ln8Report",
     "gaussian_lower_bound",
     "gaussian_power_bound",
     "levy_lower_bound",
     "levy_h0_bound",
-    "check_ln8",
 ]
 
 SERIES_TAIL_TOL = 1e-12
@@ -158,42 +156,3 @@ def levy_h0_bound(model: LevyModel) -> BoundResult:
     if lam <= 0:
         raise ModelError("degenerate Levy model: lambda = Phi(1)/2 - Phi(1/2) must be positive")
     return BoundResult(value=lam / 4.0, formula="levy-continuum", inputs={"lambda": lam})
-
-
-@dataclass(frozen=True)
-class Ln8Report:
-    """Numerical check of liminf sigma^2(t) / ln(t) > 8 up to a horizon.
-
-    Advisory only: a liminf cannot be decided from finite data, so the
-    verdict reports the running minimum of the ratio beyond each grid
-    point against the threshold 8.
-    """
-
-    holds: bool
-    margin: float
-    horizon: float
-    t: np.ndarray = field(repr=False)
-    ratio: np.ndarray = field(repr=False)
-    running_min: np.ndarray = field(repr=False)
-
-    @property
-    def verdict(self) -> str:
-        return "condition holds numerically" if self.holds else "condition fails numerically"
-
-
-def check_ln8(vf: VarianceFunction, horizon: float, n_points: int = 200) -> Ln8Report:
-    """Evaluate sigma^2(t)/ln(t) on a log-spaced grid up to ``horizon``."""
-    if horizon <= math.e:
-        raise ValueError("horizon must exceed e so that ln(t) > 1 on the grid")
-    t = np.geomspace(math.e, horizon, n_points)
-    ratio = variance_at(vf, t) / np.log(t)
-    running_min = np.minimum.accumulate(ratio[::-1])[::-1]
-    margin = float(running_min[-1] - 8.0)
-    return Ln8Report(
-        holds=bool(running_min[-1] > 8.0),
-        margin=margin,
-        horizon=horizon,
-        t=t,
-        ratio=ratio,
-        running_min=running_min,
-    )

@@ -9,8 +9,10 @@ grows with it, about one chunk per thread.
 
 Exit codes: 0 success, 1 a requested check failed, 2 invalid usage or
 input, such as fewer than two --reps or a nonpositive --T, --cutoff, --rn
-or --samples (never read as a request for the default), a smallball eta
-that no automatic cutoff reaches (give --cutoff), or a bound run with only
+or --samples (never read as a request for the default), a smallball alpha
+outside (0, 2], a nonpositive eta or an eta that no automatic cutoff
+reaches (give --cutoff), a model flag that the family does not read (such
+as --scale for fbm, or --phi-jump with --brownian), or a bound run with only
 one of --kappa and --cbound, or with either for a Levy model.
 """
 
@@ -129,17 +131,26 @@ def _config_flags(path: str) -> list[str]:
 
 
 def build_model(args: argparse.Namespace):
-    if args.family in ("fbm", "power"):
-        if args.family == "fbm":
-            return VarianceFunction.fbm(args.alpha)
+    """The model of the family flags. A model flag that the family does not read is
+    invalid input, not dropped; --brownian means the --phi defaults, so it reads no --phi flag."""
+    levy = args.family == "levy"
+    phi = levy and not args.brownian
+    unread = [flag for flag, given, read in (
+        ("--alpha", args.alpha != 1.0, not levy),
+        ("--scale", args.scale != 2.0, args.family == "power"),
+        ("--brownian", args.brownian, levy),
+        ("--phi-diffusion", args.phi_diffusion != 1.0, phi),
+        ("--phi-jump-rate", args.phi_jump_rate != 0.0, phi),
+        ("--phi-jump", args.phi_jump is not None, phi),
+    ) if given and not read]
+    if unread:
+        family = f"--family {args.family}" + (" --brownian" if args.brownian and levy else "")
+        raise ValueError(f"{family} does not read {', '.join(unread)}")
+    if args.family == "fbm":
+        return VarianceFunction.fbm(args.alpha)
+    if args.family == "power":
         return VarianceFunction.power(args.alpha, args.scale)
-    if args.brownian or (args.phi_jump_rate == 0 and args.phi_jump is None):
-        return LevyModel.brownian(args.phi_diffusion if not args.brownian else 1.0)
-    return LevyModel(
-        diffusion=args.phi_diffusion,
-        jump_rate=args.phi_jump_rate,
-        jump_law=parse_jump_law(args.phi_jump),
-    )
+    return LevyModel(args.phi_diffusion, args.phi_jump_rate, parse_jump_law(args.phi_jump))
 
 
 def parse_jump_law(text: str | None) -> JumpLaw | None:
@@ -170,12 +181,11 @@ def _stamp(args: argparse.Namespace) -> dict:
 
 def _run_single_estimate(args, model, method: str) -> dict:
     seed, reps = args.seed, args.reps
+    mesh = args.mesh if args.mesh is not None else DEFAULT_MESH
     if method == "definitional":
         T = args.T if args.T is not None else max(2.0, 2.0 * args.delta)
-        mesh = DEFAULT_MESH if args.mesh is None and args.delta == 0 else args.mesh
         res = est_definitional(model, args.delta, T, reps, mesh=mesh, seed=seed)
     elif method == "continuous-dy":
-        mesh = args.mesh if args.mesh is not None else DEFAULT_MESH
         res = est_continuous_dy(model, mesh, args.window, reps, seed=seed)
     elif method == "theta-blocks":
         res = est_extremal_index_blocks(model, args.delta, int(args.level), reps,

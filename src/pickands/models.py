@@ -34,14 +34,13 @@ __all__ = [
     "LevyModel",
     "GridSpec",
     "variance_at",
-    "gaussian_grid_cov",
     "laplace_exponent",
     "levy_lambda",
 ]
 
-# Relative tolerance for eigenvalue checks of covariance and embedding
-# matrices; negatives within this fraction of the dominant scale are
-# treated as round-off and clipped.
+# Relative tolerance for the eigenvalue check of embedding matrices;
+# negatives within this fraction of the dominant scale are treated as
+# round-off and clipped.
 PSD_RTOL = 1e-8
 
 
@@ -154,24 +153,13 @@ class GridSpec:
 # Gaussian sampling
 
 
-def gaussian_grid_cov(vf: VarianceFunction, grid: GridSpec) -> np.ndarray:
-    """Covariance of (b(delta i))_{i_min..i_max}.
-
-    Uses the stationary-increments identity
-    Cov(b(s), b(t)) = (sigma^2(s) + sigma^2(t) - sigma^2(s - t)) / 2
-    and verifies positive semidefiniteness up to round-off.
-    """
+def _grid_cov(vf: VarianceFunction, grid: GridSpec) -> np.ndarray:
+    """Covariance of (b(delta i))_{i_min..i_max}, Cov(b(s), b(t)) = (sigma^2(s) + sigma^2(t)
+    - sigma^2(s - t)) / 2. It is not checked: the Cholesky factorisation that reads it
+    (``_cholesky_factor``) decides whether it is positive semidefinite."""
     t = grid.times()
     vs = variance_at(vf, t)
-    cov = 0.5 * (vs[:, None] + vs[None, :] - variance_at(vf, np.subtract.outer(t, t)))
-    tr = float(np.trace(cov))
-    if tr > 0:
-        w = np.linalg.eigvalsh(cov)
-        if w[0] < -PSD_RTOL * tr:
-            raise ModelError(
-                f"covariance is not positive semidefinite (min eigenvalue {w[0]:.3e}); invalid sigma^2"
-            )
-    return cov
+    return 0.5 * (vs[:, None] + vs[None, :] - variance_at(vf, np.subtract.outer(t, t)))
 
 
 def increment_autocov(vf: VarianceFunction, delta: float, max_lag: int) -> np.ndarray:
@@ -279,9 +267,8 @@ def _cholesky_b_matrix(vf: VarianceFunction, grid: GridSpec, rng: np.random.Gene
                        n: int) -> np.ndarray:
     """n draws of b on the grid from the Cholesky factor of the grid covariance
     with the origin row removed (b(0) = 0)."""
-    cov = gaussian_grid_cov(vf, grid)
     keep = np.delete(np.arange(grid.n_points), grid.origin)
-    factor = _cholesky_factor(cov[np.ix_(keep, keep)])
+    factor = _cholesky_factor(_grid_cov(vf, grid)[np.ix_(keep, keep)])
     z = rng.standard_normal((n, keep.size))
     b = np.zeros((n, grid.n_points))
     b[:, keep] = z @ factor.T

@@ -74,6 +74,11 @@ CUTOFF_CAP = 1 << 20
 WALK_FIRST_BLOCK = 4
 
 
+def _check_alpha_eta(alpha: float, eta: float) -> None:
+    if not (0.0 < alpha <= 2.0 and eta > 0.0):
+        raise ValueError(f"need 0 < alpha <= 2 and eta > 0, got alpha={alpha}, eta={eta}")
+
+
 def suggested_cutoff(alpha: float, eta: float) -> int:
     """Smallest power-of-two K, from 64 up to CUTOFF_CAP, whose discarded
     constraints are negligible.
@@ -87,6 +92,7 @@ def suggested_cutoff(alpha: float, eta: float) -> int:
     tolerance, and the tail at each power of two is read off their suffix
     sums. Raises ValueError when even CUTOFF_CAP leaves too large a tail.
     """
+    _check_alpha_eta(alpha, eta)
     tail_tol = CUTOFF_TAIL_SHARE * eta ** (2.0 / alpha)
     k = 64
     # the K terms on (K, 2K] are each at least the one at 2K
@@ -122,11 +128,12 @@ def _walk_edges(levels: np.ndarray) -> list[int]:
     return sorted(edges)
 
 
-def _side_indicators(alpha: float, eta: float, levels: np.ndarray,
+def _side_indicators(vf: VarianceFunction, eta: float, levels: np.ndarray,
                      rng: np.random.Generator, count: int) -> np.ndarray:
     """(count, 2, levels.size) indicators of {b(1/k) <= eta for 0 < k <= L} (side 0)
     and {b(1/k) <= eta for -L <= k < 0} (side 1), one path per row, for each
-    cutoff L in ``levels`` (increasing).
+    cutoff L in ``levels`` (increasing), where b has variance function
+    ``vf = VarianceFunction.power(alpha, 1.0)``, i.e. sigma^2(t) = |t|^alpha.
 
     By time inversion b~(t) = |t|^alpha b(1/t) is again fBm, so the events are
     {b~(k) <= eta |k|^alpha}. At alpha = 1 each side of b~ is an independent
@@ -138,7 +145,7 @@ def _side_indicators(alpha: float, eta: float, levels: np.ndarray,
     -K..K, drawn one row block at a time, from each side's maxima of
     b~(k) - eta |k|^alpha read at the levels only (``engine.running_at``).
     """
-    if alpha == 1.0:
+    if vf.alpha == 1.0:
         out = np.zeros((count, 2, levels.size))
         edges = _walk_edges(levels)
         for side in range(2):
@@ -152,9 +159,8 @@ def _side_indicators(alpha: float, eta: float, levels: np.ndarray,
                 out[rows[:, None], side, np.flatnonzero(levels == hi)] = 1.0
         return out
     k_max = int(levels[-1])
-    vf = VarianceFunction.power(alpha, 1.0)
     grid = GridSpec(1.0, -k_max, k_max)
-    barrier = eta * np.abs(grid.times()) ** alpha
+    barrier = eta * np.abs(grid.times()) ** vf.alpha
     out = np.empty((count, 2, levels.size))
     for block in engine.row_blocks(count, 8 * grid.n_points):
         x = gaussian_b_matrix(vf, grid, rng, block.stop - block.start)
@@ -185,16 +191,16 @@ def est_smallball_prob(
     when doubling K from ``cutoff`` moved it by more than the doubling rule
     allows (``engine.doubling_stable``).
     """
-    if not 0.0 < alpha <= 2.0:
-        raise ValueError("alpha must lie in (0, 2]")
-    if eta <= 0 or cutoff < 1:
-        raise ValueError("need eta > 0 and cutoff >= 1")
+    _check_alpha_eta(alpha, eta)
+    if cutoff < 1:
+        raise ValueError(f"cutoff must be at least 1, got {cutoff}")
     independent_sides = alpha == 1.0
     levels = np.asarray([cutoff, 2 * cutoff])
     k_max = int(levels[-1])
+    vf = VarianceFunction.power(alpha, 1.0)  # one per run: the embedding cache keys on its identity
 
     def worker(rng, count):
-        sides = _side_indicators(alpha, eta, levels, rng, count)
+        sides = _side_indicators(vf, eta, levels, rng, count)
         return sides if independent_sides else sides[:, 0] * sides[:, 1]
 
     means, ses = engine.run(worker, seed, reps, 2 * k_max + 1)

@@ -9,7 +9,6 @@ from scipy import special
 
 from oracles import FROZEN, alpha2_constant
 from pickands.bounds import (
-    check_ln8,
     exponent_series,
     gaussian_lower_bound,
     gaussian_power_bound,
@@ -164,25 +163,3 @@ class TestBoundsDominatedByEstimates:
         bound = levy_lower_bound(LevyModel.brownian(), delta).value
         est = estimate(LevyModel.brownian(), "exceedance", delta, 60_000, seed=52)
         assert bound <= est.estimate + 3.0 * est.stderr
-
-
-class TestLn8Check:
-    def test_linear_growth_holds(self):
-        report = check_ln8(VarianceFunction.power(1.0, 2.0), 1e6)
-        assert report.holds and "holds" in report.verdict
-
-    def test_log_growth_below_threshold(self):
-        t = np.geomspace(1.0, 1e6, 500)
-        vf = VarianceFunction.tabulated(np.concatenate([[0.0], t]),
-                                        np.concatenate([[0.0], 4.0 * np.log1p(t)]))
-        assert not check_ln8(vf, 1e6).holds
-
-    def test_log_growth_above_threshold(self):
-        t = np.geomspace(1.0, 1e6, 500)
-        vf = VarianceFunction.tabulated(np.concatenate([[0.0], t]),
-                                        np.concatenate([[0.0], 9.0 * np.log1p(t)]))
-        assert check_ln8(vf, 1e6).holds
-
-    def test_running_min_is_from_the_right(self):
-        report = check_ln8(VarianceFunction.fbm(1.0), 1e4)
-        assert np.all(np.diff(report.running_min) >= -1e-12) or report.holds

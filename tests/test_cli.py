@@ -355,6 +355,18 @@ class TestConfigFile:
     ["crosscheck", "--T", "-1"],
     ["crosscheck", "--T", "0"],
     ["smallball", "--alpha", "1", "--eta", "0.1", "--cutoff", "0"],
+    # alpha and eta are checked before the automatic cutoff is searched for
+    ["smallball", "--alpha", "0", "--eta", "0.1"],
+    ["smallball", "--alpha", "1.5", "--eta", "-0.1"],
+    ["smallball", "--alpha", "1", "--eta", "0"],
+    # a model flag that the family does not read is not dropped
+    ["bound", "--family", "levy", "--brownian", "--phi-jump-rate", "2", "--phi-jump", "normal:0,1",
+     "--delta", "16"],
+    ["bound", "--family", "levy", "--brownian", "--phi-diffusion", "0.5", "--delta", "16"],
+    ["bound", "--family", "fbm", "--scale", "7"],
+    ["bound", "--family", "levy", "--alpha", "1.5"],
+    ["bound", "--family", "power", "--brownian"],
+    ["estimate", "--family", "fbm", "--phi-jump-rate", "1", "--phi-jump", "constant:1"],
     ["maxstable", "--check", "theta", "--rn", "0"],
     ["maxstable", "--samples", "0"],
     # a check on one time given twice is not a two-point check

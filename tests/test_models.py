@@ -15,7 +15,6 @@ from pickands.models import (
     ModelError,
     VarianceFunction,
     gaussian_b_matrix,
-    gaussian_grid_cov,
     gaussian_w_matrix,
     increment_autocov,
     laplace_exponent,
@@ -23,7 +22,7 @@ from pickands.models import (
     levy_w_matrix,
     variance_at,
 )
-from pickands.models import _cached_grid_eigs, _cholesky_b_matrix, _embedding_eigs, _grid_eigs
+from pickands.models import _cached_grid_eigs, _cholesky_b_matrix, _embedding_eigs, _grid_cov, _grid_eigs
 
 
 class TestVarianceFunction:
@@ -61,17 +60,17 @@ class TestVarianceFunction:
 class TestGridCov:
     def test_brownian_grid(self):
         vf = VarianceFunction.power(1.0, 1.0)
-        cov = gaussian_grid_cov(vf, GridSpec(1.0, 0, 2))
+        cov = _grid_cov(vf, GridSpec(1.0, 0, 2))
         assert np.allclose(cov, [[0, 0, 0], [0, 1, 1], [0, 1, 2]])
 
     def test_origin_only(self):
-        cov = gaussian_grid_cov(VarianceFunction.fbm(1.3), GridSpec(1.0, 0, 0))
+        cov = _grid_cov(VarianceFunction.fbm(1.3), GridSpec(1.0, 0, 0))
         assert cov.shape == (1, 1) and cov[0, 0] == 0.0
 
     def test_power_15_entries(self):
         # evaluate the increments identity independently
         vf = VarianceFunction.power(1.5, 2.0)
-        cov = gaussian_grid_cov(vf, GridSpec(1.0, 0, 2))
+        cov = _grid_cov(vf, GridSpec(1.0, 0, 2))
         s2 = lambda t: 2.0 * abs(t) ** 1.5
         expected = 0.5 * (s2(1) + s2(2) - s2(1))
         assert cov[1, 2] == pytest.approx(expected)
@@ -80,16 +79,18 @@ class TestGridCov:
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
     def test_psd(self, alpha):
-        cov = gaussian_grid_cov(VarianceFunction.fbm(alpha), GridSpec(0.5, -8, 8))
+        cov = _grid_cov(VarianceFunction.fbm(alpha), GridSpec(0.5, -8, 8))
         w = np.linalg.eigvalsh(cov)
         assert w[0] >= -1e-8 * np.trace(cov)
 
     def test_invalid_variance_rejected(self):
-        # |t|^3 correlations exceed 1 between increments
+        # |t|^3 correlations exceed 1 between increments: the embedding has
+        # negative eigenvalues and the Cholesky factorisation fails
         t = np.linspace(0.0, 8.0, 33)
         vf = VarianceFunction.tabulated(t, t**3)
-        with pytest.raises(ModelError):
-            gaussian_grid_cov(vf, GridSpec(1.0, 0, 4))
+        for sampler in (_cholesky_b_matrix, gaussian_b_matrix):
+            with pytest.raises(ModelError, match="Cholesky"):
+                sampler(vf, GridSpec(1.0, 0, 4), np.random.default_rng(0), 10)
 
 
 class TestGridSpec:
@@ -127,7 +128,7 @@ class TestGaussianSampler:
         vf = VarianceFunction.power(1.0, 1.0)
         grid = GridSpec(1.0, 0, 2)
         b = gaussian_b_matrix(vf, grid, np.random.default_rng(11), self.N)
-        z = _cov_z(b, gaussian_grid_cov(vf, grid), self.N)
+        z = _cov_z(b, _grid_cov(vf, grid), self.N)
         assert z.max() < 3.0
 
     @pytest.mark.parametrize("alpha,method", [
@@ -136,7 +137,7 @@ class TestGaussianSampler:
     def test_sample_covariance(self, alpha, method):
         vf = VarianceFunction.fbm(alpha)
         grid = GridSpec(0.5, -3, 4)
-        theo = gaussian_grid_cov(vf, grid)
+        theo = _grid_cov(vf, grid)
         sampler = _cholesky_b_matrix if method == "cholesky" else gaussian_b_matrix
         b = sampler(vf, grid, np.random.default_rng(2), self.N)
         _assert_entrywise(_cov_z(b, theo, self.N))
@@ -145,7 +146,7 @@ class TestGaussianSampler:
         # <= 32-point grid, both samplers against each other in combined SE units
         vf = VarianceFunction.fbm(1.5)
         grid = GridSpec(0.5, -15, 16)
-        theo = gaussian_grid_cov(vf, grid)
+        theo = _grid_cov(vf, grid)
         n = 100_000
         b1 = gaussian_b_matrix(vf, grid, np.random.default_rng(1), n)  # embedding at alpha = 1.5
         b2 = _cholesky_b_matrix(vf, grid, np.random.default_rng(2), n)

@@ -8,9 +8,9 @@ from scipy.special import ndtr
 
 from oracles import smallball_cholesky, smallball_one_sided, smallball_walk_probability
 from pickands import smallball
-from pickands.engine import chunk_stream
+from pickands.engine import chunk_plan, chunk_stream
 from pickands.estimators import estimate
-from pickands.models import VarianceFunction
+from pickands.models import VarianceFunction, _cached_grid_eigs
 from pickands.smallball import (
     CUTOFF_CAP,
     _side_indicators,
@@ -18,6 +18,9 @@ from pickands.smallball import (
     smallball_extrapolate,
     suggested_cutoff,
 )
+
+# sigma^2(t) = |t|: the side walks of alpha = 1
+UNIT_BM = VarianceFunction.power(1.0, 1.0)
 
 
 class TestEstimator:
@@ -67,7 +70,7 @@ class TestEstimator:
                 return out
 
         rng = CountingNormals(chunk_stream(9, 0))
-        sides = _side_indicators(1.0, 0.05, np.array([8192, 16384]), rng, 1500)
+        sides = _side_indicators(UNIT_BM, 0.05, np.array([8192, 16384]), rng, 1500)
         assert sides.shape == (1500, 2, 2)
         # the full grid takes 2 x 16384 normals per path
         assert rng.drawn < 2 * 16384 * 1500 / 5
@@ -76,7 +79,7 @@ class TestEstimator:
         # alpha = 1: the product of the side means against the joint
         # indicator's mean, both from the same worker columns
         n = 100_000
-        sides = _side_indicators(1.0, 0.3, np.array([32, 64]), chunk_stream(3, 0), n)
+        sides = _side_indicators(UNIT_BM, 0.3, np.array([32, 64]), chunk_stream(3, 0), n)
         q = sides.mean(axis=0)
         joint = sides[:, 0] * sides[:, 1]
         se = joint.std(axis=0, ddof=1) / math.sqrt(n)
@@ -89,7 +92,7 @@ class TestEstimator:
     def test_monotone_in_cutoff_per_seed(self):
         levels = np.array([8, 16, 32, 64])
         for alpha in (0.5, 1.0, 2.0):  # embedding, i.i.d. and line branches
-            ind = _side_indicators(alpha, 0.2, levels, chunk_stream(6, 0), 4000)
+            ind = _side_indicators(VarianceFunction.power(alpha, 1.0), 0.2, levels, chunk_stream(6, 0), 4000)
             diffs = np.diff(ind, axis=2)
             assert np.all(diffs <= 0)
 
@@ -118,6 +121,14 @@ class TestEstimator:
             est_smallball_prob(2.5, 0.1, 16, 100)
         with pytest.raises(ValueError):
             est_smallball_prob(1.0, 0.0, 16, 100)
+
+    def test_embedding_computed_once_per_run(self):
+        # the chunks share one variance function, so one embedding, not one per chunk
+        assert len(chunk_plan(20_000, 2 * 512 + 1)) == 5  # cutoff 256 reads K = 512
+        _cached_grid_eigs.cache_clear()
+        est_smallball_prob(1.5, 0.1, 256, 20_000, seed=3)
+        info = _cached_grid_eigs.cache_info()
+        assert info.misses == 1 and info.currsize == 1
 
 
 def argmax_route(alpha, eta, cutoff, reps, seed):
