@@ -12,8 +12,9 @@ input, such as fewer than two --reps or a nonpositive --T, --cutoff, --rn
 or --samples (never read as a request for the default), a smallball alpha
 outside (0, 2], a nonpositive eta or an eta that no automatic cutoff
 reaches (give --cutoff), a model flag that the family does not read (such
-as --scale for fbm, or --phi-jump with --brownian), or a bound run with only
-one of --kappa and --cbound, or with either for a Levy model.
+as --scale for fbm, or --phi-jump with --brownian), a --phi-jump with more
+values than its law takes, or a bound run with only one of --kappa and
+--cbound, or with either for a Levy model.
 """
 
 from __future__ import annotations
@@ -153,18 +154,22 @@ def build_model(args: argparse.Namespace):
     return LevyModel(args.phi_diffusion, args.phi_jump_rate, parse_jump_law(args.phi_jump))
 
 
+JUMP_PARAMS = {"constant": ("value",), "normal": ("mean", "sd"), "exponential": ("rate",)}
+
+
 def parse_jump_law(text: str | None) -> JumpLaw | None:
+    """``kind[:v1,v2]``: up to the law's own number of values, in JUMP_PARAMS order;
+    the ones left out keep JumpLaw's defaults."""
     if text is None:
         return None
     kind, _, params = text.partition(":")
+    if kind not in JUMP_PARAMS:
+        raise ValueError(f"unknown jump law {text!r}; expected constant, normal or exponential")
     vals = [float(v) for v in params.split(",")] if params else []
-    if kind == "constant":
-        return JumpLaw("constant", value=vals[0] if vals else 1.0)
-    if kind == "normal":
-        return JumpLaw("normal", mean=vals[0] if vals else 0.0, sd=vals[1] if len(vals) > 1 else 1.0)
-    if kind == "exponential":
-        return JumpLaw("exponential", rate=vals[0] if vals else 1.0)
-    raise ValueError(f"unknown jump law {text!r}; expected constant, normal or exponential")
+    names = JUMP_PARAMS[kind]
+    if len(vals) > len(names):
+        raise ValueError(f"jump law {kind} takes at most {len(names)} value(s), got {text!r}")
+    return JumpLaw(kind, **dict(zip(names, vals)))
 
 
 def _stamp(args: argparse.Namespace) -> dict:

@@ -218,17 +218,31 @@ def _stationary_sequence(eigs: np.ndarray, rng: np.random.Generator, n: int, m: 
     One FFT of a circularly symmetric complex vector yields two independent
     real samples (real and imaginary parts), so rows are generated in pairs.
     All real parts are drawn before all imaginary parts; the imaginary parts
-    are drawn, and the FFTs run, one row block at a time.
+    are drawn, and the FFTs run, one row block at a time. The real parts are
+    drawn into the tail of the buffer whose head is the returned array, so a
+    chunk holds one array of its size, not two; each block draws its
+    imaginary parts into the rows its real parts were read from.
     """
     length = eigs.size
     rows = (n + 1) // 2
     scale = np.sqrt(eigs / length)
-    real = rng.standard_normal((rows, length))
-    out = np.empty((n, m + 1))
-    for block in engine.row_blocks(rows, 16 * length):
-        z = np.empty((block.stop - block.start, length), dtype=complex)
-        z.real = real[block]
-        z.imag = rng.standard_normal(z.shape)
+    buf = np.empty(max(n * (m + 1), 2 * rows + rows * length))
+    out = buf[:n * (m + 1)].reshape(n, m + 1)
+    real = buf[buf.size - rows * length:].reshape(rows, length)
+    rng.standard_normal(out=real)
+    # Block [a, b) copies its rows of real into z before it writes to out, and
+    # its writes end at flat index 2 b (m + 1) <= 2 rows + b length, at or
+    # before the start of row b of real: no unread real part is overwritten.
+    # Blocks are sized by the real parts they read, 4 rows at length 32768:
+    # the FFT of 2-row blocks page-faults on every call and runs slower.
+    blocks = engine.row_blocks(rows, 8 * length)
+    # the last block is the longest
+    work = np.empty((blocks[-1].stop - blocks[-1].start, length), dtype=complex)
+    for block in blocks:
+        part = real[block]
+        z = work[:len(part)]
+        z.real = part
+        z.imag = rng.standard_normal(out=part)
         z *= scale
         np.fft.fft(z, axis=1, out=z)
         out[2 * block.start:2 * block.stop:2, 1:] = z.real[:, :m]
@@ -449,8 +463,9 @@ def levy_w_matrix(model: LevyModel, grid: GridSpec, rng: np.random.Generator, n:
         law = model.jump_law.tilted() if jumps else None
         inc = _levy_increments(model.diffusion, rate, law, grid.delta, rng, (n, origin))
         s = grid.delta * np.arange(1, origin + 1)
-        v = np.cumsum(inc, axis=1) + model.diffusion**2 * s
-        w[:, origin - 1::-1] = phi1 * s - v
+        np.cumsum(inc, axis=1, out=inc)
+        inc += model.diffusion**2 * s
+        np.subtract(phi1 * s, inc, out=w[:, origin - 1::-1])
     return w
 
 

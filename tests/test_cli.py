@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from pickands.cli import ESTIMATORS, ks_test, main, smirnov
+from pickands.cli import ESTIMATORS, ks_test, main, parse_jump_law, smirnov
 from pickands.maxstable import frechet_cdf
+from pickands.models import JumpLaw
 from pickands.report import config_hash, parse_config_file
 from pickands.smallball import CUTOFF_CAP, est_smallball_prob
 
@@ -343,6 +344,16 @@ class TestConfigFile:
         values = parse_config_file(str(cfg))
         assert values == {"alpha": 1.5, "family": "fbm", "phi_jump": "constant:1"}
 
+    @pytest.mark.parametrize("text, law", [
+        ("constant:2", JumpLaw("constant", value=2.0)),
+        ("normal:0.5,2", JumpLaw("normal", mean=0.5, sd=2.0)),
+        ("normal:0.5", JumpLaw("normal", mean=0.5)),
+        ("exponential:3", JumpLaw("exponential", rate=3.0)),
+        ("exponential", JumpLaw("exponential")),
+    ])
+    def test_parse_jump_law_full_arity(self, text, law):
+        assert parse_jump_law(text) == law
+
     def test_config_hash_stable(self):
         c1 = config_hash("estimate", {"alpha": 2, "delta": 1})
         c2 = config_hash("estimate", {"delta": 1, "alpha": 2})
@@ -352,6 +363,10 @@ class TestConfigFile:
 @pytest.mark.parametrize("args", [
     ["estimate", "--reps", "1"],
     ["estimate", "--family", "levy", "--phi-jump-rate", "1", "--phi-jump", "bogus:1"],
+    # each jump law takes at most its own number of values; extra ones are not dropped
+    ["estimate", "--family", "levy", "--phi-jump-rate", "1", "--phi-jump", "constant:1,2,3"],
+    ["estimate", "--family", "levy", "--phi-jump-rate", "1", "--phi-jump", "normal:0,1,5"],
+    ["bound", "--family", "levy", "--phi-jump-rate", "1", "--phi-jump", "exponential:2,3", "--delta", "2"],
     ["crosscheck", "--T", "-1"],
     ["crosscheck", "--T", "0"],
     ["smallball", "--alpha", "1", "--eta", "0.1", "--cutoff", "0"],

@@ -22,7 +22,14 @@ from pickands.models import (
     levy_w_matrix,
     variance_at,
 )
-from pickands.models import _cached_grid_eigs, _cholesky_b_matrix, _embedding_eigs, _grid_cov, _grid_eigs
+from pickands.models import (
+    _cached_grid_eigs,
+    _cholesky_b_matrix,
+    _embedding_eigs,
+    _grid_cov,
+    _grid_eigs,
+    _stationary_sequence,
+)
 
 
 class TestVarianceFunction:
@@ -179,14 +186,48 @@ class TestGaussianSampler:
 
 
 class TestSamplerMemory:
-    # 200 paths of 4097 points: the embedding holds one array of real parts
-    # next to the path, the i.i.d. branch only row blocks of normals
+    # 200 paths of 4097 points: the embedding draws its real parts into the
+    # array it returns, the i.i.d. branch holds only row blocks of normals
     @pytest.mark.parametrize("alpha", [0.5, 1.0])
     def test_peak_within_bound(self, alpha, peak_bytes):
         vf = VarianceFunction.fbm(alpha)
         grid = GridSpec(0.5, -2048, 2048)
         w, peak = peak_bytes(gaussian_w_matrix, vf, grid, chunk_stream(1, 0), 200)
-        assert peak <= 3.5 * w.nbytes
+        assert peak <= 1.6 * w.nbytes
+
+    def test_levy_peak_within_bound(self, peak_bytes):
+        # each side holds its increments next to the path, and sums them in place
+        grid = GridSpec(1.0, -2048, 2048)
+        w, peak = peak_bytes(levy_w_matrix, LevyModel.brownian(), grid, chunk_stream(1, 0), 200)
+        assert peak <= 2.2 * w.nbytes
+
+
+def _two_array_sequence(eigs, rng, n, m):
+    """The embedding drawn into an array of real parts and a separate output."""
+    length = eigs.size
+    rows = (n + 1) // 2
+    real = rng.standard_normal((rows, length))
+    z = np.empty((rows, length), dtype=complex)
+    z.real = real
+    z.imag = rng.standard_normal((rows, length))
+    z *= np.sqrt(eigs / length)
+    np.fft.fft(z, axis=1, out=z)
+    out = np.empty((n, m))
+    out[0::2] = z.real[:, :m]
+    out[1::2] = z.imag[:n // 2, :m]
+    return out
+
+
+class TestStationarySequence:
+    # n = 235 at m = 16384 ends in a block of 6 complex rows after blocks of 4,
+    # n = 52429 at m = 5 splits into two blocks; odd n leaves one imaginary part unused
+    @pytest.mark.parametrize("m, n", [(5, 1), (5, 2), (5, 7), (5, 52429),
+                                      (16384, 1), (16384, 2), (16384, 7), (16384, 235)])
+    def test_equals_two_array_reference(self, m, n):
+        eigs = _grid_eigs(VarianceFunction.fbm(0.5), 0.5, m)
+        got = _stationary_sequence(eigs, np.random.default_rng(m + n), n, m)
+        assert got.shape == (n, m + 1)
+        assert np.array_equal(got[:, 1:], _two_array_sequence(eigs, np.random.default_rng(m + n), n, m))
 
 
 class TestEmbeddingCache:
