@@ -53,7 +53,11 @@ CONTINUUM_METHODS = ("definitional", "continuous-dy")
 # their mesh when --mesh is not given
 DEFAULT_MESH = 0.01
 HORIZON_HELP = ("truncation horizon H in grid points for the exact formulas: the estimate is "
-                "read at H and flagged unstable if it moved from H/2 (default: certified from the model)")
+                "read at H and flagged unstable if it moved from H/2 (default: certified from the model). "
+                "When H is at least 4 H0, H0 the horizon certified at the square root of the default tail "
+                "(and, for crosscheck, [0, T] lies within H0), every path runs to H0 only and "
+                "ceil(reps H0 / H) long paths, at least 2, add the correction from H0 to H; the record "
+                "then gives base_horizon, correction and correction_stderr")
 
 
 def build_parser() -> argparse.ArgumentParser:

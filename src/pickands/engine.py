@@ -2,12 +2,14 @@
 
 Replications are partitioned into fixed-size chunks. Chunk ``c`` of a run
 with master seed ``s`` draws all of its randomness from a counter-based
-Philox stream keyed by ``(s, c)``, and partial results are reduced in chunk
-order. Output is therefore bit-identical for a given seed regardless of how
-many worker threads execute the chunks. ``PICKANDS_THREADS`` is the one
-setting of that count (by default the CPUs this process may run on), and
-``chunk_plan`` is the one check that a run has the two replications a
-standard error needs; estimators do neither themselves.
+Philox stream keyed by ``(s, k, c)``, ``k`` the run's stream index (0 unless
+one seeded estimate makes several runs, as a two-level horizon does), and
+partial results are reduced in chunk order. Output is therefore
+bit-identical for a given seed regardless of how many worker threads
+execute the chunks. ``PICKANDS_THREADS`` is the one setting of that count
+(by default the CPUs this process may run on), and ``chunk_plan`` is the
+one check that a run has the two replications a standard error needs;
+estimators do neither themselves.
 
 Each thread holds one chunk at a time, so peak memory is about the thread
 count times one chunk's working set. Samplers and value kernels keep that
@@ -55,15 +57,16 @@ ROW_BLOCK_BYTES = 1 << 20
 DOUBLING_TOL = 0.1
 
 
-def chunk_stream(seed: int, chunk: int) -> np.random.Generator:
+def chunk_stream(seed: int, chunk: int, stream: int = 0) -> np.random.Generator:
     """Independent generator for one work chunk of a seeded run.
 
-    The stream is keyed by ``(seed, 0, chunk)``: the constant middle entry
-    keeps every seeded stream what it was when that key held a sub-run
-    index, so seeded output does not change.
+    The stream is keyed by ``(seed, stream, chunk)``. Runs of stream 0 keep
+    the streams they had when the middle entry was a constant 0; a second
+    run of the same seed, such as the long paths of a two-level horizon,
+    takes stream 1.
     """
     return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence((int(seed), 0, int(chunk))))
+        np.random.Philox(np.random.SeedSequence((int(seed), int(stream), int(chunk))))
     )
 
 
@@ -103,8 +106,10 @@ def map_chunks(
     seed: int,
     reps: int,
     n_cols: int,
+    stream: int = 0,
 ) -> list[object]:
-    """Run ``worker(rng, count)`` over every chunk of the plan.
+    """Run ``worker(rng, count)`` over every chunk of the plan, chunk ``c`` on
+    ``chunk_stream(seed, c, stream)``.
 
     Results are returned in chunk order so that any reduction performed by
     the caller is independent of the execution schedule.
@@ -113,10 +118,14 @@ def map_chunks(
     n_workers = resolve_threads()
 
     def chunk(index: int) -> object:
-        return worker(chunk_stream(seed, index), counts[index])
+        return worker(chunk_stream(seed, index, stream), counts[index])
 
-    if n_workers <= 1 or len(counts) <= 1:
+    if n_workers <= 1:
         return [chunk(index) for index in range(len(counts))]
+    # A lone chunk runs on the pool too, so that its arrays come from a pool
+    # thread's heap, which later runs reuse, and not the calling thread's,
+    # which keeps them: run inline, the one-chunk levels of a two-level
+    # crosscheck raised the next run's peak RSS by about 5 MB.
     with ThreadPoolExecutor(max_workers=n_workers) as pool:
         return list(pool.map(chunk, range(len(counts))))
 
@@ -200,6 +209,7 @@ def run(
     seed: int,
     reps: int,
     n_cols: int,
+    stream: int = 0,
 ) -> tuple[np.ndarray, np.ndarray] | dict:
     """Mean and standard error per column of the values ``worker(rng, count)`` returns.
 
@@ -208,6 +218,7 @@ def run(
     such arrays, in which case a dict of (mean, stderr) pairs is returned.
     Each chunk is reduced to its count, sum and sum of squares on the thread
     that ran it, so no more than one chunk of values is held per thread.
+    ``stream`` selects the run's streams (``map_chunks``).
     """
 
     @functools.wraps(worker)  # keeps the caller's __module__, by which traces attribute chunk time
@@ -217,7 +228,7 @@ def run(
             return {key: _chunk_sums(v, count) for key, v in values.items()}
         return _chunk_sums(values, count)
 
-    partials = map_chunks(sums, seed, reps, n_cols)
+    partials = map_chunks(sums, seed, reps, n_cols, stream)
     if isinstance(partials[0], dict):
         return {key: reduce_moments([p[key] for p in partials]) for key in partials[0]}
     return reduce_moments(partials)

@@ -31,6 +31,19 @@ is read at H, and it is flagged unstable when doubling from H/2 moved it by
 more than a tenth of its standard error. Both levels are read off the same
 simulated paths, so the flag measures the actual truncation effect under
 common random numbers.
+
+A long horizon is read in two levels (multilevel Monte Carlo, Giles 2008).
+The base level H0 is ``default_horizon`` certified at the tail
+sqrt(HORIZON_TAIL). When 4 H0 <= H (and, in ``crosscheck``, [0, T] lies
+within H0), every replication's path runs to H0 only, and
+n1 = max(2, ceil(reps H0 / H)) long paths, drawn on their own streams, run
+to H; on each long path every kernel returns v(H/2) - v(H0) and
+v(H) - v(H0). The estimate at each level is the base mean plus the mean
+correction, unbiased for the level's mean, with standard error
+hypot(base SE, correction SE), and the doubling rule compares the two
+levels so read. Such records carry ``base_horizon``, ``correction`` and
+``correction_stderr`` (the correction at H); one-level records leave them
+out.
 """
 
 from __future__ import annotations
@@ -78,22 +91,28 @@ class EstimateResult(Record):
     seed: int
     flags: tuple[str, ...] = ()
     mesh: float | None = None
+    base_horizon: int | None = None
+    correction: float | None = None
+    correction_stderr: float | None = None
 
     def ci95(self) -> tuple[float, float]:
         return (self.estimate - 1.96 * self.stderr, self.estimate + 1.96 * self.stderr)
 
 
 # default_horizon certifies the first power of two from 16 grid points on
-# where P{w(t) + E > 0} falls below this.
+# where P{w(t) + E > 0} falls below this; the base level of a two-level run
+# is certified at its square root.
 HORIZON_TAIL = 1e-6
 
 
-def default_horizon(model: Model, delta: float) -> int:
+def default_horizon(model: Model, delta: float, tail: float = HORIZON_TAIL) -> int:
     """Grid points after which w is very unlikely to pop back above -E.
 
-    Uses the closed form P{w(t) + E > 0} = 2 Phi(-sigma(t)/2) for Gaussian
-    models and the tilted bound 2 exp(-lambda |t|) for Levy models, which
-    holds on either side of the origin.
+    The first power of two from 16 on (at most 2^16) where
+    P{w(t) + E > 0} falls below ``tail``. Uses the closed form
+    P{w(t) + E > 0} = 2 Phi(-sigma(t)/2) for Gaussian models and the tilted
+    bound 2 exp(-lambda |t|) for Levy models, which holds on either side of
+    the origin.
     """
     if is_gaussian(model):
         def point(n: int) -> float:
@@ -108,7 +127,7 @@ def default_horizon(model: Model, delta: float) -> int:
             return 2.0 * math.exp(-lam * n * delta)
 
     n = 16
-    while n < (1 << 16) and point(n) > HORIZON_TAIL:
+    while n < (1 << 16) and point(n) > tail:
         n *= 2
     return n
 
@@ -193,16 +212,19 @@ EXACT_METHODS = tuple(_KERNELS)
 # --- estimators --------------------------------------------------------------
 
 
-def _shared_path_moments(model: Model, delta: float, reps: int, kernels: dict, levels: np.ndarray,
-                         seed: int) -> dict:
+def _shared_path_moments(model: Model, delta: float, reps: int, kernels: dict, levels,
+                         seed: int, correction: bool = False) -> dict:
     """Means and standard errors per level of every kernel, all on the same paths.
 
     Paths hold w(delta i) for 1 <= i <= n when every kernel reads positive
     lags only, and for |i| <= n otherwise (n the last level). E is drawn
     after w, and only if some kernel reads it. The maxima of each side that
     some kernel reads are read at the levels only (``engine.running_at``),
-    once for all kernels.
+    once for all kernels. With ``correction`` the paths are the long paths
+    of a two-level run, on stream 1, and each kernel's values at the later
+    levels less its value at the first are reduced.
     """
+    levels = np.asarray(levels)
     n = int(levels[-1])
     reads = {r for k in kernels.values() for r in k.reads}
     one_sided = reads == {"pos"}
@@ -217,34 +239,50 @@ def _shared_path_moments(model: Model, delta: float, reps: int, kernels: dict, l
             sides = {"pos": w[:, n + 1:], "neg": w[:, n - 1::-1]}
         inputs = {"path": w} | {r: engine.running_at(np.maximum, sides[r], levels) for r in reads - {"path"}}
         expo = (rng.exponential(size=count),) if with_expo else ()
-        return {name: k.values(*(inputs[r] for r in k.reads), *(expo if k.expo else ()), levels, delta)
-                for name, k in kernels.items()}
+        values = {name: k.values(*(inputs[r] for r in k.reads), *(expo if k.expo else ()), levels, delta)
+                  for name, k in kernels.items()}
+        if correction:
+            return {name: v[:, 1:] - v[:, :1] for name, v in values.items()}
+        return values
 
-    return engine.run(worker, seed, reps, n if one_sided else 2 * n + 1)
+    return engine.run(worker, seed, reps, n if one_sided else 2 * n + 1, stream=int(correction))
 
 
 def _run_exact(model: Model, delta: float, reps: int, methods, horizon: int | None,
-               seed: int, extra: dict | None = None) -> tuple[dict, dict]:
+               seed: int, extra: dict | None = None, reach: int = 0) -> tuple[dict, dict]:
     """Registry ``methods`` on shared paths, each read at ``horizon`` (default:
     ``default_horizon``) and checked against half of it by the doubling rule.
 
-    Returns the EstimateResults and the raw moments of every kernel, which
-    include those of the ``extra`` kernels evaluated on the same paths.
+    The horizon H is read in two levels (see the module docstring) when the
+    base level H0 has 4 H0 <= H and covers the ``reach`` positive lags that
+    the ``extra`` kernels read. Returns the EstimateResults and the raw
+    moments of the run that evaluates the ``extra`` kernels, on the same
+    paths as ``methods`` (the base paths of a two-level run).
     """
     _require(delta > 0, "delta must be positive")
     if horizon is None:
         horizon = default_horizon(model, delta)
     _require(horizon >= 2, "horizon must be at least 2 grid points")
-    levels = np.asarray([horizon // 2, horizon])
-    kernels = {m: _KERNELS[m] for m in methods} | (extra or {})
-    moments = _shared_path_moments(model, delta, reps, kernels, levels, seed)
+    kernels = {m: _KERNELS[m] for m in methods}
+    shared = kernels | (extra or {})
+    base = default_horizon(model, delta, math.sqrt(HORIZON_TAIL))
+    if 4 * base > horizon or reach > base:
+        moments = _shared_path_moments(model, delta, reps, shared, [horizon // 2, horizon], seed)
+        at, tail = moments, {}
+    else:
+        moments = _shared_path_moments(model, delta, reps, shared, [base], seed)
+        long = _shared_path_moments(model, delta, max(2, -(-reps * base // horizon)), kernels,
+                                    [base, horizon // 2, horizon], seed, correction=True)
+        at = {m: (moments[m][0] + long[m][0], np.hypot(moments[m][1], long[m][1])) for m in methods}
+        tail = {m: {"base_horizon": base, "correction": float(long[m][0][-1]),
+                    "correction_stderr": float(long[m][1][-1])} for m in methods}
     results = {}
     for m in methods:
-        means, ses = moments[m]
+        means, ses = at[m]
         stable = engine.doubling_stable(means, ses)
         flags = () if stable else ("truncation-unstable",)
         results[m] = EstimateResult(m, delta, float(means[-1]), float(ses[-1]), reps,
-                                    int(horizon), stable, seed, flags=flags)
+                                    int(horizon), stable, seed, flags=flags, **tail.get(m, {}))
     return results, moments
 
 
@@ -261,7 +299,8 @@ def estimate(
 
     Paths run to ``horizon`` grid points (default: ``default_horizon``), the
     estimate is read there, and it is flagged unstable when doubling from
-    half the horizon moved it by more than a tenth of its standard error.
+    half the horizon moved it by more than a tenth of its standard error. A
+    long horizon is read in two levels (see the module docstring).
     """
     _require(method in _KERNELS, f"unknown method {method!r}; expected one of {', '.join(EXACT_METHODS)}")
     return _run_exact(model, delta, reps, (method,), horizon, seed)[0][method]
@@ -406,7 +445,8 @@ def crosscheck(
     sampling noise. The five exact representations, truncated as by
     ``estimate``, enter the pairwise overlap matrix; the definitional
     functional is checked for dominance instead, over [0, T] with T
-    defaulting to the largest MC-feasible horizon.
+    defaulting to the largest MC-feasible horizon. A two-level run reads
+    [0, T] from the base paths, so it runs only where they cover it.
     """
     _require(delta > 0, "delta must be positive")
     _require(T is None or T > 0, "T must be positive")
@@ -417,11 +457,12 @@ def crosscheck(
     k_T = min(horizon, int(math.floor(horizon_T / delta + 1e-12)))
 
     def definitional(w, levels, delta):
-        # [0, T] from the origin, column horizon, where w = 0
-        return np.exp(w[:, horizon:horizon + k_T + 1].max(axis=1)) / horizon_T
+        # [0, T] from the origin, the middle column, where w = 0
+        origin = w.shape[1] // 2
+        return np.exp(w[:, origin:origin + k_T + 1].max(axis=1)) / horizon_T
 
     extra = {"definitional": _Kernel(definitional, ("path",))}
-    results, moments = _run_exact(model, delta, reps, EXACT_METHODS, horizon, seed, extra)
+    results, moments = _run_exact(model, delta, reps, EXACT_METHODS, horizon, seed, extra, reach=k_T)
     overlap = {(a, b): _ci_overlap(results[a], results[b])
                for i, a in enumerate(EXACT_METHODS) for b in EXACT_METHODS[i + 1:]}
     means, ses = moments["definitional"]

@@ -261,8 +261,11 @@ def est_candidate_theta(
     exactly delta times the exceedance estimate under a shared seed.
     """
     base = estimate(model, "exceedance", delta, reps, horizon=horizon, seed=seed)
+    tail = {}
+    if base.base_horizon is not None:
+        tail = {"correction": delta * base.correction, "correction_stderr": delta * base.correction_stderr}
     return replace(base, method="theta-candidate", estimate=delta * base.estimate,
-                   stderr=delta * base.stderr)
+                   stderr=delta * base.stderr, **tail)
 
 
 def frechet_cdf(x: np.ndarray) -> np.ndarray:

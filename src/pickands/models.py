@@ -382,13 +382,27 @@ class JumpLaw:
         return self
 
     def sum_sample(self, counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Sum of ``counts`` i.i.d. jumps, vectorized over an integer array."""
+        """Sum of ``counts`` i.i.d. jumps, vectorized over a float array of
+        integer counts, written over ``counts`` and returned.
+
+        The values are those of ``value * counts``,
+        ``mean * counts + sd * sqrt(counts) * z`` and
+        ``rng.gamma(counts, 1 / rate)``, operation for operation: products
+        are commutative, and ``gamma`` scales a standard gamma draw.
+        """
         if self.kind == "constant":
-            return self.value * counts
-        if self.kind == "normal":
+            counts *= self.value
+        elif self.kind == "normal":
             z = rng.standard_normal(counts.shape)
-            return self.mean * counts + self.sd * np.sqrt(counts) * z
-        return rng.gamma(shape=counts, scale=1.0 / self.rate)
+            spread = np.sqrt(counts)
+            spread *= self.sd
+            z *= spread
+            counts *= self.mean
+            counts += z
+        else:
+            rng.standard_gamma(counts, out=counts)
+            counts *= 1.0 / self.rate
+        return counts
 
 
 @dataclass(frozen=True)
@@ -433,7 +447,8 @@ def levy_lambda(model: LevyModel) -> float:
 def _levy_increments(diffusion: float, jump_rate: float, jump_law: JumpLaw | None, dt: float,
                      rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
     """Independent increments over steps dt of diffusion * BM plus compound Poisson jumps."""
-    inc = rng.standard_normal(shape) * (diffusion * np.sqrt(dt))
+    inc = rng.standard_normal(shape)
+    inc *= diffusion * np.sqrt(dt)
     if jump_rate > 0:
         counts = rng.poisson(jump_rate * dt, shape).astype(float)
         inc += jump_law.sum_sample(counts, rng)
@@ -452,10 +467,10 @@ def levy_w_matrix(model: LevyModel, grid: GridSpec, rng: np.random.Generator, n:
     w = np.zeros((n, grid.n_points))
     origin, phi1 = grid.origin, laplace_exponent(model, 1.0)
     if grid.i_max:
-        inc = _levy_increments(model.diffusion, model.jump_rate, model.jump_law, grid.delta, rng,
-                               (n, grid.i_max))
+        # the increments are freed before the negative lags draw theirs
         pos = w[:, origin + 1:]
-        np.cumsum(inc, axis=1, out=pos)
+        np.cumsum(_levy_increments(model.diffusion, model.jump_rate, model.jump_law, grid.delta, rng,
+                                   (n, grid.i_max)), axis=1, out=pos)
         pos -= phi1 * grid.times()[None, origin + 1:]
     if grid.i_min:
         jumps = model.jump_rate > 0

@@ -1,16 +1,19 @@
 """Estimator correctness against closed forms, quadrature oracles, and
 cross-formula identities."""
 
+import math
 import os
 
 import numpy as np
 import pytest
 
-from oracles import FROZEN, alpha2_constant, alpha2_sup_mean, levy_brownian_series
+from oracles import FROZEN, alpha1_series, alpha2_constant, alpha2_sup_mean, levy_brownian_series
+from pickands import engine
 from pickands.bounds import levy_h0_bound
 from pickands.engine import ROW_BLOCK_BYTES, chunk_stream, resolve_threads
 from pickands.estimators import (
     EXACT_METHODS,
+    HORIZON_TAIL,
     _values_ratio,
     crosscheck,
     default_horizon,
@@ -25,6 +28,7 @@ from pickands.models import (
     LevyModel,
     VarianceFunction,
     gaussian_w_matrix,
+    w_matrix,
 )
 
 FBM2 = VarianceFunction.fbm(2.0)
@@ -236,6 +240,99 @@ class TestTruncation:
     def test_horizon_below_two_rejected(self):
         with pytest.raises(ValueError, match="horizon"):
             estimate(FBM1, "exceedance", 1.0, 100, horizon=1)
+
+
+class TestTwoLevel:
+    """Horizons of at least four base levels H0 are read as the base mean at H0
+    plus a correction on a few long paths."""
+
+    @pytest.mark.parametrize("method", ["exceedance", "dieker-yakir", "time-reversed"])
+    def test_alpha1_series(self, method):
+        res = estimate(FBM1, method, 0.5, 150_000, horizon=256, seed=41)
+        assert res.horizon == 256 and res.base_horizon == 64
+        assert_within(res, alpha1_series(0.5))
+
+    @pytest.mark.parametrize("method", ["exceedance", "argmax", "dieker-yakir"])
+    def test_levy_brownian_series(self, method):
+        res = estimate(LevyModel.brownian(), method, 1.0, 150_000, horizon=256, seed=42)
+        assert res.horizon == 256 and res.base_horizon == 64
+        assert_within(res, levy_brownian_series(1.0))
+
+    def test_below_four_base_levels_is_one_level(self):
+        assert default_horizon(FBM1, 0.5, math.sqrt(HORIZON_TAIL)) == 64
+        res = estimate(FBM1, "exceedance", 0.5, 4_000, horizon=255, seed=41)
+        assert res.base_horizon is None and res.correction is None and res.correction_stderr is None
+        assert "base_horizon" not in res.to_dict()
+
+    @staticmethod
+    def exceedance(model, delta, levels):
+        def worker(rng, count):
+            w = w_matrix(model, GridSpec(delta, 0, levels[-1]), rng, count)
+            m = engine.running_at(np.maximum, w[:, 1:], levels)
+            return (m + rng.exponential(size=count)[:, None] <= 0.0).astype(float) / delta
+        return worker
+
+    @staticmethod
+    def ratio(model, delta, levels):
+        def worker(rng, count):
+            w = w_matrix(model, GridSpec(delta, -levels[-1], levels[-1]), rng, count)
+            return _values_ratio(w, levels, delta)
+        return worker
+
+    @pytest.mark.parametrize("method", ["exceedance", "dieker-yakir"])
+    def test_base_plus_correction_by_hand(self, method):
+        model, delta, reps, seed = VarianceFunction.fbm(0.5), 0.5, 3_000, 43
+        h0, h = 1024, 4096
+        values = self.exceedance if method == "exceedance" else self.ratio
+        two_sided = method != "exceedance"
+        base = values(model, delta, np.array([h0]))
+        long = values(model, delta, np.array([h0, h // 2, h]))
+
+        def correction(rng, count):
+            v = long(rng, count)
+            return v[:, 1:] - v[:, :1]
+
+        n1 = math.ceil(reps * h0 / h)
+        b_mean, b_se = engine.run(base, seed, reps, 2 * h0 + 1 if two_sided else h0)
+        c_mean, c_se = engine.run(correction, seed, n1, 2 * h + 1 if two_sided else h, stream=1)
+        res = estimate(model, method, delta, reps, horizon=h, seed=seed)
+        assert (res.base_horizon, res.correction, res.correction_stderr) == (h0, c_mean[-1], c_se[-1])
+        assert res.estimate == b_mean[0] + c_mean[-1]
+        assert res.stderr == np.hypot(b_se[0], c_se[-1])
+
+    def test_crosscheck_thread_invariance(self, monkeypatch):
+        # several chunks at both levels
+        runs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("PICKANDS_THREADS", threads)
+            runs.append(crosscheck(FBM1, 0.5, 40_000, horizon=4096, seed=44).to_dict())
+        assert runs[0] == runs[1]
+        assert runs[0]["results"]["exceedance"]["base_horizon"] == 64
+        assert "base_horizon" not in runs[0]["results"]["definitional"]
+
+    def test_crosscheck_definitional_beyond_base_is_one_level(self):
+        report = crosscheck(FBM1, 0.5, 4_000, horizon=256, seed=45, T=40.0)
+        assert report.results["definitional"].horizon == 80
+        assert all(report.results[m].base_horizon is None for m in EXACT_METHODS)
+
+
+class TestOneLevelPins:
+    """Seeded one-level outputs, pinned by float.hex."""
+
+    def test_estimate(self):
+        res = estimate(FBM2, "exceedance", 1.0, 20_000, seed=5)
+        assert (res.estimate.hex(), res.stderr.hex()) == ("0x1.0b8bac710cb29p-1", "0x1.cef315564668bp-9")
+
+    def test_crosscheck(self):
+        report = crosscheck(VarianceFunction.fbm(1.5), 1.0, 5_000, seed=7)
+        assert {m: (r.estimate.hex(), r.stderr.hex()) for m, r in report.results.items()} == {
+            "exceedance": ("0x1.07fcb923a29c7p-1", "0x1.cf3aefb074914p-8"),
+            "difference": ("0x1.05838b7b1682cp-1", "0x1.579a9805135c4p-8"),
+            "argmax": ("0x1.06594af4f0d84p-1", "0x1.cf5034b385dcep-8"),
+            "dieker-yakir": ("0x1.03fb7ba822064p-1", "0x1.ff0b6e84206dep-10"),
+            "time-reversed": ("0x1.060aa64c2f838p-1", "0x1.cf53a6fe32de7p-8"),
+            "definitional": ("0x1.e1ea51c7bfae3p-1", "0x1.7c0ffc806f555p-5"),
+        }
 
 
 class TestDeterminism:

@@ -185,6 +185,14 @@ class TestGaussianSampler:
         assert np.array_equal(a, b)
 
 
+LEVY_LAWS = {
+    "brownian": LevyModel.brownian(),
+    "normal": LevyModel(0.5, 1.0, JumpLaw("normal", mean=0.2, sd=0.7)),
+    "exponential": LevyModel(0.5, 0.2, JumpLaw("exponential", rate=1.5)),
+    "constant": LevyModel(0.5, 0.3, JumpLaw("constant", value=0.4)),
+}
+
+
 class TestSamplerMemory:
     # 200 paths of 4097 points: the embedding draws its real parts into the
     # array it returns, the i.i.d. branch holds only row blocks of normals
@@ -196,10 +204,32 @@ class TestSamplerMemory:
         assert peak <= 1.6 * w.nbytes
 
     def test_levy_peak_within_bound(self, peak_bytes):
-        # each side holds its increments next to the path, and sums them in place
+        # one side's increments at a time, summed in place into the path
         grid = GridSpec(1.0, -2048, 2048)
         w, peak = peak_bytes(levy_w_matrix, LevyModel.brownian(), grid, chunk_stream(1, 0), 200)
-        assert peak <= 2.2 * w.nbytes
+        assert peak <= 1.6 * w.nbytes
+
+    @pytest.mark.parametrize("name", ["normal", "exponential", "constant"])
+    def test_levy_jump_peak_within_bound(self, name, peak_bytes):
+        # the jump counts and draws are built in place, next to the increments
+        grid = GridSpec(1.0, -2048, 2048)
+        w, peak = peak_bytes(levy_w_matrix, LEVY_LAWS[name], grid, chunk_stream(1, 0), 200)
+        assert peak <= 3.0 * w.nbytes
+
+
+def _expression_increments(diffusion, jump_rate, jump_law, dt, rng, shape):
+    """The Levy increments as whole-array expressions, each term a new array."""
+    inc = rng.standard_normal(shape) * (diffusion * np.sqrt(dt))
+    if jump_rate > 0:
+        counts = rng.poisson(jump_rate * dt, shape).astype(float)
+        if jump_law.kind == "constant":
+            inc += jump_law.value * counts
+        elif jump_law.kind == "normal":
+            z = rng.standard_normal(shape)
+            inc += jump_law.mean * counts + jump_law.sd * np.sqrt(counts) * z
+        else:
+            inc += rng.gamma(shape=counts, scale=1.0 / jump_law.rate)
+    return inc
 
 
 def _two_array_sequence(eigs, rng, n, m):
@@ -353,6 +383,14 @@ class TestLevy:
         x = np.exp(w)
         se = x.std(axis=0) / np.sqrt(n)
         assert np.all(np.abs(x.mean(axis=0) - 1.0) <= 3.0 * np.maximum(se, 1e-12))
+
+    @pytest.mark.parametrize("name", sorted(LEVY_LAWS))
+    def test_in_place_increments_equal_expressions(self, name, monkeypatch):
+        # both sides, the negative ones under the tilted law
+        grid = GridSpec(0.5, -300, 300)
+        got = levy_w_matrix(LEVY_LAWS[name], grid, np.random.default_rng(4), 50)
+        monkeypatch.setattr(models, "_levy_increments", _expression_increments)
+        assert np.array_equal(got, levy_w_matrix(LEVY_LAWS[name], grid, np.random.default_rng(4), 50))
 
     def test_exponential_jump_sampler(self):
         n = 120_000
