@@ -291,7 +291,8 @@ def cmd_maxstable(args) -> int:
         r_n = args.rn if args.rn is not None else math.isqrt(int(args.level))
         blocks = _boundary_corrected_theta(model, args.delta, r_n, max(args.reps // 100, 100),
                                            seed=args.seed)
-        cand = est_candidate_theta(model, args.delta, args.reps, seed=args.seed)
+        # its own seed, as the fdd oracle's: the overlap test needs independent sides
+        cand = est_candidate_theta(model, args.delta, args.reps, seed=args.seed + 1)
         ok = _ci_overlap(blocks, cand)
         records.append({"check": "theta", "blocks": blocks.to_dict(),
                         "candidate": cand.to_dict(), "ci_overlap": ok})

@@ -11,12 +11,19 @@ execute the chunks. ``PICKANDS_THREADS`` is the one setting of that count
 one check that a run has the two replications a standard error needs;
 estimators do neither themselves.
 
-Each thread holds one chunk at a time, so peak memory is about the thread
-count times one chunk's working set. Samplers and value kernels keep that
-working set small by walking a chunk in row blocks (``row_blocks``,
-``by_row_blocks``) of a fixed byte size, which changes no value, and by
-reading running maxima and sums at a kernel's truncation levels only
-(``running_at``) instead of over every column.
+The runs of one estimate that do not depend on each other, such as the
+base and correction levels of a two-level horizon, map their chunks on one
+pool (``run_all``, ``map_runs``), so that a run of fewer chunks than threads
+does not leave a CPU idle; each run keeps its streams, chunk plan and
+reduction order, so its result is the one it has alone.
+
+Each thread holds one chunk at a time, whichever run it belongs to, so peak
+memory is still about the thread count times one chunk's working set.
+Samplers and value kernels keep that working set small by walking a chunk
+in row blocks (``row_blocks``, ``by_row_blocks``) of a fixed byte size,
+which changes no value, and by reading running maxima and sums at a
+kernel's truncation levels only (``running_at``) instead of over every
+column.
 """
 
 from __future__ import annotations
@@ -35,10 +42,12 @@ __all__ = [
     "chunk_plan",
     "doubling_stable",
     "map_chunks",
+    "map_runs",
     "reduce_moments",
     "resolve_threads",
     "row_blocks",
     "run",
+    "run_all",
     "running_at",
 ]
 
@@ -101,6 +110,38 @@ def resolve_threads() -> int:
     return int(env)
 
 
+def map_runs(runs: Sequence[tuple]) -> list[list[object]]:
+    """Run every chunk of several seeded runs on one pool.
+
+    Each run is a tuple ``(worker, seed, reps, n_cols, stream)``, and its
+    chunk ``c`` is ``worker(chunk_stream(seed, c, stream), count)`` with
+    ``count`` from ``chunk_plan(reps, n_cols)``. Every plan is checked
+    before any chunk is drawn. The result holds, for each run, its chunks'
+    results in chunk order, so that any reduction performed by the caller
+    is independent of the execution schedule and of the other runs.
+    """
+    plans = [chunk_plan(reps, n_cols) for _, _, reps, n_cols, _ in runs]
+    tasks = [(k, index) for k, plan in enumerate(plans) for index in range(len(plan))]
+    n_workers = resolve_threads()
+
+    def chunk(task: tuple[int, int]) -> object:
+        k, index = task
+        worker, seed, _, _, stream = runs[k]
+        return worker(chunk_stream(seed, index, stream), plans[k][index])
+
+    if n_workers <= 1:
+        results = [chunk(task) for task in tasks]
+    else:
+        # A lone chunk runs on the pool too, so that its arrays come from a
+        # pool thread's heap, which later runs reuse, and not the calling
+        # thread's, which keeps them: run inline, the one-chunk levels of a
+        # two-level crosscheck raised the next run's peak RSS by about 5 MB.
+        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+            results = list(pool.map(chunk, tasks))
+    ordered = iter(results)
+    return [[next(ordered) for _ in plan] for plan in plans]
+
+
 def map_chunks(
     worker: Callable[[np.random.Generator, int], object],
     seed: int,
@@ -108,26 +149,10 @@ def map_chunks(
     n_cols: int,
     stream: int = 0,
 ) -> list[object]:
-    """Run ``worker(rng, count)`` over every chunk of the plan, chunk ``c`` on
-    ``chunk_stream(seed, c, stream)``.
-
-    Results are returned in chunk order so that any reduction performed by
-    the caller is independent of the execution schedule.
-    """
-    counts = chunk_plan(reps, n_cols)
-    n_workers = resolve_threads()
-
-    def chunk(index: int) -> object:
-        return worker(chunk_stream(seed, index, stream), counts[index])
-
-    if n_workers <= 1:
-        return [chunk(index) for index in range(len(counts))]
-    # A lone chunk runs on the pool too, so that its arrays come from a pool
-    # thread's heap, which later runs reuse, and not the calling thread's,
-    # which keeps them: run inline, the one-chunk levels of a two-level
-    # crosscheck raised the next run's peak RSS by about 5 MB.
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(chunk, range(len(counts))))
+    """``map_runs`` of the one run ``(worker, seed, reps, n_cols, stream)``:
+    ``worker(rng, count)`` over every chunk of the plan, chunk ``c`` on
+    ``chunk_stream(seed, c, stream)``, results in chunk order."""
+    return map_runs([(worker, seed, reps, n_cols, stream)])[0]
 
 
 def row_blocks(n_rows: int, row_bytes: int) -> list[slice]:
@@ -204,6 +229,20 @@ def reduce_moments(partials: Sequence[tuple[int, np.ndarray, np.ndarray]]) -> tu
     return s1 / n, np.sqrt(np.maximum(var, 0.0) / n)
 
 
+def run_all(runs: Sequence[tuple]) -> list[tuple[np.ndarray, np.ndarray] | dict]:
+    """``run`` of each of several seeded runs ``(worker, seed, reps, n_cols,
+    stream)``, their chunks mapped on one pool (``map_runs``).
+
+    Each run keeps its own streams and chunk plan and is reduced in its own
+    chunk order, so its result is the one ``run`` gives it alone, for every
+    thread count.
+    """
+    summed = [(_summed(worker), *rest) for worker, *rest in runs]
+    # a single run maps through map_chunks, the one-run entry point that traces wrap
+    partials = [map_chunks(*summed[0])] if len(summed) == 1 else map_runs(summed)
+    return [_reduce(p) for p in partials]
+
+
 def run(
     worker: Callable[[np.random.Generator, int], np.ndarray | dict],
     seed: int,
@@ -218,8 +257,14 @@ def run(
     such arrays, in which case a dict of (mean, stderr) pairs is returned.
     Each chunk is reduced to its count, sum and sum of squares on the thread
     that ran it, so no more than one chunk of values is held per thread.
-    ``stream`` selects the run's streams (``map_chunks``).
+    ``stream`` selects the run's streams (``map_chunks``). This is the
+    one-run case of ``run_all``.
     """
+    return run_all([(worker, seed, reps, n_cols, stream)])[0]
+
+
+def _summed(worker: Callable[[np.random.Generator, int], np.ndarray | dict]) -> Callable:
+    """``worker`` with each chunk's values reduced to (count, sum, sumsq) per column."""
 
     @functools.wraps(worker)  # keeps the caller's __module__, by which traces attribute chunk time
     def sums(rng: np.random.Generator, count: int):
@@ -228,7 +273,10 @@ def run(
             return {key: _chunk_sums(v, count) for key, v in values.items()}
         return _chunk_sums(values, count)
 
-    partials = map_chunks(sums, seed, reps, n_cols, stream)
+    return sums
+
+
+def _reduce(partials: list) -> tuple[np.ndarray, np.ndarray] | dict:
     if isinstance(partials[0], dict):
         return {key: reduce_moments([p[key] for p in partials]) for key in partials[0]}
     return reduce_moments(partials)

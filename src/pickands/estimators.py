@@ -212,9 +212,11 @@ EXACT_METHODS = tuple(_KERNELS)
 # --- estimators --------------------------------------------------------------
 
 
-def _shared_path_moments(model: Model, delta: float, reps: int, kernels: dict, levels,
-                         seed: int, correction: bool = False) -> dict:
-    """Means and standard errors per level of every kernel, all on the same paths.
+def _shared_path_run(model: Model, delta: float, reps: int, kernels: dict, levels,
+                     seed: int, correction: bool = False) -> tuple:
+    """The engine run, ``(worker, seed, reps, n_cols, stream)``, whose
+    ``engine.run`` gives the means and standard errors per level of every
+    kernel, all on the same paths.
 
     Paths hold w(delta i) for 1 <= i <= n when every kernel reads positive
     lags only, and for |i| <= n otherwise (n the last level). E is drawn
@@ -245,7 +247,7 @@ def _shared_path_moments(model: Model, delta: float, reps: int, kernels: dict, l
             return {name: v[:, 1:] - v[:, :1] for name, v in values.items()}
         return values
 
-    return engine.run(worker, seed, reps, n if one_sided else 2 * n + 1, stream=int(correction))
+    return worker, seed, reps, n if one_sided else 2 * n + 1, int(correction)
 
 
 def _run_exact(model: Model, delta: float, reps: int, methods, horizon: int | None,
@@ -267,12 +269,15 @@ def _run_exact(model: Model, delta: float, reps: int, methods, horizon: int | No
     shared = kernels | (extra or {})
     base = default_horizon(model, delta, math.sqrt(HORIZON_TAIL))
     if 4 * base > horizon or reach > base:
-        moments = _shared_path_moments(model, delta, reps, shared, [horizon // 2, horizon], seed)
+        moments = engine.run(*_shared_path_run(model, delta, reps, shared, [horizon // 2, horizon], seed))
         at, tail = moments, {}
     else:
-        moments = _shared_path_moments(model, delta, reps, shared, [base], seed)
-        long = _shared_path_moments(model, delta, max(2, -(-reps * base // horizon)), kernels,
-                                    [base, horizon // 2, horizon], seed, correction=True)
+        # the two levels are independent runs, so their chunks share one pool
+        moments, long = engine.run_all([
+            _shared_path_run(model, delta, reps, shared, [base], seed),
+            _shared_path_run(model, delta, max(2, -(-reps * base // horizon)), kernels,
+                             [base, horizon // 2, horizon], seed, correction=True),
+        ])
         at = {m: (moments[m][0] + long[m][0], np.hypot(moments[m][1], long[m][1])) for m in methods}
         tail = {m: {"base_horizon": base, "correction": float(long[m][0][-1]),
                     "correction_stderr": float(long[m][1][-1])} for m in methods}

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
+from pickands import cli, engine
 from pickands.cli import ESTIMATORS, ks_test, main, parse_jump_law, smirnov
 from pickands.maxstable import frechet_cdf
 from pickands.models import JumpLaw
@@ -201,6 +202,29 @@ class TestMaxstable:
         assert rec["ci_overlap"] is True
         assert rec["blocks"]["horizon"] == 31
         assert rec["blocks"]["flags"] == ["boundary-corrected"]
+
+    def test_theta_sides_draw_disjoint_streams(self, tmp_path, monkeypatch):
+        # the CI-overlap test assumes the blocks and candidate estimates independent
+        side, keys = [None], {"blocks": set(), "candidate": set()}
+        chunk_stream = engine.chunk_stream
+
+        def spy(seed, chunk, stream=0):
+            keys[side[0]].add((seed, stream, chunk))
+            return chunk_stream(seed, chunk, stream)
+
+        def labelled(name, fn):
+            def call(*args, **kwargs):
+                side[0] = name
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(engine, "chunk_stream", spy)
+        monkeypatch.setattr(cli, "_boundary_corrected_theta", labelled("blocks", cli._boundary_corrected_theta))
+        monkeypatch.setattr(cli, "est_candidate_theta", labelled("candidate", cli.est_candidate_theta))
+        main(["maxstable", "--family", "fbm", "--alpha", "2", "--delta", "1", "--check", "theta",
+              "--reps", "2000", "--level", "1000", "--seed", "8", "--out", str(tmp_path / "r.json")])
+        assert keys["blocks"] and keys["candidate"]
+        assert not keys["blocks"] & keys["candidate"]
 
     def test_export_csv(self, tmp_path):
         out = tmp_path / "zeta.csv"

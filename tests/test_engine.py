@@ -2,6 +2,8 @@
 order, thread-count invariance, the replication check every estimator
 relies on, the doubling rule, running reductions read at a few lags."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,45 @@ class TestRun:
     def test_single_replication_rejected(self):
         with pytest.raises(ValueError):
             engine.run(_toy, 0, 1, 1)
+
+
+class TestRunAll:
+    """Several runs mapped on one pool give what each gives alone."""
+
+    @staticmethod
+    def shared(rng, count):
+        v = _toy(rng, count)
+        return {"first": v[:, 0], "all": v}
+
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    def test_equals_separate_runs(self, threads, monkeypatch):
+        monkeypatch.setenv("PICKANDS_THREADS", threads)
+        runs = [
+            (_toy, 5, 100, 1 << 12, 0),  # one chunk
+            (_toy, 5, 20_000, 1 << 12, 1),  # twenty chunks
+            (self.shared, 6, 5_000, 1 << 12, 0),  # five chunks of dict values
+        ]
+        together = engine.run_all(runs)
+        alone = [engine.run(*r) for r in runs]
+        for a, b in zip(together[:2], alone[:2]):
+            assert [x.tobytes() for x in a] == [x.tobytes() for x in b]
+        assert together[2].keys() == alone[2].keys()
+        for key in alone[2]:
+            assert [x.tobytes() for x in together[2][key]] == [x.tobytes() for x in alone[2][key]]
+
+    def test_one_chunk_runs_overlap(self, monkeypatch):
+        # each run is a single chunk; mapped one run after the other, the
+        # first worker would wait alone and break the barrier
+        monkeypatch.setenv("PICKANDS_THREADS", "2")
+        barrier = threading.Barrier(2, timeout=5)
+
+        def waiting(rng, count):
+            barrier.wait()
+            return rng.standard_normal(count)
+
+        assert engine.chunk_plan(16, 1) == [16]
+        first, second = engine.run_all([(waiting, 7, 16, 1, 0), (waiting, 7, 16, 1, 1)])
+        assert first[0] != second[0]  # each on its own stream
 
 
 # every public estimator called with one replication

@@ -316,6 +316,30 @@ class TestTwoLevel:
         assert all(report.results[m].base_horizon is None for m in EXACT_METHODS)
 
 
+class TestTwoLevelPins:
+    """A seeded default-horizon two-level run, pinned by float.hex: its base
+    and correction runs share one pool, and neither's streams, chunk counts
+    nor reduction order moves with that."""
+
+    def test_crosscheck(self, monkeypatch):
+        pins = {
+            "exceedance": ("0x1.72b020c49ba5ep-2", "0x1.8f294b01023d2p-6", "0x0.0p+0", "0x0.0p+0"),
+            "difference": ("0x1.6c15746ca9a66p-2", "0x1.2eb478c0c2590p-6", "0x0.0p+0", "0x0.0p+0"),
+            "argmax": ("0x1.76c8b43958106p-2", "0x1.90dec4e591e2fp-6", "0x0.0p+0", "0x0.0p+0"),
+            "dieker-yakir": ("0x1.454926f17f5fcp-2", "0x1.859dc2383996fp-8",
+                             "-0x1.c8afe149407cfp-16", "0x1.0cf804f47b837p-16"),
+            "time-reversed": ("0x1.5810624dd2f1bp-2", "0x1.8399899a08126p-6", "0x0.0p+0", "0x0.0p+0"),
+        }
+        for threads in ("1", "2"):
+            monkeypatch.setenv("PICKANDS_THREADS", threads)
+            report = crosscheck(VarianceFunction.fbm(0.5), 0.5, 1000, seed=3)
+            assert {m: (r.estimate.hex(), r.stderr.hex(), r.correction.hex(), r.correction_stderr.hex())
+                    for m, r in report.results.items() if m != "definitional"} == pins
+            assert {r.base_horizon for m, r in report.results.items() if m != "definitional"} == {1024}
+            d = report.results["definitional"]
+            assert (d.estimate.hex(), d.stderr.hex()) == ("0x1.a514020ea7ea6p-1", "0x1.5658dbcde8082p-3")
+
+
 class TestOneLevelPins:
     """Seeded one-level outputs, pinned by float.hex."""
 
