@@ -7,10 +7,11 @@ PICKANDS_THREADS environment variable (unset: the CPUs the process may run
 on; 1 runs serially); it never changes numerical output, and peak memory
 grows with it, about one chunk per thread.
 
-Exit codes: 0 success, 1 a requested check failed, 2 invalid usage or
-input, such as fewer than two --reps or a nonpositive --T, --cutoff, --rn
-or --samples (never read as a request for the default), a smallball alpha
-outside (0, 2], a nonpositive eta or an eta that no automatic cutoff
+Exit codes: 0 success, 1 a requested check failed (its records are still
+written), 2 invalid usage or input, such as fewer than two --reps or
+--samples or a nonpositive --T, --cutoff or --rn (never read as a request
+for the default), a smallball alpha outside (0, 2], a nonpositive eta, a
+repeated eta in a sweep of three or more or an eta that no automatic cutoff
 reaches (give --cutoff), a model flag that the family does not read (such
 as --scale for fbm, or --phi-jump with --brownian), a --phi-jump with more
 values than its law takes, or a bound run with only one of --kappa and
@@ -44,7 +45,7 @@ from .models import (
     VarianceFunction,
 )
 from .report import config_hash, parse_config_file, write_records
-from .smallball import est_smallball_prob, smallball_extrapolate, suggested_cutoff
+from .smallball import _check_alpha_eta, est_smallball_prob, smallball_extrapolate, suggested_cutoff
 
 # the methods of `estimate`, in the order `--method all` runs them
 ESTIMATORS = ("definitional", *EXACT_METHODS, "continuous-dy", "theta-candidate", "theta-blocks")
@@ -116,7 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_m.add_argument("--points", default=None, help="comma-separated times (fdd check)")
     p_m.add_argument("--thresholds", default=None, help="comma-separated thresholds (fdd check)")
     p_m.add_argument("--samples", type=int, default=20_000)
-    p_m.add_argument("--level", type=float, default=1e4, help="exceedance level n (theta check)")
+    p_m.add_argument("--level", type=float, default=1e4,
+                     help="sets the default --rn, isqrt(level) (theta check)")
     p_m.add_argument("--rn", type=int, help="block length r_n (theta check)")
     p_m.add_argument("--export", help="write simulated samples as CSV (index,t,zeta)")
 
@@ -206,87 +208,69 @@ def _run_single_estimate(args, model, method: str) -> dict:
     return res.to_dict()
 
 
-def cmd_estimate(args) -> int:
+def cmd_estimate(args) -> tuple[list[dict], str | None]:
     model = build_model(args)
     if args.method != "all":
         methods = [args.method]
     else:
         methods = list(CONTINUUM_METHODS if args.delta == 0 else ESTIMATORS)
-    records = [_run_single_estimate(args, model, method) for method in methods]
-    write_records(records, args.out, args.format, _stamp(args))
-    return 0
+    return [_run_single_estimate(args, model, method) for method in methods], None
 
 
-def cmd_crosscheck(args) -> int:
+def cmd_crosscheck(args) -> tuple[list[dict], str | None]:
     model = build_model(args)
     report = crosscheck(model, args.delta, args.reps, horizon=args.horizon,
                         seed=args.seed, T=args.T)
-    write_records([report.to_dict()], args.out, args.format, _stamp(args))
-    if not report.all_overlap:
-        bad = [f"{a}~{b}" for (a, b), ok in report.overlap.items() if not ok]
-        print(f"crosscheck: non-overlapping pairs: {', '.join(bad)}", file=sys.stderr)
-        return 1
-    return 0
+    bad = ", ".join(f"{a}~{b}" for (a, b), ok in report.overlap.items() if not ok)
+    return [report.to_dict()], None if report.all_overlap else f"crosscheck: non-overlapping pairs: {bad}"
 
 
-def cmd_bound(args) -> int:
+def cmd_bound(args) -> tuple[list[dict], str | None]:
     model = build_model(args)
     power = (args.kappa is not None, args.cbound is not None)
     if any(power) and not isinstance(model, VarianceFunction):
         raise ValueError("--kappa and --cbound set the Gaussian power bound; a Levy model takes neither")
     if any(power) and not all(power):
         raise ValueError("the power bound needs both --kappa and --cbound")
-    records = []
-    if isinstance(model, VarianceFunction):
-        records.append(gaussian_lower_bound(model, args.delta).to_dict())
-        if all(power):
-            records.append(gaussian_power_bound(args.cbound, args.kappa, args.delta).to_dict())
-    else:
-        records.append(levy_lower_bound(model, args.delta).to_dict())
-        records.append(levy_h0_bound(model).to_dict())
-    write_records(records, args.out, args.format, _stamp(args))
-    return 0
+    if not isinstance(model, VarianceFunction):
+        return [levy_lower_bound(model, args.delta).to_dict(), levy_h0_bound(model).to_dict()], None
+    records = [gaussian_lower_bound(model, args.delta).to_dict()]
+    if all(power):
+        records.append(gaussian_power_bound(args.cbound, args.kappa, args.delta).to_dict())
+    return records, None
 
 
-def cmd_maxstable(args) -> int:
-    if args.samples < 1:
-        raise ValueError("--samples must be at least 1")
+def cmd_maxstable(args) -> tuple[list[dict], str | None]:
+    # the engine's rule, checked before the fdd oracle draws
+    if args.samples < 2:
+        raise ValueError("--samples must be at least 2")
     if args.rn is not None and args.rn < 1:
         raise ValueError("--rn must be at least 1")
     model = build_model(args)
-    records = []
-    ok = True
     if args.check == "fdd":
         points = [float(v) for v in args.points.split(",")] if args.points else [0.0, args.delta]
         thresholds = ([float(v) for v in args.thresholds.split(",")] if args.thresholds
                       else [2.0, 3.0][: len(points)])
         oracle = fdd_probability(model, points, thresholds, args.reps, seed=args.seed + 1)
         grid, cols = _containing_grid(np.asarray(points))
-        rng = engine.chunk_stream(args.seed, 0)
-        zeta, _ = max_stable_batch(model, grid, rng, args.samples)
-        zeta = zeta[:, cols]
-        emp = float(np.mean(np.all(zeta <= np.asarray(thresholds)[None, :], axis=1)))
-        se_emp = float(np.sqrt(max(emp * (1 - emp), 1e-12) / args.samples))
-        gap = abs(emp - oracle.probability)
-        combined = float(np.hypot(se_emp, oracle.stderr))
-        ok = gap <= 3.0 * combined
-        records.append({
-            "check": "fdd", "points": points, "thresholds": thresholds,
-            "simulated": emp, "simulated_stderr": se_emp,
-            "oracle": oracle.probability, "oracle_stderr": oracle.stderr,
-            "within_3se": ok,
-        })
+
+        def below(rng, count):
+            zeta, _ = max_stable_batch(model, grid, rng, count)
+            return np.all(zeta[:, cols] <= np.asarray(thresholds), axis=1)
+
+        mean, se = engine.run(below, args.seed, args.samples, grid.n_points)
+        emp, se_emp = float(mean[0]), float(se[0])
+        ok = abs(emp - oracle.probability) <= 3.0 * float(np.hypot(se_emp, oracle.stderr))
+        records = [{"check": "fdd", "points": points, "thresholds": thresholds,
+                    "simulated": emp, "simulated_stderr": se_emp,
+                    "oracle": oracle.probability, "oracle_stderr": oracle.stderr, "within_3se": ok}]
     elif args.check == "marginal":
         grid = GridSpec(args.delta, 0, 1)
-        rng = engine.chunk_stream(args.seed, 0)
-        zeta, _ = max_stable_batch(model, grid, rng, args.samples)
-        for j, t in enumerate(grid.times()):
-            stat, pvalue = ks_test(zeta[:, j], frechet_cdf)
-            ok = ok and pvalue > 0.01
-            records.append({
-                "check": "marginal", "t": float(t), "ks_stat": stat,
-                "p_value": pvalue, "passes_1pct": bool(pvalue > 0.01),
-            })
+        zeta = _max_stable_samples(model, grid, args.seed, args.samples)
+        tests = [(float(t), *ks_test(zeta[:, j], frechet_cdf)) for j, t in enumerate(grid.times())]
+        records = [{"check": "marginal", "t": t, "ks_stat": stat, "p_value": pvalue,
+                    "passes_1pct": pvalue > 0.01} for t, stat, pvalue in tests]
+        ok = all(rec["passes_1pct"] for rec in records)
     else:
         r_n = args.rn if args.rn is not None else math.isqrt(int(args.level))
         blocks = _boundary_corrected_theta(model, args.delta, r_n, max(args.reps // 100, 100),
@@ -294,14 +278,21 @@ def cmd_maxstable(args) -> int:
         # its own seed, as the fdd oracle's: the overlap test needs independent sides
         cand = est_candidate_theta(model, args.delta, args.reps, seed=args.seed + 1)
         ok = _ci_overlap(blocks, cand)
-        records.append({"check": "theta", "blocks": blocks.to_dict(),
-                        "candidate": cand.to_dict(), "ci_overlap": ok})
+        records = [{"check": "theta", "blocks": blocks.to_dict(),
+                    "candidate": cand.to_dict(), "ci_overlap": ok}]
     if args.export:
         _export_samples(args, model)
-    write_records(records, args.out, args.format, _stamp(args))
-    if not ok:
-        print(f"maxstable: {args.check} check failed", file=sys.stderr)
-    return 0 if ok else 1
+    return records, None if ok else f"maxstable: {args.check} check failed"
+
+
+def _max_stable_samples(model, grid: GridSpec, seed: int, n: int, stream: int = 0) -> np.ndarray:
+    """``n`` exact draws of zeta on ``grid``, drawn in the engine's chunks of
+    run ``(seed, stream)`` and stacked in chunk order."""
+
+    def batch(rng, count):
+        return max_stable_batch(model, grid, rng, count)[0]
+
+    return np.concatenate(engine.map_chunks(batch, seed, n, grid.n_points, stream))
 
 
 def smirnov(n: int, d: float) -> float:
@@ -342,21 +333,26 @@ def ks_test(sample: np.ndarray, cdf) -> tuple[float, float]:
 
 
 def _export_samples(args, model) -> None:
+    """Up to 1000 samples of zeta on [0, --rn] (default 8) as CSV, on the seed's stream 1."""
     grid = GridSpec(args.delta, 0, args.rn if args.rn is not None else 8)
-    rng = engine.chunk_stream(args.seed, 1)
-    zeta, _ = max_stable_batch(model, grid, rng, min(args.samples, 1000))
+    zeta = _max_stable_samples(model, grid, args.seed, min(args.samples, 1000), stream=1)
     rows = [{"sample": s, "index": int(i), "t": float(t), "zeta": float(z)}
             for s, path in enumerate(zeta)
             for i, t, z in zip(grid.indices(), grid.times(), path)]
     write_records(rows, args.export, "csv")
 
 
-def cmd_smallball(args) -> int:
+def cmd_smallball(args) -> tuple[list[dict], str | None]:
     etas = [float(v) for v in args.eta.split(",")]
-    records = []
-    triples = []
-    for index, eta in enumerate(etas):
-        cutoff = args.cutoff if args.cutoff is not None else max(64, suggested_cutoff(args.alpha, eta) // 2)
+    # every eta is checked, and its cutoff found, before the first is drawn
+    for eta in etas:
+        _check_alpha_eta(args.alpha, eta)
+    if len(etas) >= 3 and len(set(etas)) < len(etas):
+        raise ValueError(f"the etas of an extrapolated sweep must be distinct, got {args.eta}")
+    cutoffs = [args.cutoff if args.cutoff is not None else max(64, suggested_cutoff(args.alpha, eta) // 2)
+               for eta in etas]
+    records, triples = [], []
+    for index, (eta, cutoff) in enumerate(zip(etas, cutoffs)):
         # one seed per eta, distinct within the sweep, so the etas' estimates
         # are independent; the record keeps it
         seed = args.seed * len(etas) + index
@@ -365,8 +361,7 @@ def cmd_smallball(args) -> int:
         records.append(res.to_dict())
     if len(etas) >= 3:
         records.append(smallball_extrapolate(triples, args.alpha).to_dict())
-    write_records(records, args.out, args.format, _stamp(args))
-    return 0
+    return records, None
 
 
 COMMANDS = {
@@ -391,10 +386,14 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(str(exc))
         args = parser.parse_args([argv[0], *flags, *argv[1:]])
     try:
-        return COMMANDS[args.command](args)
+        records, failure = COMMANDS[args.command](args)
+        write_records(records, args.out, args.format, _stamp(args))
     except ValueError as exc:  # ModelError included
         print(f"pickands: {exc}", file=sys.stderr)
         return 2
+    if failure:
+        print(failure, file=sys.stderr)
+    return 1 if failure else 0
 
 
 if __name__ == "__main__":

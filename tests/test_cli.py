@@ -226,6 +226,68 @@ class TestMaxstable:
         assert keys["blocks"] and keys["candidate"]
         assert not keys["blocks"] & keys["candidate"]
 
+    def test_export_and_theta_blocks_draw_disjoint_streams(self, tmp_path, monkeypatch):
+        # 10460 block paths of 401 points split into two chunks, (8, 0, 0) and
+        # (8, 0, 1); the export draws on stream 1 of the seed
+        side, keys = [None], {"blocks": set(), "export": set()}
+        chunk_stream = engine.chunk_stream
+
+        def spy(seed, chunk, stream=0):
+            if side[0] in keys:
+                keys[side[0]].add((seed, stream, chunk))
+            return chunk_stream(seed, chunk, stream)
+
+        def labelled(name, fn):
+            def call(*args, **kwargs):
+                side[0] = name
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    side[0] = None
+            return call
+
+        monkeypatch.setattr(engine, "chunk_stream", spy)
+        monkeypatch.setattr(cli, "_boundary_corrected_theta", labelled("blocks", cli._boundary_corrected_theta))
+        monkeypatch.setattr(cli, "_export_samples", labelled("export", cli._export_samples))
+        main(["maxstable", "--family", "fbm", "--alpha", "2", "--delta", "1", "--check", "theta",
+              "--reps", "1046000", "--seed", "8", "--export", str(tmp_path / "zeta.csv"),
+              "--out", str(tmp_path / "r.json")])
+        assert len(keys["blocks"]) == 2 and keys["export"] == {(8, 1, 0)}
+        assert not keys["blocks"] & keys["export"]
+
+    @pytest.mark.parametrize("check", ["fdd", "marginal"])
+    def test_one_chunk_batch_is_the_stream_zero_batch(self, check, tmp_path, monkeypatch):
+        # a batch the engine keeps in one chunk draws on (seed, 0, 0), as one
+        # direct call on that stream does, byte for byte
+        calls, batch = [], cli.max_stable_batch
+
+        def spy(model, grid, rng, count):
+            out = batch(model, grid, rng, count)
+            calls.append((model, grid, count, out[0]))
+            return out
+
+        monkeypatch.setattr(cli, "max_stable_batch", spy)
+        out = tmp_path / "r.json"
+        main(["maxstable", "--family", "fbm", "--alpha", "1.5", "--delta", "1", "--check", check,
+              "--reps", "2000", "--samples", "300", "--seed", "6", "--out", str(out)])
+        (model, grid, count, zeta), = calls
+        ref, _ = batch(model, grid, engine.chunk_stream(6, 0), 300)
+        assert count == 300 and zeta.tobytes() == ref.tobytes()
+        recs = json.loads(out.read_text())
+        if check == "fdd":
+            # the default check: times 0 and delta, thresholds 2 and 3
+            assert recs["simulated"] == float(np.mean(np.all(ref <= [2.0, 3.0], axis=1)))
+        else:
+            assert [r["ks_stat"] for r in recs] == [ks_test(ref[:, j], frechet_cdf)[0] for j in range(2)]
+
+    def test_two_chunk_marginal_thread_count_invariance(self):
+        assert engine.chunk_plan(70000, 2) == [65536, 4464]
+        args = ["maxstable", "--family", "fbm", "--alpha", "1.5", "--delta", "1", "--check", "marginal",
+                "--samples", "70000", "--seed", "2"]
+        a = run_cli(args, env={"PICKANDS_THREADS": "1"}).stdout
+        b = run_cli(args, env={"PICKANDS_THREADS": "3"}).stdout
+        assert a == b
+
     def test_export_csv(self, tmp_path):
         out = tmp_path / "zeta.csv"
         run_cli(["maxstable", "--family", "fbm", "--alpha", "2", "--delta", "1",
@@ -423,6 +485,36 @@ def test_out_of_range_input_exits_2(args):
     proc = run_cli(args, check=False)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == "" and proc.stderr.startswith("pickands: ")
+
+
+@pytest.mark.parametrize("args", [
+    # the engine's two-sample rule, checked before the fdd oracle draws
+    ["maxstable", "--check", "fdd", "--samples", "1"],
+    # every eta is checked, and its cutoff found, before the first is drawn
+    ["smallball", "--alpha", "1", "--eta", "0.05,-0.1"],
+    ["smallball", "--alpha", "1", "--eta", "0.05,0.05,0.1"],
+    ["smallball", "--alpha", "0.5", "--eta", "0.2,0.01"],
+], ids=" ".join)
+def test_bad_input_exits_2_with_nothing_drawn(args, monkeypatch, capsys):
+    drawn = []
+    monkeypatch.setattr(engine, "chunk_stream", lambda *key: drawn.append(key))
+    assert main([*args, "--reps", "2000"]) == 2
+    assert not drawn and capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command, verdict", [
+    (["crosscheck", "--family", "fbm", "--alpha", "1.5", "--delta", "1", "--reps", "2000"],
+     "pickands.estimators._ci_overlap"),
+    (["maxstable", "--family", "fbm", "--alpha", "2", "--delta", "1", "--check", "theta",
+      "--reps", "20000", "--level", "1000"], "pickands.cli._ci_overlap"),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_failed_check_writes_its_record_and_exits_1(command, verdict, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(verdict, lambda a, b: False)
+    out = tmp_path / "r.json"
+    assert main([*command, "--seed", "3", "--out", str(out)]) == 1
+    rec = json.loads(out.read_text())
+    assert rec.get("all_overlap", rec.get("ci_overlap")) is False and "config_hash" in rec
+    assert capsys.readouterr().err.startswith(f"{command[0]}: ")
 
 
 def test_main_returns_int():
