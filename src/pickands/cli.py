@@ -28,7 +28,15 @@ import numpy as np
 
 from . import engine
 from .bounds import gaussian_lower_bound, gaussian_power_bound, levy_h0_bound, levy_lower_bound
-from .estimators import EXACT_METHODS, _ci_overlap, crosscheck, est_continuous_dy, est_definitional, estimate
+from .estimators import (
+    EXACT_METHODS,
+    _ci_overlap,
+    _run_exact,
+    crosscheck,
+    est_continuous_dy,
+    est_definitional,
+    estimate,
+)
 from .maxstable import (
     _boundary_corrected_theta,
     _containing_grid,
@@ -59,6 +67,9 @@ HORIZON_HELP = ("truncation horizon H in grid points for the exact formulas: the
                 "(and, for crosscheck, [0, T] lies within H0), every path runs to H0 only and "
                 "ceil(reps H0 / H) long paths, at least 2, add the correction from H0 to H; the record "
                 "then gives base_horizon, correction and correction_stderr")
+REPS_HELP = ("replications. On a Gaussian model off the alpha = 2 line, the exact formulas, continuous-dy, "
+             "theta-candidate and crosscheck's definitional read each as an antithetic pair of paths, "
+             "w and -w - sigma^2, so --reps counts pairs and the records say antithetic: true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,10 +79,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, with_model: bool = True) -> None:
+    def add_common(p: argparse.ArgumentParser, with_model: bool = True, reps_help: str | None = None) -> None:
         p.add_argument("--config", help="key = value file, read as flags; flags on the line override it")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--reps", type=int, default=100_000)
+        p.add_argument("--reps", type=int, default=100_000, help=reps_help)
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         if with_model:
@@ -86,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="jump law, e.g. constant:1.0, normal:0,1 or exponential:2")
 
     p_est = sub.add_parser("estimate", help="estimate H^delta (or H^0) by one or all formulas")
-    add_common(p_est)
+    add_common(p_est, reps_help=REPS_HELP)
     p_est.add_argument("--delta", type=float, default=1.0)
     p_est.add_argument("--mesh", type=float, help=f"mesh for delta = 0 runs (default {DEFAULT_MESH})")
     p_est.add_argument("--method", default="exceedance",
@@ -99,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--rn", type=int, help="block length r_n for theta-blocks")
 
     p_x = sub.add_parser("crosscheck", help="run all exact formulas on shared paths")
-    add_common(p_x)
+    add_common(p_x, reps_help=REPS_HELP)
     p_x.add_argument("--delta", type=float, default=1.0)
     p_x.add_argument("--horizon", type=int, help=HORIZON_HELP)
     p_x.add_argument("--T", type=float)
@@ -111,7 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_b.add_argument("--cbound", type=float, help="power-bound constant c")
 
     p_m = sub.add_parser("maxstable", help="max-stable simulation and its checks")
-    add_common(p_m)
+    add_common(p_m, reps_help="replications of the fdd oracle and of the theta check's candidate, which "
+                              "counts pairs where estimate reads antithetic pairs; the theta check's blocks "
+                              "take reps // 100, at least 100")
     p_m.add_argument("--delta", type=float, default=1.0)
     p_m.add_argument("--check", choices=("fdd", "marginal", "theta"), default="fdd")
     p_m.add_argument("--points", default=None, help="comma-separated times (fdd check)")
@@ -211,10 +224,12 @@ def _run_single_estimate(args, model, method: str) -> dict:
 def cmd_estimate(args) -> tuple[list[dict], str | None]:
     model = build_model(args)
     if args.method != "all":
-        methods = [args.method]
-    else:
-        methods = list(CONTINUUM_METHODS if args.delta == 0 else ESTIMATORS)
-    return [_run_single_estimate(args, model, method) for method in methods], None
+        return [_run_single_estimate(args, model, args.method)], None
+    if args.delta == 0:
+        return [_run_single_estimate(args, model, method) for method in CONTINUUM_METHODS], None
+    # the exact formulas once, on shared paths
+    exact, _ = _run_exact(model, args.delta, args.reps, EXACT_METHODS, args.horizon, args.seed)
+    return [exact[m].to_dict() if m in exact else _run_single_estimate(args, model, m) for m in ESTIMATORS], None
 
 
 def cmd_crosscheck(args) -> tuple[list[dict], str | None]:

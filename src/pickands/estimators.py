@@ -44,6 +44,19 @@ hypot(base SE, correction SE), and the doubling rule compares the two
 levels so read. Such records carry ``base_horizon``, ``correction`` and
 ``correction_stderr`` (the correction at H); one-level records leave them
 out.
+
+A replication of a Gaussian model off the parametric alpha = 2 line is an
+antithetic pair (Glasserman 2004, section 4.2), at both levels of a
+two-level run: every kernel reads the drawn path w, then w' = -w - sigma^2,
+the path of -b, which has the law of b, with the same E, and the
+replication's value is the pair's mean. ``reps`` counts pairs; pairs are
+independent, so the standard error is the engine's. Exceedance, difference,
+argmax and time reversal are monotone in b, so a pair cannot raise their
+variance. On the alpha = 2 line -b is the time reversal of b, which the
+two-sided kernels already read, and jump laws are not symmetric, so that
+line and Levy models (the Brownian one included) draw one path per
+replication. Paired records carry ``antithetic`` = true; others leave it
+out.
 """
 
 from __future__ import annotations
@@ -58,6 +71,7 @@ from . import engine
 from .models import (
     GridSpec,
     Model,
+    antithetic_shift,
     is_gaussian,
     levy_lambda,
     variance_at,
@@ -94,6 +108,7 @@ class EstimateResult(Record):
     base_horizon: int | None = None
     correction: float | None = None
     correction_stderr: float | None = None
+    antithetic: bool | None = None
 
     def ci95(self) -> tuple[float, float]:
         return (self.estimate - 1.96 * self.stderr, self.estimate + 1.96 * self.stderr)
@@ -181,7 +196,8 @@ def _values_ratio(w: np.ndarray, levels: np.ndarray, step: float) -> np.ndarray:
     m = np.maximum(w[:, n, None], np.maximum(engine.running_at(np.maximum, w[:, pos], levels),
                                              engine.running_at(np.maximum, w[:, neg], levels)))
     shift = m[:, -1:]
-    e = np.exp(w - shift)
+    e = np.subtract(w, shift)
+    np.exp(e, out=e)
     s = e[:, n, None] + engine.running_at(np.add, e[:, pos], levels) + engine.running_at(np.add, e[:, neg], levels)
     return np.exp(m - shift) / (step * s)
 
@@ -222,27 +238,36 @@ def _shared_path_run(model: Model, delta: float, reps: int, kernels: dict, level
     lags only, and for |i| <= n otherwise (n the last level). E is drawn
     after w, and only if some kernel reads it. The maxima of each side that
     some kernel reads are read at the levels only (``engine.running_at``),
-    once for all kernels. With ``correction`` the paths are the long paths
-    of a two-level run, on stream 1, and each kernel's values at the later
-    levels less its value at the first are reduced.
+    once for all kernels. Where ``antithetic_shift`` applies, each
+    replication is a pair: the kernels read w, then w turned in place into
+    -w - sigma^2, with the same E, and the pair's mean is the value. With
+    ``correction`` the paths are the long paths of a two-level run, on
+    stream 1, and each kernel's values at the later levels less its value at
+    the first are reduced.
     """
     levels = np.asarray(levels)
     n = int(levels[-1])
     reads = {r for k in kernels.values() for r in k.reads}
     one_sided = reads == {"pos"}
     with_expo = any(k.expo for k in kernels.values())
+    grid = GridSpec(delta, 0, n) if one_sided else GridSpec(delta, -n, n)
+    shift = antithetic_shift(model, grid)
+
+    def read(w, expo):
+        sides = {"pos": w[:, 1:]} if one_sided else {"pos": w[:, n + 1:], "neg": w[:, n - 1::-1]}
+        inputs = {"path": w} | {r: engine.running_at(np.maximum, sides[r], levels) for r in reads - {"path"}}
+        return {name: k.values(*(inputs[r] for r in k.reads), *(expo if k.expo else ()), levels, delta)
+                for name, k in kernels.items()}
 
     def worker(rng, count):
-        if one_sided:
-            w = w_matrix(model, GridSpec(delta, 0, n), rng, count)
-            sides = {"pos": w[:, 1:]}
-        else:
-            w = w_matrix(model, GridSpec(delta, -n, n), rng, count)
-            sides = {"pos": w[:, n + 1:], "neg": w[:, n - 1::-1]}
-        inputs = {"path": w} | {r: engine.running_at(np.maximum, sides[r], levels) for r in reads - {"path"}}
+        w = w_matrix(model, grid, rng, count)
         expo = (rng.exponential(size=count),) if with_expo else ()
-        values = {name: k.values(*(inputs[r] for r in k.reads), *(expo if k.expo else ()), levels, delta)
-                  for name, k in kernels.items()}
+        values = read(w, expo)
+        if shift is not None:
+            np.subtract(shift, w, out=w)
+            for name, v in read(w, expo).items():
+                values[name] += v
+                values[name] *= 0.5
         if correction:
             return {name: v[:, 1:] - v[:, :1] for name, v in values.items()}
         return values
@@ -268,6 +293,7 @@ def _run_exact(model: Model, delta: float, reps: int, methods, horizon: int | No
     kernels = {m: _KERNELS[m] for m in methods}
     shared = kernels | (extra or {})
     base = default_horizon(model, delta, math.sqrt(HORIZON_TAIL))
+    antithetic = True if antithetic_shift(model, GridSpec(delta)) is not None else None
     if 4 * base > horizon or reach > base:
         moments = engine.run(*_shared_path_run(model, delta, reps, shared, [horizon // 2, horizon], seed))
         at, tail = moments, {}
@@ -286,8 +312,8 @@ def _run_exact(model: Model, delta: float, reps: int, methods, horizon: int | No
         means, ses = at[m]
         stable = engine.doubling_stable(means, ses)
         flags = () if stable else ("truncation-unstable",)
-        results[m] = EstimateResult(m, delta, float(means[-1]), float(ses[-1]), reps,
-                                    int(horizon), stable, seed, flags=flags, **tail.get(m, {}))
+        results[m] = EstimateResult(m, delta, float(means[-1]), float(ses[-1]), reps, int(horizon),
+                                    stable, seed, flags=flags, antithetic=antithetic, **tail.get(m, {}))
     return results, moments
 
 
@@ -472,7 +498,8 @@ def crosscheck(
                for i, a in enumerate(EXACT_METHODS) for b in EXACT_METHODS[i + 1:]}
     means, ses = moments["definitional"]
     d = results["definitional"] = EstimateResult("definitional", delta, float(means[0]), float(ses[0]),
-                                                 reps, k_T, True, seed)
+                                                 reps, k_T, True, seed,
+                                                 antithetic=results[EXACT_METHODS[0]].antithetic)
     dominates = all(
         d.estimate + 3.0 * math.hypot(d.stderr, results[m].stderr) >= results[m].estimate
         for m in EXACT_METHODS

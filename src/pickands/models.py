@@ -338,6 +338,24 @@ def gaussian_w_matrix(
     return b
 
 
+def antithetic_shift(model: Model, grid: GridSpec) -> np.ndarray | None:
+    """The row -sigma^2(delta i) on ``grid``, origin 0, or None where antithetic
+    pairs do not apply.
+
+    ``np.subtract(shift, w, out=w)`` turns a path w = b - sigma^2 / 2 into
+    -w - sigma^2 = -b - sigma^2 / 2, the path of -b, which has the law of b
+    for every centered Gaussian b. Levy models get None, as jump laws are not
+    symmetric (the Brownian one is left unpaired with them), and so does the
+    parametric alpha = 2 line, where -b is the time reversal of b, which the
+    two-sided kernels already read.
+    """
+    if not is_gaussian(model) or (model.parametric and model.alpha == 2.0):
+        return None
+    shift = -variance_at(model, grid.times())
+    shift[grid.origin] = 0.0
+    return shift
+
+
 # ---------------------------------------------------------------------------
 # Levy models
 

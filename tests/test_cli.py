@@ -79,6 +79,27 @@ class TestEstimate:
         recs = json.loads(out.read_text())
         assert [r["method"] for r in recs] == list(ESTIMATORS)
 
+    def test_method_all_reads_the_exact_formulas_on_shared_paths(self, tmp_path):
+        # the five exact records are crosscheck's, drawn once on the same paths;
+        # the others are their single-method records
+        common = ["--family", "fbm", "--alpha", "1.5", "--delta", "1", "--reps", "3000", "--seed", "4"]
+
+        def records(*args):
+            out = tmp_path / "r.json"
+            run_cli([*args, *common, "--out", str(out)])
+            recs = json.loads(out.read_text())
+            return [{k: v for k, v in r.items() if k != "config_hash"} for r in (recs if isinstance(recs, list)
+                                                                                   else [recs])]
+
+        recs = records("estimate", "--method", "all")
+        assert [r["method"] for r in recs] == list(ESTIMATORS)
+        shared = records("crosscheck")[0]["results"]
+        for r in recs:
+            if r["method"] in shared and r["method"] != "definitional":
+                assert r == shared[r["method"]] and r["antithetic"] is True
+            else:
+                assert [r] == records("estimate", "--method", r["method"])
+
     def test_definitional_delta_zero_default_mesh(self):
         proc = run_cli(["estimate", "--family", "fbm", "--alpha", "1", "--delta", "0",
                         "--method", "definitional", "--reps", "200", "--seed", "1"])
@@ -117,7 +138,8 @@ class TestEstimate:
         estimate = ["method", "delta", "estimate", "stderr", "reps", "horizon", "stable", "seed", "flags"]
         header, rows = csv_rows(["estimate", "--family", "fbm", "--alpha", "1", "--delta", "1",
                                  "--method", "exceedance", "--reps", "5000", "--seed", "2"])
-        assert header == [*estimate, "config_hash"] and len(rows) == 1
+        # paired paths are said so last, and only on paired records
+        assert header == [*estimate, "antithetic", "config_hash"] and len(rows) == 1
         header, _ = csv_rows(["estimate", "--family", "fbm", "--alpha", "1", "--delta", "0",
                               "--method", "definitional", "--reps", "200", "--seed", "2"])
         assert header == [*estimate, "mesh", "config_hash"]
@@ -129,7 +151,8 @@ class TestEstimate:
         header, rows = csv_rows(["crosscheck", "--family", "fbm", "--alpha", "1.5", "--delta", "1",
                                  "--reps", "5000", "--seed", "2"])
         exact = ["exceedance", "difference", "argmax", "dieker-yakir", "time-reversed"]
-        result = ["method", "delta", "estimate", "stderr", "reps", "horizon", "stable", "seed", "flags"]
+        result = ["method", "delta", "estimate", "stderr", "reps", "horizon", "stable", "seed", "flags",
+                  "antithetic"]
         assert header == [*(f"results.{m}.{f}" for m in [*exact, "definitional"] for f in result),
                           *(f"overlap.{a}|{b}" for i, a in enumerate(exact) for b in exact[i + 1:]),
                           "all_overlap", "definitional_dominates", "flags", "config_hash"]

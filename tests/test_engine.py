@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from pickands import engine
+from pickands import engine, estimators
 from pickands.estimators import crosscheck, est_continuous_dy, est_definitional, estimate
 from pickands.maxstable import (
     _boundary_corrected_theta,
@@ -175,7 +175,35 @@ class TestLevelReadsKeepBytes:
     level-major (Fortran) layout of the (count, levels) values fixes the
     order in which a chunk's rows are summed, and the real-valued
     difference kernel's sums would move with a row-major one.
+
+    The model is off the alpha = 2 line, so every replication is an
+    antithetic pair. The first member of a pair is the unpaired path, byte
+    for byte, so with the pair's second member left out (``unpaired``) the
+    unpaired runs' pins hold; the paired values are pinned too.
     """
+
+    @pytest.fixture
+    def unpaired(self, monkeypatch):
+        monkeypatch.setattr(estimators, "antithetic_shift", lambda model, grid: None)
+
+    PAIRED = {
+        "exceedance": ("0x1.3513cc1e098ebp-1", "0x1.486b1fcef414dp-7"),
+        "difference": ("0x1.34c3b0967b731p-1", "0x1.b7b478fb70d8ep-9"),
+        "argmax": ("0x1.2d65b7a328470p-1", "0x1.6312d23836a6dp-7"),
+        "time-reversed": ("0x1.2ce2a53490b9bp-1", "0x1.478ad02a4d04ep-7"),
+        "definitional, T None": ("0x1.29a06dfb3581bp+0", "0x1.f4ca5d2c8ba5cp-5"),
+        "definitional, T 0.3": ("0x1.aaaaaaaaaaaabp+1", "0x1.ee62c8763eeabp-31"),
+        "definitional, T 4.0": ("0x1.a8e91fe90cbecp-1", "0x1.ff71ad7332ef7p-4"),
+        "definitional, T 8.0": ("0x1.451a2e7a46cafp+0", "0x1.a7d283851486dp-1"),
+    }
+
+    def test_paired(self):
+        results = {m: estimate(FBM15, m, 0.5, 3000, seed=11) for m in ("exceedance", "difference", "argmax",
+                                                                        "time-reversed")}
+        results |= {f"definitional, T {T}": crosscheck(FBM15, 0.5, 3000, horizon=16, seed=11, T=T)
+                    .results["definitional"] for T in (None, 0.3, 4.0, 8.0)}
+        assert all(res.antithetic for res in results.values())
+        assert {k: (res.estimate.hex(), res.stderr.hex()) for k, res in results.items()} == self.PAIRED
 
     @pytest.mark.parametrize("method, value, stderr", [
         ("exceedance", "0x1.2fc962fc962fdp-1", "0x1.1152c4ba18744p-6"),
@@ -183,7 +211,7 @@ class TestLevelReadsKeepBytes:
         ("argmax", "0x1.2f1a9fbe76c8bp-1", "0x1.112538c6a379cp-6"),
         ("time-reversed", "0x1.28f5c28f5c28fp-1", "0x1.0f83351de44b8p-6"),
     ])
-    def test_estimate(self, method, value, stderr):
+    def test_estimate(self, method, value, stderr, unpaired):
         res = estimate(FBM15, method, 0.5, 3000, seed=11)
         assert res.horizon == 32
         assert (res.estimate.hex(), res.stderr.hex()) == (value, stderr)
@@ -195,7 +223,7 @@ class TestLevelReadsKeepBytes:
         (4.0, 8, "0x1.edb2d7a7e37fdp-1", "0x1.f4e4f27947313p-3"),
         (8.0, 16, "0x1.17957d45c593dp+1", "0x1.a7ca08f4c728cp+0"),
     ])
-    def test_crosscheck_definitional(self, T, k_T, value, stderr):
+    def test_crosscheck_definitional(self, T, k_T, value, stderr, unpaired):
         res = crosscheck(FBM15, 0.5, 3000, horizon=16, seed=11, T=T).results["definitional"]
         assert res.horizon == k_T
         assert (res.estimate.hex(), res.stderr.hex()) == (value, stderr)

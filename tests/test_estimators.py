@@ -14,6 +14,8 @@ from pickands.engine import ROW_BLOCK_BYTES, chunk_stream, resolve_threads
 from pickands.estimators import (
     EXACT_METHODS,
     HORIZON_TAIL,
+    _KERNELS,
+    _shared_path_run,
     _values_ratio,
     crosscheck,
     default_horizon,
@@ -28,6 +30,7 @@ from pickands.models import (
     LevyModel,
     VarianceFunction,
     gaussian_w_matrix,
+    variance_at,
     w_matrix,
 )
 
@@ -266,17 +269,26 @@ class TestTwoLevel:
 
     @staticmethod
     def exceedance(model, delta, levels):
+        grid = GridSpec(delta, 0, levels[-1])
+
         def worker(rng, count):
-            w = w_matrix(model, GridSpec(delta, 0, levels[-1]), rng, count)
-            m = engine.running_at(np.maximum, w[:, 1:], levels)
-            return (m + rng.exponential(size=count)[:, None] <= 0.0).astype(float) / delta
+            w = w_matrix(model, grid, rng, count)
+            expo = rng.exponential(size=count)[:, None]
+
+            def values(w):
+                return (engine.running_at(np.maximum, w[:, 1:], levels) + expo <= 0.0).astype(float) / delta
+            # the antithetic pair: the path of -b, with the same E
+            return (values(w) + values(-w - variance_at(model, grid.times()))) / 2
         return worker
 
     @staticmethod
     def ratio(model, delta, levels):
+        grid = GridSpec(delta, -levels[-1], levels[-1])
+
         def worker(rng, count):
-            w = w_matrix(model, GridSpec(delta, -levels[-1], levels[-1]), rng, count)
-            return _values_ratio(w, levels, delta)
+            w = w_matrix(model, grid, rng, count)
+            mirror = -w - variance_at(model, grid.times())
+            return (_values_ratio(w, levels, delta) + _values_ratio(mirror, levels, delta)) / 2
         return worker
 
     @pytest.mark.parametrize("method", ["exceedance", "dieker-yakir"])
@@ -301,19 +313,84 @@ class TestTwoLevel:
         assert res.stderr == np.hypot(b_se[0], c_se[-1])
 
     def test_crosscheck_thread_invariance(self, monkeypatch):
-        # several chunks at both levels
+        # several chunks of antithetic pairs at both levels
         runs = []
-        for threads in ("1", "2"):
+        for threads in ("1", "2", "3"):
             monkeypatch.setenv("PICKANDS_THREADS", threads)
             runs.append(crosscheck(FBM1, 0.5, 40_000, horizon=4096, seed=44).to_dict())
-        assert runs[0] == runs[1]
+        assert runs[0] == runs[1] == runs[2]
         assert runs[0]["results"]["exceedance"]["base_horizon"] == 64
+        assert all(r["antithetic"] is True for r in runs[0]["results"].values())
         assert "base_horizon" not in runs[0]["results"]["definitional"]
 
     def test_crosscheck_definitional_beyond_base_is_one_level(self):
         report = crosscheck(FBM1, 0.5, 4_000, horizon=256, seed=45, T=40.0)
         assert report.results["definitional"].horizon == 80
         assert all(report.results[m].base_horizon is None for m in EXACT_METHODS)
+
+
+class TestAntitheticPairs:
+    """Off the alpha = 2 line, a Gaussian replication is the pair w, -w - sigma^2:
+    the path of -b, which has the law of b, read with the same E."""
+
+    LEVELS = np.array([8, 16])
+    TABULATED = VarianceFunction.tabulated([0.0, 1.0, 100.0], [0.0, 1.5, 120.0])
+
+    @staticmethod
+    def values(w, expo, levels, delta, one_sided):
+        """Every kernel of the run from full-width running maxima, read at the levels."""
+        n = levels[-1]
+        pos = np.maximum.accumulate(w[:, -n:], axis=1)[:, levels - 1]
+        out = {"exceedance": (pos + expo[:, None] <= 0.0) / delta,
+               "difference": -np.expm1(np.minimum(pos, 0.0)) / delta}
+        if not one_sided:
+            neg = np.maximum.accumulate(w[:, n - 1::-1], axis=1)[:, levels - 1]
+            out |= {"argmax": ((neg < 0.0) & (pos <= 0.0)) / delta,
+                    "dieker-yakir": _values_ratio(w, levels, delta),
+                    "time-reversed": (neg + expo[:, None] <= 0.0) / delta}
+        return out
+
+    @pytest.mark.parametrize("model", [FBM1, VarianceFunction.fbm(0.5), TABULATED])
+    @pytest.mark.parametrize("methods", [EXACT_METHODS, ("exceedance", "difference")])
+    def test_worker_is_the_pair_mean(self, model, methods):
+        delta, count, n = 0.5, 300, self.LEVELS[-1]
+        one_sided = len(methods) == 2
+        worker, *_ = _shared_path_run(model, delta, count, {m: _KERNELS[m] for m in methods},
+                                      self.LEVELS, seed=3)
+        got = worker(chunk_stream(3, 0), count)
+        rng = chunk_stream(3, 0)
+        grid = GridSpec(delta, 0 if one_sided else -n, n)
+        w = w_matrix(model, grid, rng, count)
+        expo = rng.exponential(size=count)
+        mirror = -w - variance_at(model, grid.times())
+        a = self.values(w, expo, self.LEVELS, delta, one_sided)
+        b = self.values(mirror, expo, self.LEVELS, delta, one_sided)
+        assert set(got) == set(methods)
+        for m in methods:
+            assert got[m].tobytes() == ((a[m] + b[m]) / 2).tobytes(), m
+
+    @pytest.mark.parametrize("model", [FBM2, VarianceFunction.power(2.0, 0.5), *LEVY_MODELS.values()])
+    def test_unpaired_models_read_each_path_once(self, model):
+        delta, count, n = 1.0, 300, self.LEVELS[-1]
+        worker, *_ = _shared_path_run(model, delta, count, {"dieker-yakir": _KERNELS["dieker-yakir"]},
+                                      self.LEVELS, seed=3)
+        w = w_matrix(model, GridSpec(delta, -n, n), chunk_stream(3, 0), count)
+        assert worker(chunk_stream(3, 0), count)["dieker-yakir"].tobytes() == \
+            _values_ratio(w, self.LEVELS, delta).tobytes()
+        assert estimate(model, "dieker-yakir", delta, 100, horizon=16).antithetic is None
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_alpha1_series(self, seed):
+        report = crosscheck(FBM1, 0.5, 30_000, seed=seed)
+        for m in EXACT_METHODS:
+            assert report.results[m].antithetic is True
+            assert_within(report.results[m], alpha1_series(0.5))
+        assert report.results["definitional"].antithetic is True
+
+    def test_only_shared_path_runs_are_paired(self):
+        # continuous-dy is a relabelled estimate run; est_definitional draws its own paths
+        assert est_continuous_dy(FBM1, 0.05, 2.0, 500, seed=4).antithetic is True
+        assert est_definitional(FBM1, 0.5, 4.0, 500, seed=4).antithetic is None
 
 
 class TestTwoLevelPins:
@@ -323,12 +400,12 @@ class TestTwoLevelPins:
 
     def test_crosscheck(self, monkeypatch):
         pins = {
-            "exceedance": ("0x1.72b020c49ba5ep-2", "0x1.8f294b01023d2p-6", "0x0.0p+0", "0x0.0p+0"),
-            "difference": ("0x1.6c15746ca9a66p-2", "0x1.2eb478c0c2590p-6", "0x0.0p+0", "0x0.0p+0"),
-            "argmax": ("0x1.76c8b43958106p-2", "0x1.90dec4e591e2fp-6", "0x0.0p+0", "0x0.0p+0"),
-            "dieker-yakir": ("0x1.454926f17f5fcp-2", "0x1.859dc2383996fp-8",
-                             "-0x1.c8afe149407cfp-16", "0x1.0cf804f47b837p-16"),
-            "time-reversed": ("0x1.5810624dd2f1bp-2", "0x1.8399899a08126p-6", "0x0.0p+0", "0x0.0p+0"),
+            "exceedance": ("0x1.4fdf3b645a1cbp-2", "0x1.ed4f99d444dd4p-7", "0x0.0p+0", "0x0.0p+0"),
+            "difference": ("0x1.49a454a18312fp-2", "0x1.4c6ef45b1957bp-7", "0x0.0p+0", "0x0.0p+0"),
+            "argmax": ("0x1.4dd2f1a9fbe77p-2", "0x1.e5f74fb69ab43p-7", "0x0.0p+0", "0x0.0p+0"),
+            "dieker-yakir": ("0x1.3e450053f20d6p-2", "0x1.f962c56caf7c9p-9",
+                             "-0x1.02b9c156f29aap-14", "0x1.627a6fee3a3e0p-16"),
+            "time-reversed": ("0x1.4ed916872b021p-2", "0x1.e88dfadee9be5p-7", "0x0.0p+0", "0x0.0p+0"),
         }
         for threads in ("1", "2"):
             monkeypatch.setenv("PICKANDS_THREADS", threads)
@@ -337,25 +414,36 @@ class TestTwoLevelPins:
                     for m, r in report.results.items() if m != "definitional"} == pins
             assert {r.base_horizon for m, r in report.results.items() if m != "definitional"} == {1024}
             d = report.results["definitional"]
-            assert (d.estimate.hex(), d.stderr.hex()) == ("0x1.a514020ea7ea6p-1", "0x1.5658dbcde8082p-3")
+            assert (d.estimate.hex(), d.stderr.hex()) == ("0x1.60646666b6fd6p-1", "0x1.5ad9a9ea592dap-4")
 
 
 class TestOneLevelPins:
-    """Seeded one-level outputs, pinned by float.hex."""
+    """Seeded one-level outputs, pinned by float.hex. The alpha = 2 line and
+    Levy models draw no antithetic pairs, so theirs are the unpaired bytes."""
 
     def test_estimate(self):
         res = estimate(FBM2, "exceedance", 1.0, 20_000, seed=5)
         assert (res.estimate.hex(), res.stderr.hex()) == ("0x1.0b8bac710cb29p-1", "0x1.cef315564668bp-9")
+        assert res.antithetic is None and "antithetic" not in res.to_dict()
+
+    @pytest.mark.parametrize("method, value, stderr", [
+        ("exceedance", "0x1.20aa64c2f837bp-2", "0x1.a102646e54b23p-9"),
+        ("dieker-yakir", "0x1.1ec899c4836fap-2", "0x1.9ae343c6ba01ap-11"),
+    ])
+    def test_levy_brownian(self, method, value, stderr):
+        res = estimate(LevyModel.brownian(), method, 1.0, 20_000, seed=5)
+        assert (res.estimate.hex(), res.stderr.hex()) == (value, stderr)
+        assert res.antithetic is None
 
     def test_crosscheck(self):
         report = crosscheck(VarianceFunction.fbm(1.5), 1.0, 5_000, seed=7)
         assert {m: (r.estimate.hex(), r.stderr.hex()) for m, r in report.results.items()} == {
-            "exceedance": ("0x1.07fcb923a29c7p-1", "0x1.cf3aefb074914p-8"),
-            "difference": ("0x1.05838b7b1682cp-1", "0x1.579a9805135c4p-8"),
-            "argmax": ("0x1.06594af4f0d84p-1", "0x1.cf5034b385dcep-8"),
-            "dieker-yakir": ("0x1.03fb7ba822064p-1", "0x1.ff0b6e84206dep-10"),
-            "time-reversed": ("0x1.060aa64c2f838p-1", "0x1.cf53a6fe32de7p-8"),
-            "definitional": ("0x1.e1ea51c7bfae3p-1", "0x1.7c0ffc806f555p-5"),
+            "exceedance": ("0x1.068db8bac710dp-1", "0x1.0eee6b607810ep-8"),
+            "difference": ("0x1.046f3deeb0881p-1", "0x1.1641bd3c483e9p-10"),
+            "argmax": ("0x1.06809d495182bp-1", "0x1.44458dc3d2707p-8"),
+            "dieker-yakir": ("0x1.04ccbb643a885p-1", "0x1.22a2a3bb55a93p-10"),
+            "time-reversed": ("0x1.0617c1bda511ap-1", "0x1.0e91e7735138ep-8"),
+            "definitional": ("0x1.ed7332f5113b0p-1", "0x1.1844cf553ad6fp-5"),
         }
 
 

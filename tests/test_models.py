@@ -10,6 +10,7 @@ from pickands import models
 from pickands.engine import CHUNK_BUDGET, chunk_plan, chunk_stream, run
 from pickands.models import (
     GridSpec,
+    antithetic_shift,
     JumpLaw,
     LevyModel,
     ModelError,
@@ -183,6 +184,38 @@ class TestGaussianSampler:
         a = gaussian_w_matrix(vf, grid, chunk_stream(9, 0), 1)[0]
         b = gaussian_w_matrix(vf, grid, chunk_stream(9, 0), 1)[0]
         assert np.array_equal(a, b)
+
+
+class TestAntitheticShift:
+    GRID = GridSpec(0.5, -6, 5)
+
+    @pytest.mark.parametrize("vf", [
+        VarianceFunction.fbm(0.5), VarianceFunction.fbm(1.0), VarianceFunction.power(1.5, 3.0),
+        VarianceFunction.tabulated([0.0, 1.0, 4.0], [0.0, 0.7, 1.9]),
+    ])
+    def test_row_is_minus_the_variance(self, vf):
+        shift = antithetic_shift(vf, self.GRID)
+        expected = -variance_at(vf, self.GRID.times())
+        expected[self.GRID.origin] = 0.0
+        assert shift.tobytes() == expected.tobytes()
+        # a positive zero, so the mirrored origin is 0.0 - 0.0 = 0.0
+        assert not np.signbit(shift[self.GRID.origin])
+
+    @pytest.mark.parametrize("model", [VarianceFunction.fbm(2.0), VarianceFunction.power(2.0, 0.5),
+                                       LevyModel.brownian(), LevyModel(0.5, 0.2, JumpLaw("exponential", rate=1.5))])
+    def test_none_where_pairs_do_not_apply(self, model):
+        assert antithetic_shift(model, self.GRID) is None
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    def test_mirror_is_a_martingale(self, alpha):
+        # -w - sigma^2 is w of -b, so E exp of it is 1 at every lag, origin exactly 0
+        vf = VarianceFunction.fbm(alpha)
+        w = gaussian_w_matrix(vf, self.GRID, np.random.default_rng(5), TestGaussianSampler.N)
+        np.subtract(antithetic_shift(vf, self.GRID), w, out=w)
+        assert np.all(w[:, self.GRID.origin] == 0.0)
+        x = np.exp(w)
+        se = x.std(axis=0) / np.sqrt(x.shape[0])
+        assert np.all(np.abs(x.mean(axis=0) - 1.0) <= 3.0 * np.maximum(se, 1e-12))
 
 
 LEVY_LAWS = {
