@@ -45,22 +45,32 @@ levels so read. Such records carry ``base_horizon``, ``correction`` and
 ``correction_stderr`` (the correction at H); one-level records leave them
 out.
 
-A replication of a Gaussian model off the parametric alpha = 2 line is an
-antithetic pair (Glasserman 2004, section 4.2), at both levels of a
-two-level run: every kernel reads the drawn path w, then w' = -w - sigma^2,
-the path of -b, which has the law of b, with the same E, and the
-replication's value is the pair's mean. ``reps`` counts pairs; pairs are
-independent, so the standard error is the engine's. Exceedance, difference,
-argmax and time reversal are monotone in b, so a pair cannot raise their
-variance. On the alpha = 2 line -b is the time reversal of b, which the
-two-sided kernels already read, and jump laws are not symmetric, so that
-line and Levy models (the Brownian one included) draw one path per
-replication. Paired records carry ``antithetic`` = true; others leave it
-out.
+A replication of a Gaussian model off the parametric alpha = 2 line is read
+in several forms of one law (antithetic variates, Glasserman 2004, section
+4.2), at both levels of a two-level run. Each side x of the drawn path, its
+positive or its negative lags, is read as x and as its mirror
+-x - sigma^2, the side of -b, which has the law of b. At alpha = 1 the two
+sides are independent walks with i.i.d. steps and a linear drift, so each
+is also read reversed, x(n) - x(n - k), and as the reversal's mirror: four
+forms a side, sixteen a path. A replication's value is the mean over the
+forms its kernel reads, all with the same E: the forms of its side for
+exceedance, difference and time reversal; for argmax and dieker-yakir all
+16 pairings of a positive and a negative form at alpha = 1, else the two
+matched pairs; for crosscheck's definitional the matched pair w,
+-w - sigma^2. ``crosscheck`` reads no reversals: its alpha = 1
+replications are the pairs. ``reps`` counts drawn paths; they are
+independent, so the standard error is the engine's. Exceedance,
+difference, argmax and time reversal are monotone in b, so a mirror cannot
+raise their variance. On the alpha = 2 line -b is the time reversal of b,
+which the two-sided kernels already read, and jump laws are not symmetric,
+so that line and Levy models (the Brownian one included) read each path
+once. Records read in more than one form carry ``antithetic`` = true;
+others leave it out.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -72,8 +82,10 @@ from .models import (
     GridSpec,
     Model,
     antithetic_shift,
+    independent_sides,
     is_gaussian,
     levy_lambda,
+    side_forms,
     variance_at,
     w_matrix,
 )
@@ -180,46 +192,47 @@ def _values_argmax(pos: np.ndarray, neg: np.ndarray, levels: np.ndarray, delta: 
     return ((neg < 0.0) & (pos <= 0.0)).astype(float) / delta
 
 
-@engine.by_row_blocks
-def _values_ratio(w: np.ndarray, levels: np.ndarray, step: float) -> np.ndarray:
-    """max exp(w) / (step * sum exp(w)) over |i| <= level, in log domain.
+def _values_ratio(pos: tuple, neg: tuple, levels: np.ndarray, step: float) -> np.ndarray:
+    """max exp(w) / (step * sum exp(w)) over |i| <= level.
 
-    ``w`` holds a symmetric two-sided grid out to the last level, origin in
-    the middle column. Each side's maxima and sums are read at the levels
-    only (``engine.running_at``). Shifting by the maximum at the last level,
-    the row maximum, keeps every exponential in [0, 1]; the shift cancels
-    exactly in the ratio, and the value at the last level is
-    1 / (step * sum).
+    Each side is read as its running maxima m and its running sums of exp(x)
+    at the levels (``_read_side``); w(0) = 0 adds the 1. No shift by the
+    maximum is needed: E exp(w(i)) = 1, so P{w(i) > u} <= exp(-u), and an
+    exponential overflows with probability below exp(-709) per point. One
+    that underflows is below 1e-308 of a sum that the origin keeps at
+    least 1.
     """
-    n = w.shape[1] // 2
-    pos, neg = slice(n + 1, None), slice(n - 1, None, -1)
-    m = np.maximum(w[:, n, None], np.maximum(engine.running_at(np.maximum, w[:, pos], levels),
-                                             engine.running_at(np.maximum, w[:, neg], levels)))
-    shift = m[:, -1:]
-    e = np.subtract(w, shift)
-    np.exp(e, out=e)
-    s = e[:, n, None] + engine.running_at(np.add, e[:, pos], levels) + engine.running_at(np.add, e[:, neg], levels)
-    return np.exp(m - shift) / (step * s)
+    (m_pos, s_pos), (m_neg, s_neg) = pos, neg
+    sums = np.add(1.0, s_pos)
+    sums += s_neg
+    sums *= step
+    top = np.maximum(m_pos, m_neg)
+    np.maximum(top, 0.0, out=top)
+    np.exp(top, out=top)
+    top /= sums
+    return top
 
 
 @dataclass(frozen=True)
 class _Kernel:
-    """A value kernel and its inputs, passed in this order: the maxima of w
-    over the positive lags ("pos") or the negative lags ("neg") out to each
-    level, a (count, n_levels) array, or the whole two-sided path ("path");
-    then the exponential E if ``expo``; then the levels and the grid step.
-    A kernel that reads elsewhere than at the levels reads the whole path."""
+    """A value kernel and its inputs, passed in this order: what it reads of
+    the positive lags ("pos") or the negative lags ("neg") of a path out to
+    each level, or the whole two-sided path ("path"); then the exponential E
+    if ``expo``; then the levels and the grid step. A side is read as its
+    running maxima at the levels, a (count, n_levels) array, or with
+    ``sums`` as the pair of those maxima and the running sums of exp(x)."""
 
     values: Callable[..., np.ndarray]
     reads: tuple[str, ...]
     expo: bool = False
+    sums: bool = False
 
 
 _KERNELS = {
     "exceedance": _Kernel(_values_exceedance, ("pos",), expo=True),
     "difference": _Kernel(_values_difference, ("pos",)),
     "argmax": _Kernel(_values_argmax, ("pos", "neg")),
-    "dieker-yakir": _Kernel(_values_ratio, ("path",)),
+    "dieker-yakir": _Kernel(_values_ratio, ("pos", "neg"), sums=True),
     "time-reversed": _Kernel(_values_exceedance, ("neg",), expo=True),
 }
 EXACT_METHODS = tuple(_KERNELS)
@@ -228,46 +241,120 @@ EXACT_METHODS = tuple(_KERNELS)
 # --- estimators --------------------------------------------------------------
 
 
+def _read_side(x: np.ndarray, mirror: np.ndarray, forms: int, levels: np.ndarray, sums: bool) -> list:
+    """What the kernels read of the side ``x``, rows of w(delta k) for
+    1 <= k <= n (n the last level), in each of its first ``forms`` equal-law
+    forms (``models.side_forms``): per form, a tuple of its running maxima at
+    the levels and, with ``sums``, its running sums of exp(form), each a
+    (count, n_levels) array, Fortran-ordered as ``engine.running_at``
+    leaves it.
+
+    The forms are built, and their exponentials taken, a row block at a time
+    in two block buffers, reused for every block and form.
+    """
+    count, n = x.shape[0], int(levels[-1])
+    blocks = engine.row_blocks(count, 8 * n * ((forms > 1) + sums))
+    rows = blocks[-1].stop - blocks[-1].start
+    # buffers run the way x runs in memory, so that a side read outward from the
+    # origin against memory order (the negative lags) is walked in memory order
+    step = 1 if x.strides[1] > 0 else -1
+    form_buf = np.empty((rows, n))[:, ::step] if forms > 1 else None
+    exps = np.empty((rows, n))[:, ::step] if sums else None
+    parts = [[] for _ in range(forms)]
+    for block in blocks:
+        size = block.stop - block.start
+        block_forms = side_forms(x[block], mirror, forms, None if form_buf is None else form_buf[:size])
+        for part, form in zip(parts, block_forms):
+            maxima = engine.running_at(np.maximum, form, levels)
+            part.append((maxima, engine.running_at(np.add, np.exp(form, out=exps[:size]), levels)) if sums
+                        else (maxima,))
+    return [tuple(c[0] if len(c) == 1 else np.concatenate(c) for c in zip(*part)) for part in parts]
+
+
+def _form_mean(values) -> np.ndarray:
+    """The mean of a replication's values over the forms read, from an
+    iterable of fresh arrays: summed in order into the first, then scaled by
+    1, 1/2, 1/4 or 1/16, which is exact. One form's values are held at a
+    time."""
+    values = iter(values)
+    total = next(values)
+    count = 1
+    for v in values:
+        total += v
+        count += 1
+    total *= 1.0 / count
+    return total
+
+
 def _shared_path_run(model: Model, delta: float, reps: int, kernels: dict, levels,
-                     seed: int, correction: bool = False) -> tuple:
+                     seed: int, correction: bool = False, reversals: bool = True) -> tuple:
     """The engine run, ``(worker, seed, reps, n_cols, stream)``, whose
     ``engine.run`` gives the means and standard errors per level of every
     kernel, all on the same paths.
 
     Paths hold w(delta i) for 1 <= i <= n when every kernel reads positive
     lags only, and for |i| <= n otherwise (n the last level). E is drawn
-    after w, and only if some kernel reads it. The maxima of each side that
-    some kernel reads are read at the levels only (``engine.running_at``),
-    once for all kernels. Where ``antithetic_shift`` applies, each
-    replication is a pair: the kernels read w, then w turned in place into
-    -w - sigma^2, with the same E, and the pair's mean is the value. With
+    after w, and only if some kernel reads it. Each side that some kernel
+    reads is read once for all kernels, at the levels only, in each of its
+    equal-law forms (``_read_side``): the side itself on the alpha = 2 line
+    and for Levy models; where ``antithetic_shift`` applies also its mirror
+    -x - sigma^2, the side of -b; and, with ``reversals``, where
+    ``independent_sides`` holds also the reversals of both. A kernel's
+    value is its mean over the forms it reads, with the same E: the forms
+    of its side, or for a two-sided kernel the 16 pairings of a positive
+    and a negative form where the sides are independent, else the matched
+    pairs. The side reads and these kernels run a row group at a time, and
+    each kernel sums its forms in place, so that a chunk holds one row
+    group's reads and one form's values beside its paths. A kernel of the
+    whole path reads w, then, where ``antithetic_shift`` applies, w turned
+    in place into -w - sigma^2. With
     ``correction`` the paths are the long paths of a two-level run, on
-    stream 1, and each kernel's values at the later levels less its value at
-    the first are reduced.
+    stream 1, and each kernel's values at the later levels less its value
+    at the first are reduced.
     """
     levels = np.asarray(levels)
     n = int(levels[-1])
     reads = {r for k in kernels.values() for r in k.reads}
     one_sided = reads == {"pos"}
     with_expo = any(k.expo for k in kernels.values())
+    sums = any(k.sums for k in kernels.values())
     grid = GridSpec(delta, 0, n) if one_sided else GridSpec(delta, -n, n)
     shift = antithetic_shift(model, grid)
+    independent = reversals and shift is not None and independent_sides(model)
+    forms = 4 if independent else 1 if shift is None else 2
+    pairings = itertools.product if independent else zip
+    # each side's mirror row, in its lag order, read by its forms past the first
+    mirror = np.zeros(grid.n_points) if shift is None else shift
+    mirrors = {"pos": mirror[-n:], "neg": mirror[n - 1::-1]}
+    path = [name for name, k in kernels.items() if k.reads == ("path",)]
+    side_reads = sorted(reads - {"path"})
+    # a row group's side reads hold about half a row block: kept beside the
+    # paths and a block buffer of exponentials, they raise the peak little
+    group_bytes = 16 * len(levels) * forms * (1 + sums) * len(side_reads)
 
-    def read(w, expo):
-        sides = {"pos": w[:, 1:]} if one_sided else {"pos": w[:, n + 1:], "neg": w[:, n - 1::-1]}
-        inputs = {"path": w} | {r: engine.running_at(np.maximum, sides[r], levels) for r in reads - {"path"}}
-        return {name: k.values(*(inputs[r] for r in k.reads), *(expo if k.expo else ()), levels, delta)
-                for name, k in kernels.items()}
+    def call(k, inputs, expo):
+        return k.values(*inputs, *(expo if k.expo else ()), levels, delta)
 
     def worker(rng, count):
         w = w_matrix(model, grid, rng, count)
         expo = (rng.exponential(size=count),) if with_expo else ()
-        values = read(w, expo)
-        if shift is not None:
+        sides = {"pos": w[:, -n:], "neg": w[:, n - 1::-1]}
+        parts = {name: [] for name in kernels if name not in path}
+        for group in engine.row_blocks(count, group_bytes):
+            read = {r: _read_side(sides[r][group], mirrors[r], forms, levels, sums) for r in side_reads}
+            group_expo = tuple(e[group] for e in expo)
+            for name, part in parts.items():
+                k = kernels[name]
+                inputs = pairings(*([f if k.sums else f[0] for f in read[r]] for r in k.reads))
+                part.append(_form_mean(call(k, i, group_expo) for i in inputs))
+        values = {name: call(kernels[name], (w,), expo) for name in path}
+        if path and shift is not None:
             np.subtract(shift, w, out=w)
-            for name, v in read(w, expo).items():
-                values[name] += v
-                values[name] *= 0.5
+            for name in path:
+                values[name] = _form_mean((values[name], call(kernels[name], (w,), expo)))
+        # the paths are freed before the groups' values are joined
+        del w, sides
+        values |= {name: np.concatenate(part) for name, part in parts.items()}
         if correction:
             return {name: v[:, 1:] - v[:, :1] for name, v in values.items()}
         return values
@@ -276,7 +363,8 @@ def _shared_path_run(model: Model, delta: float, reps: int, kernels: dict, level
 
 
 def _run_exact(model: Model, delta: float, reps: int, methods, horizon: int | None,
-               seed: int, extra: dict | None = None, reach: int = 0) -> tuple[dict, dict]:
+               seed: int, extra: dict | None = None, reach: int = 0,
+               reversals: bool = True) -> tuple[dict, dict]:
     """Registry ``methods`` on shared paths, each read at ``horizon`` (default:
     ``default_horizon``) and checked against half of it by the doubling rule.
 
@@ -284,7 +372,8 @@ def _run_exact(model: Model, delta: float, reps: int, methods, horizon: int | No
     base level H0 has 4 H0 <= H and covers the ``reach`` positive lags that
     the ``extra`` kernels read. Returns the EstimateResults and the raw
     moments of the run that evaluates the ``extra`` kernels, on the same
-    paths as ``methods`` (the base paths of a two-level run).
+    paths as ``methods`` (the base paths of a two-level run). Without
+    ``reversals`` an alpha = 1 path is read as the antithetic pair only.
     """
     _require(delta > 0, "delta must be positive")
     if horizon is None:
@@ -295,14 +384,15 @@ def _run_exact(model: Model, delta: float, reps: int, methods, horizon: int | No
     base = default_horizon(model, delta, math.sqrt(HORIZON_TAIL))
     antithetic = True if antithetic_shift(model, GridSpec(delta)) is not None else None
     if 4 * base > horizon or reach > base:
-        moments = engine.run(*_shared_path_run(model, delta, reps, shared, [horizon // 2, horizon], seed))
+        moments = engine.run(*_shared_path_run(model, delta, reps, shared, [horizon // 2, horizon], seed,
+                                               reversals=reversals))
         at, tail = moments, {}
     else:
         # the two levels are independent runs, so their chunks share one pool
         moments, long = engine.run_all([
-            _shared_path_run(model, delta, reps, shared, [base], seed),
+            _shared_path_run(model, delta, reps, shared, [base], seed, reversals=reversals),
             _shared_path_run(model, delta, max(2, -(-reps * base // horizon)), kernels,
-                             [base, horizon // 2, horizon], seed, correction=True),
+                             [base, horizon // 2, horizon], seed, correction=True, reversals=reversals),
         ])
         at = {m: (moments[m][0] + long[m][0], np.hypot(moments[m][1], long[m][1])) for m in methods}
         tail = {m: {"base_horizon": base, "correction": float(long[m][0][-1]),
@@ -477,7 +567,10 @@ def crosscheck(
     ``estimate``, enter the pairwise overlap matrix; the definitional
     functional is checked for dominance instead, over [0, T] with T
     defaulting to the largest MC-feasible horizon. A two-level run reads
-    [0, T] from the base paths, so it runs only where they cover it.
+    [0, T] from the base paths, so it runs only where they cover it. At
+    alpha = 1 a replication is the antithetic pair, not the sixteen forms
+    of ``estimate``: the overlap gate compares 95% intervals pair by pair,
+    with no family-wise level, so it stays on the reading it was set for.
     """
     _require(delta > 0, "delta must be positive")
     _require(T is None or T > 0, "T must be positive")
@@ -493,7 +586,8 @@ def crosscheck(
         return np.exp(w[:, origin:origin + k_T + 1].max(axis=1)) / horizon_T
 
     extra = {"definitional": _Kernel(definitional, ("path",))}
-    results, moments = _run_exact(model, delta, reps, EXACT_METHODS, horizon, seed, extra, reach=k_T)
+    results, moments = _run_exact(model, delta, reps, EXACT_METHODS, horizon, seed, extra, reach=k_T,
+                                  reversals=False)
     overlap = {(a, b): _ci_overlap(results[a], results[b])
                for i, a in enumerate(EXACT_METHODS) for b in EXACT_METHODS[i + 1:]}
     means, ses = moments["definitional"]

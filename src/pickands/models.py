@@ -356,6 +356,37 @@ def antithetic_shift(model: Model, grid: GridSpec) -> np.ndarray | None:
     return shift
 
 
+def independent_sides(model: Model) -> bool:
+    """Whether the two sides of w are independent walks with i.i.d. steps and
+    a linear drift: the parametric Gaussian alpha = 1 family."""
+    return is_gaussian(model) and model.parametric and model.alpha == 1.0
+
+
+def side_forms(x: np.ndarray, mirror: np.ndarray, count: int, out: np.ndarray):
+    """Yield the first ``count`` equal-law forms of the side ``x``, rows of
+    w(delta k) for 1 <= k <= n, each but the first written over ``out``.
+
+    The forms are x itself; its mirror ``mirror - x``, with ``mirror`` the
+    row -sigma^2(delta k), the side of -b (``antithetic_shift``); its
+    reversal x(n) - x(n - k), x(0) = 0; and the reversal's mirror. The
+    mirror has the law of x for every centred Gaussian b. Where
+    ``independent_sides`` holds, b(n) - b(n - k) has the law of b, as the
+    steps of b are i.i.d., and sigma^2 is linear, so the drift carries over
+    and the reversal and its mirror have it too. Each form is read before
+    the next is asked for: the reversal's mirror is made from the reversal
+    in place.
+    """
+    yield x
+    if count > 1:
+        yield np.subtract(mirror, x, out=out)
+    if count > 2:
+        n = x.shape[1]
+        np.subtract(x[:, n - 1:], x[:, :n - 1][:, ::-1], out=out[:, :n - 1])
+        out[:, n - 1] = x[:, n - 1]
+        yield out
+        yield np.subtract(mirror, out, out=out)
+
+
 # ---------------------------------------------------------------------------
 # Levy models
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import engine
 from .estimators import _ndtr
-from .models import GridSpec, VarianceFunction, gaussian_b_matrix
+from .models import GridSpec, VarianceFunction, gaussian_b_matrix, independent_sides
 from .report import Record
 
 __all__ = [
@@ -145,7 +145,7 @@ def _side_indicators(vf: VarianceFunction, eta: float, levels: np.ndarray,
     -K..K, drawn one row block at a time, from each side's maxima of
     b~(k) - eta |k|^alpha read at the levels only (``engine.running_at``).
     """
-    if vf.alpha == 1.0:
+    if independent_sides(vf):
         out = np.zeros((count, 2, levels.size))
         edges = _walk_edges(levels)
         for side in range(2):
@@ -194,17 +194,17 @@ def est_smallball_prob(
     _check_alpha_eta(alpha, eta)
     if cutoff < 1:
         raise ValueError(f"cutoff must be at least 1, got {cutoff}")
-    independent_sides = alpha == 1.0
+    vf = VarianceFunction.power(alpha, 1.0)  # one per run: the embedding cache keys on its identity
+    factorized = independent_sides(vf)
     levels = np.asarray([cutoff, 2 * cutoff])
     k_max = int(levels[-1])
-    vf = VarianceFunction.power(alpha, 1.0)  # one per run: the embedding cache keys on its identity
 
     def worker(rng, count):
         sides = _side_indicators(vf, eta, levels, rng, count)
-        return sides if independent_sides else sides[:, 0] * sides[:, 1]
+        return sides if factorized else sides[:, 0] * sides[:, 1]
 
     means, ses = engine.run(worker, seed, reps, 2 * k_max + 1)
-    if independent_sides:
+    if factorized:
         (q_pos, q_neg), (se_pos, se_neg) = means.reshape(2, -1), ses.reshape(2, -1)
         probs = q_pos * q_neg
         ses = np.sqrt((q_pos * se_neg) ** 2 + (q_neg * se_pos) ** 2)
@@ -227,7 +227,7 @@ def est_smallball_prob(
         reps=reps,
         seed=seed,
         stable=stable,
-        factorized=independent_sides,
+        factorized=factorized,
         flags=tuple(flags),
     )
 

@@ -15,6 +15,8 @@ from pickands.estimators import (
     EXACT_METHODS,
     HORIZON_TAIL,
     _KERNELS,
+    _read_side,
+    _run_exact,
     _shared_path_run,
     _values_ratio,
     crosscheck,
@@ -29,7 +31,10 @@ from pickands.models import (
     JumpLaw,
     LevyModel,
     VarianceFunction,
+    antithetic_shift,
     gaussian_w_matrix,
+    independent_sides,
+    side_forms,
     variance_at,
     w_matrix,
 )
@@ -47,6 +52,53 @@ def assert_within(result, target, k=3.0, floor=1e-9):
     assert abs(result.estimate - target) <= k * result.stderr + floor, (
         f"{result.method}: {result.estimate} vs {target} (se {result.stderr})"
     )
+
+
+def oriented(like):
+    """An empty array shaped like ``like`` that runs through memory the way
+    ``like`` runs along its rows, as the worker's block buffers do."""
+    out = np.empty(like.shape)
+    return out if like.strides[1] > 0 else out[:, ::-1]
+
+
+def form_reads(x, mirror, forms, levels):
+    """Each form of the side ``x`` (``side_forms``), built over the whole chunk:
+    its full-width running maxima read at the levels, and the running sums of
+    its exponentials at the levels, taken in memory order as the worker's are."""
+    reads = []
+    for form in side_forms(x, mirror, forms, oriented(x)):
+        f = oriented(x)
+        f[:] = form
+        reads.append((np.maximum.accumulate(f, axis=1)[:, levels - 1],
+                      engine.running_at(np.add, np.exp(f, out=oriented(x)), levels)))
+    return reads
+
+
+def form_mean_reference(model, delta, rng, count, levels, methods, reversals=True):
+    """The values of a shared-path chunk, from the ``w_matrix`` draw on its stream ``rng``:
+    every kernel by its formula on each form it reads, then the mean over the
+    forms in the worker's order (the 16 pairings at alpha = 1, pos forms
+    outer; else the matched pairs)."""
+    n = levels[-1]
+    one_sided = set(methods) <= {"exceedance", "difference"}
+    grid = GridSpec(delta, 0 if one_sided else -n, n)
+    w = w_matrix(model, grid, rng, count)
+    expo = rng.exponential(size=count)[:, None] if {"exceedance", "time-reversed"} & set(methods) else None
+    shift = antithetic_shift(model, grid)
+    forms = 1 if shift is None else 4 if reversals and independent_sides(model) else 2
+    mirror = np.zeros(grid.n_points) if shift is None else shift
+    pos = form_reads(w[:, -n:], mirror[-n:], forms, levels)
+    neg = [] if one_sided else form_reads(w[:, n - 1::-1], mirror[n - 1::-1], forms, levels)
+    pairs = [(p, q) for p in pos for q in neg] if forms == 4 else list(zip(pos, neg))
+    values = {
+        "exceedance": lambda: [(p[0] + expo <= 0.0) / delta for p in pos],
+        "difference": lambda: [-np.expm1(np.minimum(p[0], 0.0)) / delta for p in pos],
+        "argmax": lambda: [((q[0] < 0.0) & (p[0] <= 0.0)) / delta for p, q in pairs],
+        "dieker-yakir": lambda: [np.exp(np.maximum(np.maximum(p[0], q[0]), 0.0)) / (delta * (1.0 + p[1] + q[1]))
+                                 for p, q in pairs],
+        "time-reversed": lambda: [(q[0] + expo <= 0.0) / delta for q in neg],
+    }
+    return {m: sum(v[1:], v[0]) * (1.0 / len(v)) for m in methods for v in [values[m]()]}
 
 
 class TestAgainstAlpha2ClosedForm:
@@ -283,12 +335,8 @@ class TestTwoLevel:
 
     @staticmethod
     def ratio(model, delta, levels):
-        grid = GridSpec(delta, -levels[-1], levels[-1])
-
         def worker(rng, count):
-            w = w_matrix(model, grid, rng, count)
-            mirror = -w - variance_at(model, grid.times())
-            return (_values_ratio(w, levels, delta) + _values_ratio(mirror, levels, delta)) / 2
+            return form_mean_reference(model, delta, rng, count, levels, ("dieker-yakir",))["dieker-yakir"]
         return worker
 
     @pytest.mark.parametrize("method", ["exceedance", "dieker-yakir"])
@@ -330,53 +378,32 @@ class TestTwoLevel:
 
 
 class TestAntitheticPairs:
-    """Off the alpha = 2 line, a Gaussian replication is the pair w, -w - sigma^2:
-    the path of -b, which has the law of b, read with the same E."""
+    """Off the alpha = 2 line, a Gaussian side x is read as x and -x - sigma^2,
+    the side of -b, which has the law of b, with the same E; at alpha = 1
+    also as its reversal and the reversal's mirror."""
 
     LEVELS = np.array([8, 16])
     TABULATED = VarianceFunction.tabulated([0.0, 1.0, 100.0], [0.0, 1.5, 120.0])
 
-    @staticmethod
-    def values(w, expo, levels, delta, one_sided):
-        """Every kernel of the run from full-width running maxima, read at the levels."""
-        n = levels[-1]
-        pos = np.maximum.accumulate(w[:, -n:], axis=1)[:, levels - 1]
-        out = {"exceedance": (pos + expo[:, None] <= 0.0) / delta,
-               "difference": -np.expm1(np.minimum(pos, 0.0)) / delta}
-        if not one_sided:
-            neg = np.maximum.accumulate(w[:, n - 1::-1], axis=1)[:, levels - 1]
-            out |= {"argmax": ((neg < 0.0) & (pos <= 0.0)) / delta,
-                    "dieker-yakir": _values_ratio(w, levels, delta),
-                    "time-reversed": (neg + expo[:, None] <= 0.0) / delta}
-        return out
-
     @pytest.mark.parametrize("model", [FBM1, VarianceFunction.fbm(0.5), TABULATED])
     @pytest.mark.parametrize("methods", [EXACT_METHODS, ("exceedance", "difference")])
     def test_worker_is_the_pair_mean(self, model, methods):
-        delta, count, n = 0.5, 300, self.LEVELS[-1]
-        one_sided = len(methods) == 2
+        delta, count = 0.5, 300
         worker, *_ = _shared_path_run(model, delta, count, {m: _KERNELS[m] for m in methods},
                                       self.LEVELS, seed=3)
         got = worker(chunk_stream(3, 0), count)
-        rng = chunk_stream(3, 0)
-        grid = GridSpec(delta, 0 if one_sided else -n, n)
-        w = w_matrix(model, grid, rng, count)
-        expo = rng.exponential(size=count)
-        mirror = -w - variance_at(model, grid.times())
-        a = self.values(w, expo, self.LEVELS, delta, one_sided)
-        b = self.values(mirror, expo, self.LEVELS, delta, one_sided)
+        want = form_mean_reference(model, delta, chunk_stream(3, 0), count, self.LEVELS, methods)
         assert set(got) == set(methods)
         for m in methods:
-            assert got[m].tobytes() == ((a[m] + b[m]) / 2).tobytes(), m
+            assert got[m].tobytes() == want[m].tobytes(), m
 
     @pytest.mark.parametrize("model", [FBM2, VarianceFunction.power(2.0, 0.5), *LEVY_MODELS.values()])
     def test_unpaired_models_read_each_path_once(self, model):
-        delta, count, n = 1.0, 300, self.LEVELS[-1]
+        delta, count = 1.0, 300
         worker, *_ = _shared_path_run(model, delta, count, {"dieker-yakir": _KERNELS["dieker-yakir"]},
                                       self.LEVELS, seed=3)
-        w = w_matrix(model, GridSpec(delta, -n, n), chunk_stream(3, 0), count)
-        assert worker(chunk_stream(3, 0), count)["dieker-yakir"].tobytes() == \
-            _values_ratio(w, self.LEVELS, delta).tobytes()
+        want = form_mean_reference(model, delta, chunk_stream(3, 0), count, self.LEVELS, ("dieker-yakir",))
+        assert worker(chunk_stream(3, 0), count)["dieker-yakir"].tobytes() == want["dieker-yakir"].tobytes()
         assert estimate(model, "dieker-yakir", delta, 100, horizon=16).antithetic is None
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -393,6 +420,88 @@ class TestAntitheticPairs:
         assert est_definitional(FBM1, 0.5, 4.0, 500, seed=4).antithetic is None
 
 
+class TestSideForms:
+    """At alpha = 1 each side is read in four forms, and a two-sided kernel in
+    the 16 pairings of a positive and a negative form."""
+
+    # 300 paths of 1024 steps a side: five row blocks of the side reads
+    LEVELS = np.array([512, 1024])
+    ALPHA1 = [FBM1, VarianceFunction.power(1.0, 0.5)]
+
+    @pytest.mark.parametrize("model", ALPHA1)
+    @pytest.mark.parametrize("methods", [EXACT_METHODS, ("exceedance", "difference")])
+    @pytest.mark.parametrize("delta, count, levels", [
+        (0.05, 300, LEVELS),
+        # 20000 paths of 16 steps a side: several row groups of side reads and kernels
+        (0.5, 20_000, np.array([8, 16])),
+    ])
+    def test_worker_is_the_form_mean(self, model, methods, delta, count, levels):
+        worker, *_ = _shared_path_run(model, delta, count, {m: _KERNELS[m] for m in methods}, levels, seed=5)
+        got = worker(chunk_stream(5, 0), count)
+        want = form_mean_reference(model, delta, chunk_stream(5, 0), count, levels, methods)
+        for m in methods:
+            assert got[m].tobytes() == want[m].tobytes(), m
+
+    def test_without_reversals_the_pair(self):
+        # crosscheck's reading: the matched pair x, -x - sigma^2 of each side
+        delta, count = 0.05, 300
+        worker, *_ = _shared_path_run(FBM1, delta, count, dict(_KERNELS), self.LEVELS, seed=5, reversals=False)
+        got = worker(chunk_stream(5, 0), count)
+        want = form_mean_reference(FBM1, delta, chunk_stream(5, 0), count, self.LEVELS, EXACT_METHODS,
+                                   reversals=False)
+        for m in EXACT_METHODS:
+            assert got[m].tobytes() == want[m].tobytes(), m
+
+    @pytest.mark.parametrize("model", ALPHA1)
+    def test_correction_is_the_form_mean(self, model):
+        # the long paths of a two-level run, on stream 1: the form mean at the later levels less the first
+        delta, count, levels = 0.05, 300, np.array([256, 512, 1024])
+        worker, *_, stream = _shared_path_run(model, delta, count, {m: _KERNELS[m] for m in EXACT_METHODS},
+                                              levels, seed=5, correction=True)
+        assert stream == 1
+        got = worker(chunk_stream(5, 0, 1), count)
+        want = form_mean_reference(model, delta, chunk_stream(5, 0, 1), count, levels, EXACT_METHODS)
+        for m in EXACT_METHODS:
+            assert got[m].tobytes() == (want[m][:, 1:] - want[m][:, :1]).tobytes(), m
+
+    @pytest.mark.parametrize("model, forms", [(FBM1, 4), (VarianceFunction.fbm(0.5), 2), (FBM2, 1),
+                                              (LevyModel.brownian(), 1)])
+    def test_side_maxima_once_per_side_and_form(self, model, forms, monkeypatch):
+        # one row block: the ratio kernel reads the maxima that the other kernels read
+        calls = []
+        running_at = engine.running_at
+
+        def counted(ufunc, side, levels):
+            calls.append(ufunc)
+            return running_at(ufunc, side, levels)
+
+        monkeypatch.setattr(engine, "running_at", counted)
+        worker, *_ = _shared_path_run(model, 0.5, 40, dict(_KERNELS), np.array([8, 16]), seed=5)
+        worker(chunk_stream(5, 0), 40)
+        assert calls.count(np.maximum) == 2 * forms
+        assert calls.count(np.add) == 2 * forms
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("delta", [0.5, 1.0, 2.0])
+    def test_alpha1_series(self, delta, seed):
+        # all five routes on shared paths, as `estimate --method all` runs them
+        results, _ = _run_exact(FBM1, delta, 30_000, EXACT_METHODS, None, seed)
+        for m in EXACT_METHODS:
+            assert results[m].antithetic is True
+            assert_within(results[m], alpha1_series(delta))
+
+    def test_multi_chunk_thread_invariance(self, monkeypatch):
+        # one level of 2 chunks
+        assert len(engine.chunk_plan(40_000, 2 * default_horizon(FBM1, 1.0) + 1)) == 2
+        runs = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("PICKANDS_THREADS", threads)
+            results, _ = _run_exact(FBM1, 1.0, 40_000, EXACT_METHODS, None, 6)
+            runs.append({m: r.to_dict() for m, r in results.items()})
+        assert runs[0] == runs[1] == runs[2]
+        assert "base_horizon" not in runs[0]["exceedance"]
+
+
 class TestTwoLevelPins:
     """A seeded default-horizon two-level run, pinned by float.hex: its base
     and correction runs share one pool, and neither's streams, chunk counts
@@ -403,8 +512,11 @@ class TestTwoLevelPins:
             "exceedance": ("0x1.4fdf3b645a1cbp-2", "0x1.ed4f99d444dd4p-7", "0x0.0p+0", "0x0.0p+0"),
             "difference": ("0x1.49a454a18312fp-2", "0x1.4c6ef45b1957bp-7", "0x0.0p+0", "0x0.0p+0"),
             "argmax": ("0x1.4dd2f1a9fbe77p-2", "0x1.e5f74fb69ab43p-7", "0x0.0p+0", "0x0.0p+0"),
+            # the ratio's sums of exp(x), unshifted, the negative lags summed in memory
+            # order: the correction moved in its last bits (was -0x1.02b9c156f29aap-14,
+            # 0x1.627a6fee3a3e0p-16)
             "dieker-yakir": ("0x1.3e450053f20d6p-2", "0x1.f962c56caf7c9p-9",
-                             "-0x1.02b9c156f29aap-14", "0x1.627a6fee3a3e0p-16"),
+                             "-0x1.02b9c156f2b64p-14", "0x1.627a6fee3a327p-16"),
             "time-reversed": ("0x1.4ed916872b021p-2", "0x1.e88dfadee9be5p-7", "0x0.0p+0", "0x0.0p+0"),
         }
         for threads in ("1", "2"):
@@ -533,21 +645,33 @@ class TestRatioKernel:
             out[:, j] = np.exp(m - shift[:, 0]) / (step * s)
         return out
 
+    @staticmethod
+    def ratio(w, levels, step, forms=1):
+        """The ratio kernel on each side's reads of the matched forms of ``w``."""
+        n = levels[-1]
+        mirror = antithetic_shift(VarianceFunction.fbm(1.5), GridSpec(step, -n, n))
+        pos = _read_side(w[:, n + 1:], mirror[n + 1:], forms, levels, True)
+        neg = _read_side(w[:, n - 1::-1], mirror[n - 1::-1], forms, levels, True)
+        return [_values_ratio(p, q, levels, step) for p, q in zip(pos, neg)]
+
     def paths(self, rows):
         return gaussian_w_matrix(VarianceFunction.fbm(1.5), GridSpec(0.5, -512, 512), chunk_stream(2, 0), rows)
 
     @pytest.mark.parametrize("rows", [1, 7, ROWS])
-    def test_row_blocks_change_no_value(self, rows):
+    def test_row_blocks_change_no_value(self, rows, monkeypatch):
         w = self.paths(rows)
-        assert _values_ratio(w, self.LEVELS, 0.5).tobytes() == _values_ratio.__wrapped__(w, self.LEVELS, 0.5).tobytes()
+        blocked = self.ratio(w, self.LEVELS, 0.5, forms=2)
+        monkeypatch.setattr(engine, "ROW_BLOCK_BYTES", 1 << 40)
+        assert [v.tobytes() for v in blocked] == [v.tobytes() for v in self.ratio(w, self.LEVELS, 0.5, forms=2)]
 
     def test_matches_full_width_sums(self):
         # the sums at the levels add pairwise within a segment, the running sums one column at a time
         w = self.paths(self.ROWS)
-        np.testing.assert_allclose(_values_ratio(w, self.LEVELS, 0.5), self.full_width(w, self.LEVELS, 0.5),
+        np.testing.assert_allclose(self.ratio(w, self.LEVELS, 0.5)[0], self.full_width(w, self.LEVELS, 0.5),
                                    rtol=1e-13, atol=0)
 
     def test_peak_within_bound(self, peak_bytes):
+        # both sides in their two forms, and the kernel on the matched pairs
         w = self.paths(self.ROWS)
-        _, peak = peak_bytes(_values_ratio, w, self.LEVELS, 0.5)
+        _, peak = peak_bytes(self.ratio, w, self.LEVELS, 0.5, 2)
         assert peak <= 1.5 * w.nbytes

@@ -21,6 +21,7 @@ from pickands.models import (
     laplace_exponent,
     levy_lambda,
     levy_w_matrix,
+    side_forms,
     variance_at,
 )
 from pickands.models import (
@@ -216,6 +217,55 @@ class TestAntitheticShift:
         x = np.exp(w)
         se = x.std(axis=0) / np.sqrt(x.shape[0])
         assert np.all(np.abs(x.mean(axis=0) - 1.0) <= 3.0 * np.maximum(se, 1e-12))
+
+
+class TestSideForms:
+    """At alpha = 1 a side of w is read in four forms: x, -x - sigma^2, the
+    reversal x(n) - x(n - k) and its mirror. Each must have the law of x."""
+
+    GRID = GridSpec(0.5, 0, 6)
+
+    @staticmethod
+    def forms(x, mirror):
+        return [f.copy() for f in side_forms(x, mirror, 4, np.empty_like(x))]
+
+    @pytest.mark.parametrize("vf", [VarianceFunction.fbm(1.0), VarianceFunction.power(1.0, 0.5)])
+    def test_grid_mean_and_covariance(self, vf):
+        # each form is affine in x, form(x) = x A^T + c: its mean is the form of the
+        # mean, its covariance A C A^T, and E exp(form) = exp(mean + variance / 2)
+        assert models.independent_sides(vf)
+        n = self.GRID.i_max
+        s = variance_at(vf, self.GRID.times()[1:])
+        cov = _grid_cov(vf, self.GRID)[1:, 1:]
+        at_mean, at_zero, at_units = (self.forms(x, -s) for x in (-0.5 * s[None, :], np.zeros((1, n)), np.eye(n)))
+        for mean, zero, units in zip(at_mean, at_zero, at_units):
+            a = (units - zero).T
+            form_cov = a @ cov @ a.T
+            np.testing.assert_allclose(mean[0], -0.5 * s, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(form_cov, cov, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(mean[0] + 0.5 * np.diag(form_cov), 0.0, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("vf", [VarianceFunction.fbm(1.0), VarianceFunction.power(1.0, 0.5)])
+    def test_exp_of_each_form_is_a_martingale(self, vf):
+        grid = GridSpec(0.5, -6, 6)
+        w = gaussian_w_matrix(vf, grid, np.random.default_rng(6), TestGaussianSampler.N)
+        mirror = antithetic_shift(vf, grid)
+        for x, row in ((w[:, 7:], mirror[7:]), (w[:, 5::-1], mirror[5::-1])):
+            for form in self.forms(x, row):
+                e = np.exp(form)
+                se = e.std(axis=0) / np.sqrt(e.shape[0])
+                assert np.all(np.abs(e.mean(axis=0) - 1.0) <= 3.0 * se)
+
+    def test_reversal_reads_the_far_end(self):
+        x = np.array([[1.0, -2.0, 4.0]])
+        mirror = np.array([-1.0, -2.0, -3.0])
+        assert [f.tolist() for f in self.forms(x, mirror)] == [
+            [[1.0, -2.0, 4.0]], [[-2.0, 0.0, -7.0]], [[6.0, 3.0, 4.0]], [[-7.0, -5.0, -7.0]]]
+
+    @pytest.mark.parametrize("model", [VarianceFunction.fbm(0.5), VarianceFunction.fbm(2.0),
+                                       VarianceFunction.tabulated([0.0, 1.0], [0.0, 2.0]), LevyModel.brownian()])
+    def test_other_models_have_dependent_sides(self, model):
+        assert not models.independent_sides(model)
 
 
 LEVY_LAWS = {
