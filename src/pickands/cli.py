@@ -67,9 +67,10 @@ HORIZON_HELP = ("truncation horizon H in grid points for the exact formulas: the
                 "(and, for crosscheck, [0, T] lies within H0), every path runs to H0 only and "
                 "ceil(reps H0 / H) long paths, at least 2, add the correction from H0 to H; the record "
                 "then gives base_horizon, correction and correction_stderr")
-REPS_HELP = ("replications, counted as drawn paths. On a Gaussian model off the alpha = 2 line each path is "
-             "read in several forms of one law and its values averaged: the exact formulas, continuous-dy "
-             "and theta-candidate read it in 16 at alpha = 1 (each side as x, -x - sigma^2, its reversal "
+REPS_HELP = ("replications, counted as drawn paths. On a Gaussian model off the alpha = 2 line, and on the "
+             "Brownian Levy model, each path is read in several forms of one law and its values averaged: the "
+             "exact formulas, continuous-dy and theta-candidate read it in 16 at alpha = 1 and on the Brownian "
+             "Levy model (each side as x, -x - sigma^2, its reversal "
              "and the reversal's mirror), and otherwise, as crosscheck does, as the antithetic pair w, "
              "-w - sigma^2; the records say antithetic: true")
 

@@ -45,14 +45,16 @@ levels so read. Such records carry ``base_horizon``, ``correction`` and
 ``correction_stderr`` (the correction at H); one-level records leave them
 out.
 
-A replication of a Gaussian model off the parametric alpha = 2 line is read
-in several forms of one law (antithetic variates, Glasserman 2004, section
-4.2), at both levels of a two-level run. Each side x of the drawn path, its
-positive or its negative lags, is read as x and as its mirror
--x - sigma^2, the side of -b, which has the law of b. At alpha = 1 the two
-sides are independent walks with i.i.d. steps and a linear drift, so each
-is also read reversed, x(n) - x(n - k), and as the reversal's mirror: four
-forms a side, sixteen a path. A replication's value is the mean over the
+A replication of a Gaussian model off the parametric alpha = 2 line, the
+Brownian Levy model included, is read in several forms of one law
+(antithetic variates, Glasserman 2004, section 4.2), at both levels of a
+two-level run. Each side x of the drawn path, its positive or its negative
+lags, is read as x and as its mirror -x - sigma^2, the side of -b, which
+has the law of b. At alpha = 1, and for the Brownian Levy model, whose w
+is the Gaussian with sigma^2(t) = diffusion^2 |t|, the two sides are
+independent walks with i.i.d. steps and a linear drift, so each is also
+read reversed, x(n) - x(n - k), and as the reversal's mirror: four forms a
+side, sixteen a path. A replication's value is the mean over the
 forms its kernel reads, all with the same E: the forms of its side for
 exceedance, difference and time reversal; for argmax and dieker-yakir all
 16 pairings of a positive and a negative form at alpha = 1, else the two
@@ -63,13 +65,21 @@ independent, so the standard error is the engine's. Exceedance,
 difference, argmax and time reversal are monotone in b, so a mirror cannot
 raise their variance. On the alpha = 2 line -b is the time reversal of b,
 which the two-sided kernels already read, and jump laws are not symmetric,
-so that line and Levy models (the Brownian one included) read each path
-once. Records read in more than one form carry ``antithetic`` = true;
-others leave it out.
+so that line and the jump Levy models read each path once. Records read in
+more than one form carry ``antithetic`` = true; others leave it out.
+
+The alpha = 2 line b(t) = c t is read from its slope c = sqrt(scale) Z,
+one normal a path, and no path matrix is built unless a kernel reads the
+whole path (crosscheck's definitional). A side x(k) = c t_k - sigma^2(t_k) / 2
+is a concave parabola in k, so its maxima at the levels are read in closed
+form at the two integers around its vertex, and its sums of exp(x) from x
+built a row block at a time; both equal, bit for bit, what the path
+matrix would give.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -84,7 +94,10 @@ from .models import (
     antithetic_shift,
     independent_sides,
     is_gaussian,
+    is_line,
     levy_lambda,
+    line_maxima,
+    line_slopes,
     side_forms,
     variance_at,
     w_matrix,
@@ -271,6 +284,31 @@ def _read_side(x: np.ndarray, mirror: np.ndarray, forms: int, levels: np.ndarray
     return [tuple(c[0] if len(c) == 1 else np.concatenate(c) for c in zip(*part)) for part in parts]
 
 
+def _read_line_side(c: np.ndarray, times: np.ndarray, drop: np.ndarray, curvature: float,
+                    levels: np.ndarray, sums: bool) -> list:
+    """``_read_side`` of a side of the alpha = 2 line, its one form, from the
+    path slopes ``c`` (``models.line_slopes``): the side's rows t_k and drop_k,
+    1 <= k <= n, give x(k) = c t_k - drop_k, as in the path matrix.
+
+    The maxima are read in closed form (``models.line_maxima``). The sums
+    are read from x built a row block at a time in one block buffer that
+    runs the way the rows run in memory, as ``_read_side`` reads a side of
+    the matrix, so they add in the same order.
+    """
+    maxima = line_maxima(c, times, drop, curvature, levels)
+    if not sums:
+        return [(maxima,)]
+    n = int(levels[-1])
+    blocks = engine.row_blocks(len(c), 8 * n)
+    exps = np.empty((blocks[-1].stop - blocks[-1].start, n))[:, ::1 if times.strides[0] > 0 else -1]
+    parts = []
+    for block in blocks:
+        x = np.multiply(c[block], times, out=exps[:block.stop - block.start])
+        x -= drop
+        parts.append(engine.running_at(np.add, np.exp(x, out=x), levels))
+    return [(maxima, parts[0] if len(parts) == 1 else np.concatenate(parts))]
+
+
 def _form_mean(values) -> np.ndarray:
     """The mean of a replication's values over the forms read, from an
     iterable of fresh arrays: summed in order into the first, then scaled by
@@ -296,8 +334,10 @@ def _shared_path_run(model: Model, delta: float, reps: int, kernels: dict, level
     lags only, and for |i| <= n otherwise (n the last level). E is drawn
     after w, and only if some kernel reads it. Each side that some kernel
     reads is read once for all kernels, at the levels only, in each of its
-    equal-law forms (``_read_side``): the side itself on the alpha = 2 line
-    and for Levy models; where ``antithetic_shift`` applies also its mirror
+    equal-law forms (``_read_side``): the side itself on the alpha = 2 line,
+    read from the path slopes where no kernel reads the whole path
+    (``_read_line_side``), and for jump Levy models; where
+    ``antithetic_shift`` applies also its mirror
     -x - sigma^2, the side of -b; and, with ``reversals``, where
     ``independent_sides`` holds also the reversals of both. A kernel's
     value is its mean over the forms it reads, with the same E: the forms
@@ -331,17 +371,31 @@ def _shared_path_run(model: Model, delta: float, reps: int, kernels: dict, level
     # a row group's side reads hold about half a row block: kept beside the
     # paths and a block buffer of exponentials, they raise the peak little
     group_bytes = 16 * len(levels) * forms * (1 + sums) * len(side_reads)
+    if is_line(model) and not path:
+        # a path of the line is its slope: each side is read from the slopes,
+        # and no path matrix is built
+        t = grid.times()
+        half = 0.5 * variance_at(model, t)
+        lines = {"pos": (t[-n:], half[-n:]), "neg": (t[n - 1::-1], half[n - 1::-1])}
+        draw = functools.partial(line_slopes, model)
+
+        def read_side(c, r):
+            return _read_line_side(c, *lines[r], 0.5 * model.scale, levels, sums)
+    else:
+        draw = functools.partial(w_matrix, model, grid)
+
+        def read_side(w, r):
+            return _read_side(w[:, -n:] if r == "pos" else w[:, n - 1::-1], mirrors[r], forms, levels, sums)
 
     def call(k, inputs, expo):
         return k.values(*inputs, *(expo if k.expo else ()), levels, delta)
 
     def worker(rng, count):
-        w = w_matrix(model, grid, rng, count)
+        w = draw(rng, count)
         expo = (rng.exponential(size=count),) if with_expo else ()
-        sides = {"pos": w[:, -n:], "neg": w[:, n - 1::-1]}
         parts = {name: [] for name in kernels if name not in path}
         for group in engine.row_blocks(count, group_bytes):
-            read = {r: _read_side(sides[r][group], mirrors[r], forms, levels, sums) for r in side_reads}
+            read = {r: read_side(w[group], r) for r in side_reads}
             group_expo = tuple(e[group] for e in expo)
             for name, part in parts.items():
                 k = kernels[name]
@@ -353,7 +407,7 @@ def _shared_path_run(model: Model, delta: float, reps: int, kernels: dict, level
             for name in path:
                 values[name] = _form_mean((values[name], call(kernels[name], (w,), expo)))
         # the paths are freed before the groups' values are joined
-        del w, sides
+        del w
         values |= {name: np.concatenate(part) for name, part in parts.items()}
         if correction:
             return {name: v[:, 1:] - v[:, :1] for name, v in values.items()}

@@ -297,20 +297,18 @@ def gaussian_b_matrix(
 ) -> np.ndarray:
     """n exact draws of (b(delta i))_{i in grid} as an (n, n_points) array.
 
-    Parametric alpha = 2 is a random line and parametric alpha = 1 has
-    i.i.d. increments; every other model draws its increments by circulant
-    embedding, with a Cholesky fallback when the embedding has negative
-    eigenvalues.
+    Parametric alpha = 2 is the random line c t (``line_slopes``) and
+    parametric alpha = 1 has i.i.d. increments; every other model draws its
+    increments by circulant embedding, with a Cholesky fallback when the
+    embedding has negative eigenvalues.
     """
     n_inc = grid.n_points - 1
     if n_inc == 0:
         return np.zeros((n, 1))
 
+    if is_line(vf):
+        return line_slopes(vf, rng, n) * grid.times()[None, :]
     if vf.parametric:
-        if vf.alpha == 2.0:
-            # b(t) = sqrt(scale) * t * Z: one normal per path.
-            z = rng.standard_normal((n, 1))
-            return np.sqrt(vf.scale) * z * grid.times()[None, :]
         if vf.alpha == 1.0:
             # Independent increments, drawn a row block at a time.
             b = np.empty((n, n_inc + 1))
@@ -338,28 +336,66 @@ def gaussian_w_matrix(
     return b
 
 
+def line_slopes(vf: VarianceFunction, rng: np.random.Generator, n: int) -> np.ndarray:
+    """The slopes c = sqrt(scale) Z of n draws of the parametric alpha = 2 line
+    b(t) = c t, as an (n, 1) array: one normal per path."""
+    return np.sqrt(vf.scale) * rng.standard_normal((n, 1))
+
+
+def line_maxima(c: np.ndarray, times: np.ndarray, drop: np.ndarray, curvature: float,
+                levels) -> np.ndarray:
+    """Running maxima of x(k) = c t_k - drop_k over 1 <= k <= L, for each L in
+    ``levels``, as a (count, n_levels) array, Fortran-ordered as
+    ``engine.running_at`` leaves the matrix's; ``c`` holds (count, 1) line
+    slopes, and ``times`` and ``drop`` the rows t_k and drop_k = curvature t_k^2
+    of a side, 1 <= k <= n.
+
+    x is a concave parabola in k with its vertex at k* = c / (2 curvature t_1),
+    so its maximum over 1..L lies at floor(k*) or the integer after, clipped
+    into [1, L]. Those two are evaluated as the path matrix evaluates them,
+    c t_k - drop_k, so the maxima equal the matrix's running maxima bit for
+    bit wherever the step of x between neighbours, at least curvature t_1^2,
+    exceeds the rounding of x near its vertex: at mesh 1e-5 and |Z| = 40 of
+    the fBm line, by a factor above 50.
+    """
+    levels = np.asarray(levels)
+    vertex = np.floor(np.clip(c / (2.0 * curvature * times[0]), 0.0, levels[-1]))
+    lo = np.clip(vertex, 1, levels).astype(np.intp) - 1
+    hi = np.minimum(lo + 1, levels - 1)
+    return np.maximum(c * times[lo] - drop[lo], c * times[hi] - drop[hi], out=np.empty(lo.shape, order="F"))
+
+
 def antithetic_shift(model: Model, grid: GridSpec) -> np.ndarray | None:
     """The row -sigma^2(delta i) on ``grid``, origin 0, or None where antithetic
     pairs do not apply.
 
     ``np.subtract(shift, w, out=w)`` turns a path w = b - sigma^2 / 2 into
     -w - sigma^2 = -b - sigma^2 / 2, the path of -b, which has the law of b
-    for every centered Gaussian b. Levy models get None, as jump laws are not
-    symmetric (the Brownian one is left unpaired with them), and so does the
-    parametric alpha = 2 line, where -b is the time reversal of b, which the
-    two-sided kernels already read.
+    for every centered Gaussian b. The Brownian Levy model is one: with no
+    jumps, w is the Gaussian path with sigma^2(t) = diffusion^2 |t| on both
+    sides. Jump laws are not symmetric, so jump models get None, and so does
+    the parametric alpha = 2 line, where -b is the time reversal of b, which
+    the two-sided kernels already read.
     """
-    if not is_gaussian(model) or (model.parametric and model.alpha == 2.0):
+    if is_gaussian(model):
+        if is_line(model):
+            return None
+        shift = -variance_at(model, grid.times())
+    elif model.jump_rate == 0:
+        shift = -model.diffusion**2 * np.abs(grid.times())
+    else:
         return None
-    shift = -variance_at(model, grid.times())
     shift[grid.origin] = 0.0
     return shift
 
 
 def independent_sides(model: Model) -> bool:
     """Whether the two sides of w are independent walks with i.i.d. steps and
-    a linear drift: the parametric Gaussian alpha = 1 family."""
-    return is_gaussian(model) and model.parametric and model.alpha == 1.0
+    a linear drift: the parametric Gaussian alpha = 1 family and the Brownian
+    Levy model, whose w is the Gaussian with sigma^2(t) = diffusion^2 |t|."""
+    if is_gaussian(model):
+        return model.parametric and model.alpha == 1.0
+    return model.jump_rate == 0
 
 
 def side_forms(x: np.ndarray, mirror: np.ndarray, count: int, out: np.ndarray):
@@ -541,6 +577,11 @@ Model = VarianceFunction | LevyModel
 
 def is_gaussian(model: Model) -> bool:
     return isinstance(model, VarianceFunction)
+
+
+def is_line(model: Model) -> bool:
+    """Whether ``model`` is the parametric alpha = 2 line b(t) = c t (``line_slopes``)."""
+    return is_gaussian(model) and model.parametric and model.alpha == 2.0
 
 
 def w_matrix(model: Model, grid: GridSpec, rng: np.random.Generator, n: int) -> np.ndarray:

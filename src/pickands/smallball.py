@@ -14,12 +14,14 @@ so the event is {b_alpha(k) <= eta |k|^alpha for all 0 < |k| <= K} on the
 integer grid. For alpha = 1 the two sides k > 0 and k < 0 are independent
 Gaussian random walks; each is drawn step block by step block and stops at
 its first crossing of eta k, and the probability is the product of the two
-one-sided probabilities, each estimated from the same paths. Other alphas
-draw whole paths on -K..K with the library's exact grid sampler, since a
-path of correlated increments cannot be stopped part-way. The probability
-is estimated by Monte Carlo at twice the given cutoff and checked for
-stability against the cutoff itself; an affine-in-eta fit of the scaled
-values extrapolates the eta -> 0 constant.
+one-sided probabilities, each estimated from the same paths. At alpha = 2
+b_alpha(k) = Z k is a line, so each side of Z k - eta k^2 is a parabola
+with its vertex at Z / (2 eta), and its maximum is read in closed form from
+Z. Other alphas draw whole paths on -K..K with the library's exact grid
+sampler, since a path of correlated increments cannot be stopped part-way.
+The probability is estimated by Monte Carlo at twice the given cutoff and
+checked for stability against the cutoff itself; an affine-in-eta fit of
+the scaled values extrapolates the eta -> 0 constant.
 """
 
 from __future__ import annotations
@@ -31,7 +33,15 @@ import numpy as np
 
 from . import engine
 from .estimators import _ndtr
-from .models import GridSpec, VarianceFunction, gaussian_b_matrix, independent_sides
+from .models import (
+    GridSpec,
+    VarianceFunction,
+    gaussian_b_matrix,
+    independent_sides,
+    is_line,
+    line_maxima,
+    line_slopes,
+)
 from .report import Record
 
 __all__ = [
@@ -141,9 +151,13 @@ def _side_indicators(vf: VarianceFunction, eta: float, levels: np.ndarray,
     (``_walk_edges``), and a row stops drawing once its walk has crossed
     eta k: survivors carry their position into the next block. All normals
     come from ``rng`` in a fixed order, side 0's blocks and then side 1's.
-    Other alphas read the events off exact draws of b~ on the integer grid
-    -K..K, drawn one row block at a time, from each side's maxima of
-    b~(k) - eta |k|^alpha read at the levels only (``engine.running_at``).
+    At alpha = 2, b~(k) = z k, and each side's maxima of z k - eta k^2 at
+    the levels are read in closed form, around the vertex z / (2 eta), from
+    the one normal z of each path (``models.line_maxima``): the same
+    indicators, from the same draws, as the path matrix. Other alphas read
+    the events off exact draws of b~ on the integer grid -K..K, drawn one
+    row block at a time, from each side's maxima of b~(k) - eta |k|^alpha
+    read at the levels only (``engine.running_at``).
     """
     if independent_sides(vf):
         out = np.zeros((count, 2, levels.size))
@@ -160,14 +174,21 @@ def _side_indicators(vf: VarianceFunction, eta: float, levels: np.ndarray,
         return out
     k_max = int(levels[-1])
     grid = GridSpec(1.0, -k_max, k_max)
-    barrier = eta * np.abs(grid.times()) ** vf.alpha
+    t = grid.times()
+    barrier = eta * np.abs(t) ** vf.alpha
+    # column j <-> |k| = j + 1, outward from the origin
+    sides = (slice(k_max + 1, None), slice(k_max - 1, None, -1))
     out = np.empty((count, 2, levels.size))
+    if is_line(vf):
+        c = line_slopes(vf, rng, count)
+        for side, s in enumerate(sides):
+            out[:, side] = line_maxima(c, t[s], barrier[s], eta, levels) <= 0.0
+        return out
     for block in engine.row_blocks(count, 8 * grid.n_points):
         x = gaussian_b_matrix(vf, grid, rng, block.stop - block.start)
         x -= barrier
-        # maxima outward from the origin, read at the levels: column j <-> |k| = j + 1
-        for side, run in enumerate((x[:, k_max + 1:], x[:, k_max - 1::-1])):
-            out[block, side] = engine.running_at(np.maximum, run, levels) <= 0.0
+        for side, s in enumerate(sides):
+            out[block, side] = engine.running_at(np.maximum, x[:, s], levels) <= 0.0
     return out
 
 

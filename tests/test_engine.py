@@ -160,6 +160,21 @@ class TestRunningAt:
         np.testing.assert_allclose(total, self.reference(np.add, view, levels), rtol=1e-13, atol=1e-15)
         assert top.flags.f_contiguous and total.flags.f_contiguous
 
+    @pytest.mark.parametrize("width", [engine.NARROW_MAX_COLUMNS, engine.NARROW_MAX_COLUMNS + 1, 200])
+    @pytest.mark.parametrize("side", ["pos", "neg"])
+    def test_narrow_maxima_combine_columns(self, width, side, monkeypatch):
+        # sides up to NARROW_MAX_COLUMNS wide take maxima a column at a time,
+        # wider ones by reduceat: both equal the running maximum exactly
+        w = np.random.default_rng(10).standard_normal((50, 2 * width + 1))
+        view = w[:, width + 1:] if side == "pos" else w[:, width - 1::-1]
+        levels = [1, width // 3, width - 1, width]
+        want = self.reference(np.maximum, view, levels).tobytes()
+        assert engine.running_at(np.maximum, view, levels).tobytes() == want
+        for narrow in (0, 1 << 20):
+            monkeypatch.setattr(engine, "NARROW_MAX_COLUMNS", narrow)
+            top = engine.running_at(np.maximum, view, levels)
+            assert top.tobytes() == want and top.flags.f_contiguous
+
     def test_columns_past_the_last_lag_are_not_read(self):
         pos, neg = self.W[:, 17:].copy(), self.W[:, :16].copy()
         pos[:, 8:] = neg[:, :8] = np.nan

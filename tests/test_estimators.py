@@ -46,6 +46,7 @@ LEVY_MODELS = {
     "normal-jumps": LevyModel(0.5, 1.0, JumpLaw("normal", mean=0.2, sd=0.7)),
     "exponential-jumps": LevyModel(0.5, 0.2, JumpLaw("exponential", rate=1.5)),
 }
+CONSTANT_JUMPS = LevyModel(0.5, 0.3, JumpLaw("constant", value=0.4))
 
 
 def assert_within(result, target, k=3.0, floor=1e-9):
@@ -397,7 +398,9 @@ class TestAntitheticPairs:
         for m in methods:
             assert got[m].tobytes() == want[m].tobytes(), m
 
-    @pytest.mark.parametrize("model", [FBM2, VarianceFunction.power(2.0, 0.5), *LEVY_MODELS.values()])
+    # the Brownian Levy model is paired: with no jumps its w is Gaussian
+    @pytest.mark.parametrize("model", [FBM2, VarianceFunction.power(2.0, 0.5), LEVY_MODELS["normal-jumps"],
+                                       LEVY_MODELS["exponential-jumps"], CONSTANT_JUMPS])
     def test_unpaired_models_read_each_path_once(self, model):
         delta, count = 1.0, 300
         worker, *_ = _shared_path_run(model, delta, count, {"dieker-yakir": _KERNELS["dieker-yakir"]},
@@ -426,7 +429,8 @@ class TestSideForms:
 
     # 300 paths of 1024 steps a side: five row blocks of the side reads
     LEVELS = np.array([512, 1024])
-    ALPHA1 = [FBM1, VarianceFunction.power(1.0, 0.5)]
+    # with no jumps the Brownian Levy w is the Gaussian with sigma^2(t) = diffusion^2 |t|
+    ALPHA1 = [FBM1, VarianceFunction.power(1.0, 0.5), LevyModel.brownian(0.7)]
 
     @pytest.mark.parametrize("model", ALPHA1)
     @pytest.mark.parametrize("methods", [EXACT_METHODS, ("exceedance", "difference")])
@@ -465,9 +469,10 @@ class TestSideForms:
             assert got[m].tobytes() == (want[m][:, 1:] - want[m][:, :1]).tobytes(), m
 
     @pytest.mark.parametrize("model, forms", [(FBM1, 4), (VarianceFunction.fbm(0.5), 2), (FBM2, 1),
-                                              (LevyModel.brownian(), 1)])
+                                              (CONSTANT_JUMPS, 1), (LevyModel.brownian(), 4)])
     def test_side_maxima_once_per_side_and_form(self, model, forms, monkeypatch):
-        # one row block: the ratio kernel reads the maxima that the other kernels read
+        # one row block: the ratio kernel reads the maxima that the other kernels read;
+        # the alpha = 2 line reads its maxima in closed form, and its sums as the matrix's
         calls = []
         running_at = engine.running_at
 
@@ -478,7 +483,7 @@ class TestSideForms:
         monkeypatch.setattr(engine, "running_at", counted)
         worker, *_ = _shared_path_run(model, 0.5, 40, dict(_KERNELS), np.array([8, 16]), seed=5)
         worker(chunk_stream(5, 0), 40)
-        assert calls.count(np.maximum) == 2 * forms
+        assert calls.count(np.maximum) == (0 if model is FBM2 else 2 * forms)
         assert calls.count(np.add) == 2 * forms
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -500,6 +505,61 @@ class TestSideForms:
             runs.append({m: r.to_dict() for m, r in results.items()})
         assert runs[0] == runs[1] == runs[2]
         assert "base_horizon" not in runs[0]["exceedance"]
+
+
+class TestLineReads:
+    """On the alpha = 2 line a path is its slope: the shared-path worker reads
+    each side from the slopes, and its values equal, byte for byte, those of
+    the path matrix drawn on the same chunk stream."""
+
+    LINES = [FBM2, VarianceFunction.power(2.0, 0.5)]
+    # delta 1 at the default horizon, and continuous-dy's mesh 0.01 and window 10:
+    # 2096 paths of 2001 points, one chunk at that width, in several row blocks of sums
+    SHAPES = [(1.0, 20_000, np.array([8, 16])), (0.01, 2096, np.array([500, 1000]))]
+
+    @pytest.mark.parametrize("model", LINES)
+    @pytest.mark.parametrize("methods", [EXACT_METHODS, ("exceedance", "difference"), ("time-reversed",),
+                                         ("dieker-yakir",)])
+    @pytest.mark.parametrize("delta, count, levels", SHAPES)
+    def test_worker_is_the_matrix_reference(self, model, methods, delta, count, levels):
+        worker, *_ = _shared_path_run(model, delta, count, {m: _KERNELS[m] for m in methods}, levels, seed=5)
+        got = worker(chunk_stream(5, 0), count)
+        want = form_mean_reference(model, delta, chunk_stream(5, 0), count, levels, methods)
+        for m in methods:
+            assert got[m].tobytes() == want[m].tobytes(), m
+
+    @pytest.mark.parametrize("model", LINES)
+    def test_correction_is_the_matrix_reference(self, model):
+        delta, count, levels = 0.25, 3000, np.array([16, 512, 1024])
+        worker, *_, stream = _shared_path_run(model, delta, count, {m: _KERNELS[m] for m in EXACT_METHODS},
+                                              levels, seed=5, correction=True)
+        assert stream == 1
+        got = worker(chunk_stream(5, 0, 1), count)
+        want = form_mean_reference(model, delta, chunk_stream(5, 0, 1), count, levels, EXACT_METHODS)
+        for m in EXACT_METHODS:
+            assert got[m].tobytes() == (want[m][:, 1:] - want[m][:, :1]).tobytes(), m
+
+    def test_multi_chunk_thread_invariance(self, monkeypatch):
+        # 70000 paths of 33 points: chunks of 65536 and 4464
+        assert engine.chunk_plan(70_000, 2 * default_horizon(FBM2, 1.0) + 1) == [65536, 4464]
+        runs = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("PICKANDS_THREADS", threads)
+            results, _ = _run_exact(FBM2, 1.0, 70_000, EXACT_METHODS, None, 6)
+            runs.append({m: r.to_dict() for m, r in results.items()})
+        assert runs[0] == runs[1] == runs[2]
+        assert "antithetic" not in runs[0]["exceedance"]
+
+    def test_mesh_chunk_holds_no_path_matrix(self, peak_bytes):
+        delta, count, levels = self.SHAPES[1]
+        n = int(levels[-1])
+        assert engine.chunk_plan(count, 2 * n + 1) == [count]
+        worker, *_ = _shared_path_run(FBM2, delta, count, {"dieker-yakir": _KERNELS["dieker-yakir"]}, levels,
+                                      seed=5)
+        _, peak = peak_bytes(worker, chunk_stream(5, 0), count)
+        # the slopes, a block buffer of exponentials and the reads hold about 1.2 MB
+        matrix_bytes = count * (2 * n + 1) * 8  # 33.5 MB
+        assert peak < matrix_bytes / 8
 
 
 class TestTwoLevelPins:
@@ -531,21 +591,24 @@ class TestTwoLevelPins:
 
 class TestOneLevelPins:
     """Seeded one-level outputs, pinned by float.hex. The alpha = 2 line and
-    Levy models draw no antithetic pairs, so theirs are the unpaired bytes."""
+    jump Levy models draw no antithetic pairs, so theirs are the unpaired bytes."""
 
     def test_estimate(self):
         res = estimate(FBM2, "exceedance", 1.0, 20_000, seed=5)
         assert (res.estimate.hex(), res.stderr.hex()) == ("0x1.0b8bac710cb29p-1", "0x1.cef315564668bp-9")
         assert res.antithetic is None and "antithetic" not in res.to_dict()
 
+    # the Brownian Levy w is Gaussian, and its sides independent walks: each path is
+    # read in its sixteen forms (was 0x1.20aa64c2f837bp-2 +- 0x1.a102646e54b23p-9 and
+    # 0x1.1ec899c4836fap-2 +- 0x1.9ae343c6ba01ap-11 read once)
     @pytest.mark.parametrize("method, value, stderr", [
-        ("exceedance", "0x1.20aa64c2f837bp-2", "0x1.a102646e54b23p-9"),
-        ("dieker-yakir", "0x1.1ec899c4836fap-2", "0x1.9ae343c6ba01ap-11"),
-    ])
+        ("exceedance", "0x1.213a92a305532p-2", "0x1.a57f486d5ea9ap-10"),
+        ("dieker-yakir", "0x1.1e34223239aa8p-2", "0x1.3c552a1514feep-12"),
+    ], ids=["exceedance", "dieker-yakir"])
     def test_levy_brownian(self, method, value, stderr):
         res = estimate(LevyModel.brownian(), method, 1.0, 20_000, seed=5)
         assert (res.estimate.hex(), res.stderr.hex()) == (value, stderr)
-        assert res.antithetic is None
+        assert res.antithetic is True
 
     def test_crosscheck(self):
         report = crosscheck(VarianceFunction.fbm(1.5), 1.0, 5_000, seed=7)

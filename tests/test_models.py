@@ -203,9 +203,19 @@ class TestAntitheticShift:
         assert not np.signbit(shift[self.GRID.origin])
 
     @pytest.mark.parametrize("model", [VarianceFunction.fbm(2.0), VarianceFunction.power(2.0, 0.5),
-                                       LevyModel.brownian(), LevyModel(0.5, 0.2, JumpLaw("exponential", rate=1.5))])
+                                       LevyModel(0.5, 1.0, JumpLaw("normal", mean=0.2, sd=0.7)),
+                                       LevyModel(0.5, 0.2, JumpLaw("exponential", rate=1.5))])
     def test_none_where_pairs_do_not_apply(self, model):
         assert antithetic_shift(model, self.GRID) is None
+
+    @pytest.mark.parametrize("diffusion", [1.0, 0.7])
+    def test_brownian_levy_row_is_minus_its_variance(self, diffusion):
+        # with no jumps w is the Gaussian path with sigma^2(t) = diffusion^2 |t| on both sides
+        shift = antithetic_shift(LevyModel.brownian(diffusion), self.GRID)
+        expected = -variance_at(VarianceFunction.power(1.0, diffusion**2), self.GRID.times())
+        expected[self.GRID.origin] = 0.0
+        np.testing.assert_allclose(shift, expected, rtol=1e-15, atol=0)
+        assert shift[self.GRID.origin] == 0.0 and not np.signbit(shift[self.GRID.origin])
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
     def test_mirror_is_a_martingale(self, alpha):
@@ -245,10 +255,11 @@ class TestSideForms:
             np.testing.assert_allclose(form_cov, cov, rtol=0, atol=1e-12)
             np.testing.assert_allclose(mean[0] + 0.5 * np.diag(form_cov), 0.0, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("vf", [VarianceFunction.fbm(1.0), VarianceFunction.power(1.0, 0.5)])
+    @pytest.mark.parametrize("vf", [VarianceFunction.fbm(1.0), VarianceFunction.power(1.0, 0.5),
+                                    LevyModel.brownian(0.7)])
     def test_exp_of_each_form_is_a_martingale(self, vf):
         grid = GridSpec(0.5, -6, 6)
-        w = gaussian_w_matrix(vf, grid, np.random.default_rng(6), TestGaussianSampler.N)
+        w = models.w_matrix(vf, grid, np.random.default_rng(6), TestGaussianSampler.N)
         mirror = antithetic_shift(vf, grid)
         for x, row in ((w[:, 7:], mirror[7:]), (w[:, 5::-1], mirror[5::-1])):
             for form in self.forms(x, row):
@@ -262,10 +273,65 @@ class TestSideForms:
         assert [f.tolist() for f in self.forms(x, mirror)] == [
             [[1.0, -2.0, 4.0]], [[-2.0, 0.0, -7.0]], [[6.0, 3.0, 4.0]], [[-7.0, -5.0, -7.0]]]
 
+    def test_brownian_levy_forms_have_its_covariance(self):
+        # each side of the Brownian Levy w, in each form, has the grid covariance of
+        # the Gaussian with sigma^2(t) = diffusion^2 |t|, and the sides are independent
+        model, grid = LevyModel.brownian(0.7), GridSpec(0.5, -6, 6)
+        assert models.independent_sides(model)
+        w = models.w_matrix(model, grid, np.random.default_rng(7), TestGaussianSampler.N)
+        mirror = antithetic_shift(model, grid)
+        cov = _grid_cov(VarianceFunction.power(1.0, 0.49), GridSpec(0.5, 0, 6))[1:, 1:]
+        for x, row in ((w[:, 7:], mirror[7:]), (w[:, 5::-1], mirror[5::-1])):
+            for form in self.forms(x, row):
+                np.testing.assert_allclose(np.cov(form, rowvar=False), cov, rtol=0, atol=0.03)
+        cross = np.cov(w[:, 7:], w[:, 5::-1], rowvar=False)[:6, 6:]
+        assert np.abs(cross).max() <= 0.03
+
     @pytest.mark.parametrize("model", [VarianceFunction.fbm(0.5), VarianceFunction.fbm(2.0),
-                                       VarianceFunction.tabulated([0.0, 1.0], [0.0, 2.0]), LevyModel.brownian()])
+                                       VarianceFunction.tabulated([0.0, 1.0], [0.0, 2.0]),
+                                       LevyModel(0.5, 0.3, JumpLaw("constant", value=0.4))])
     def test_other_models_have_dependent_sides(self, model):
         assert not models.independent_sides(model)
+
+
+class TestLineMaxima:
+    """On the alpha = 2 line a side x(k) = c t_k - drop_k is a concave parabola
+    in k: its running maxima in closed form equal the path matrix's bit for bit."""
+
+    class FixedNormals:
+        """A generator stand-in whose normals are given: the line's draw is
+        ``standard_normal((n, 1))``."""
+
+        def __init__(self, z):
+            self.z = np.asarray(z, dtype=float)
+
+        def standard_normal(self, shape):
+            return self.z.reshape(shape)
+
+    @staticmethod
+    def normals(vf, delta, n):
+        """Normals whose vertex c / (scale delta), c = sqrt(scale) z, lies at the
+        origin, on integers, on half-integers, at and beyond the horizon on
+        either side; |z| = 40; and a random sample."""
+        k = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.5, 5.0, n / 4, n / 4 + 0.5, n / 2 - 0.5, n - 0.5, n, n + 0.5,
+                      n + 3, 10.0 * n])
+        z = np.concatenate([k, -k]) * np.sqrt(vf.scale) * delta
+        return np.concatenate([z, [40.0, -40.0], np.random.default_rng(3).standard_normal(500)])
+
+    @pytest.mark.parametrize("vf", [VarianceFunction.fbm(2.0), VarianceFunction.power(2.0, 4.0)])
+    @pytest.mark.parametrize("delta, n", [(1.0, 16), (0.01, 1000)])
+    def test_matrix_running_maxima(self, vf, delta, n):
+        z = self.normals(vf, delta, n)
+        grid = GridSpec(delta, -n, n)
+        w = gaussian_w_matrix(vf, grid, self.FixedNormals(z), z.size)
+        c = models.line_slopes(vf, self.FixedNormals(z), z.size)
+        t, half = grid.times(), 0.5 * variance_at(vf, grid.times())
+        levels = np.arange(1, n + 1)
+        for side in (slice(n + 1, None), slice(n - 1, None, -1)):
+            want = np.maximum.accumulate(w[:, side], axis=1)
+            got = models.line_maxima(c, t[side], half[side], 0.5 * vf.scale, levels)
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.f_contiguous
 
 
 LEVY_LAWS = {

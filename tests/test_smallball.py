@@ -144,6 +144,20 @@ def argmax_route(alpha, eta, cutoff, reps, seed):
     return delta * res.estimate, delta * res.stderr
 
 
+class TestLineSides:
+    """At alpha = 2 a side of b~(k) - eta k^2 is a parabola with its vertex at
+    z / (2 eta): its indicators are read from the slopes, with no path matrix."""
+
+    @pytest.mark.parametrize("eta, levels", [(0.2, [16, 32]), (0.05, [64, 128]), (0.003, [8, 16])])
+    def test_same_indicators_as_the_matrix(self, eta, levels, monkeypatch):
+        vf, levels = VarianceFunction.power(2.0, 1.0), np.array(levels)
+        got = smallball._side_indicators(vf, eta, levels, chunk_stream(2, 0), 5000)
+        monkeypatch.setattr(smallball, "is_line", lambda vf: False)
+        want = smallball._side_indicators(vf, eta, levels, chunk_stream(2, 0), 5000)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert 0.0 < got.mean() < 1.0
+
+
 class TestArgmaxIdentity:
     @pytest.mark.parametrize("eta", [0.2, 0.05])
     def test_alpha2_same_seed_agrees(self, eta):
