@@ -63,16 +63,16 @@ CONTINUUM_METHODS = ("definitional", "continuous-dy")
 DEFAULT_MESH = 0.01
 HORIZON_HELP = ("truncation horizon H in grid points for the exact formulas: the estimate is "
                 "read at H and flagged unstable if it moved from H/2 (default: certified from the model). "
-                "When H is at least 4 H0, H0 the horizon certified at the square root of the default tail "
-                "(and, for crosscheck, [0, T] lies within H0), every path runs to H0 only and "
-                "ceil(reps H0 / H) long paths, at least 2, add the correction from H0 to H; the record "
-                "then gives base_horizon, correction and correction_stderr")
+                "When H is at least 4 H0, H0 the horizon certified at the square root of the default tail, "
+                "every path runs to H0 only and ceil(reps H0 / H) long paths, at least 2, add the "
+                "correction from H0 to H; the record then gives base_horizon, correction and "
+                "correction_stderr")
 REPS_HELP = ("replications, counted as drawn paths. On a Gaussian model off the alpha = 2 line, and on the "
              "Brownian Levy model, each path is read in several forms of one law and its values averaged: the "
              "exact formulas, continuous-dy and theta-candidate read it in 16 at alpha = 1 and on the Brownian "
-             "Levy model (each side as x, -x - sigma^2, its reversal "
-             "and the reversal's mirror), and otherwise, as crosscheck does, as the antithetic pair w, "
-             "-w - sigma^2; the records say antithetic: true")
+             "Levy model (each side as x, -x - sigma^2, its reversal and the reversal's mirror), the "
+             "definitional formula its positive side in those 4, and otherwise, as crosscheck's exact "
+             "formulas do, as the antithetic pair w, -w - sigma^2; the records say antithetic: true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -231,7 +231,7 @@ def cmd_estimate(args) -> tuple[list[dict], str | None]:
     if args.delta == 0:
         return [_run_single_estimate(args, model, method) for method in CONTINUUM_METHODS], None
     # the exact formulas once, on shared paths
-    exact, _ = _run_exact(model, args.delta, args.reps, EXACT_METHODS, args.horizon, args.seed)
+    exact = _run_exact(model, args.delta, args.reps, EXACT_METHODS, args.horizon, args.seed)
     return [exact[m].to_dict() if m in exact else _run_single_estimate(args, model, m) for m in ESTIMATORS], None
 
 

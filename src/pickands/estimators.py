@@ -24,21 +24,22 @@ exact representation of this constant:
                      the continuous-time constant H^0.
 
 ``estimate`` runs any of the exact formulas by name; ``crosscheck`` runs
-them all on shared paths. Their infinite index sets are truncated by one
-rule: paths run to a horizon of H grid points (by default
-``default_horizon``, past which w is certified not to return), the estimate
-is read at H, and it is flagged unstable when doubling from H/2 moved it by
-more than a tenth of its standard error. Both levels are read off the same
-simulated paths, so the flag measures the actual truncation effect under
-common random numbers.
+them all on shared paths. The definitional functional is one more value
+kernel of the same shared-path run, read at the one level k that [0, T]
+reaches (``est_definitional``). The exact formulas' infinite index sets
+are truncated by one rule: paths run to a horizon of H grid points (by
+default ``default_horizon``, past which w is certified not to return), the
+estimate is read at H, and it is flagged unstable when doubling from H/2
+moved it by more than a tenth of its standard error. Both levels are read
+off the same simulated paths, so the flag measures the actual truncation
+effect under common random numbers.
 
 A long horizon is read in two levels (multilevel Monte Carlo, Giles 2008).
 The base level H0 is ``default_horizon`` certified at the tail
-sqrt(HORIZON_TAIL). When 4 H0 <= H (and, in ``crosscheck``, [0, T] lies
-within H0), every replication's path runs to H0 only, and
-n1 = max(2, ceil(reps H0 / H)) long paths, drawn on their own streams, run
-to H; on each long path every kernel returns v(H/2) - v(H0) and
-v(H) - v(H0). The estimate at each level is the base mean plus the mean
+sqrt(HORIZON_TAIL). When 4 H0 <= H, every replication's path runs to H0
+only, and n1 = max(2, ceil(reps H0 / H)) long paths, drawn on their own
+streams, run to H; on each long path every kernel returns v(H/2) - v(H0)
+and v(H) - v(H0). The estimate at each level is the base mean plus the mean
 correction, unbiased for the level's mean, with standard error
 hypot(base SE, correction SE), and the doubling rule compares the two
 levels so read. Such records carry ``base_horizon``, ``correction`` and
@@ -58,8 +59,8 @@ side, sixteen a path. A replication's value is the mean over the
 forms its kernel reads, all with the same E: the forms of its side for
 exceedance, difference and time reversal; for argmax and dieker-yakir all
 16 pairings of a positive and a negative form at alpha = 1, else the two
-matched pairs; for crosscheck's definitional the matched pair w,
--w - sigma^2. ``crosscheck`` reads no reversals: its alpha = 1
+matched pairs; for the definitional functional the forms of its positive
+side. ``crosscheck``'s exact formulas read no reversals: their alpha = 1
 replications are the pairs. ``reps`` counts drawn paths; they are
 independent, so the standard error is the engine's. Exceedance,
 difference, argmax and time reversal are monotone in b, so a mirror cannot
@@ -69,12 +70,11 @@ so that line and the jump Levy models read each path once. Records read in
 more than one form carry ``antithetic`` = true; others leave it out.
 
 The alpha = 2 line b(t) = c t is read from its slope c = sqrt(scale) Z,
-one normal a path, and no path matrix is built unless a kernel reads the
-whole path (crosscheck's definitional). A side x(k) = c t_k - sigma^2(t_k) / 2
-is a concave parabola in k, so its maxima at the levels are read in closed
-form at the two integers around its vertex, and its sums of exp(x) from x
-built a row block at a time; both equal, bit for bit, what the path
-matrix would give.
+one normal a path, and no path matrix is built. A side
+x(k) = c t_k - sigma^2(t_k) / 2 is a concave parabola in k, so its maxima
+at the levels are read in closed form at the two integers around its
+vertex, and its sums of exp(x) from x built a row block at a time; both
+equal, bit for bit, what the path matrix would give.
 """
 
 from __future__ import annotations
@@ -205,6 +205,12 @@ def _values_argmax(pos: np.ndarray, neg: np.ndarray, levels: np.ndarray, delta: 
     return ((neg < 0.0) & (pos <= 0.0)).astype(float) / delta
 
 
+def _values_definitional(pos: np.ndarray, levels: np.ndarray, step: float, T: float) -> np.ndarray:
+    """exp(sup w) / T over the grid in [0, T], from the maxima ``pos`` of w
+    over the lags 1 <= i <= level = floor(T / step); w(0) = 0 adds the 0."""
+    return np.exp(np.maximum(pos, 0.0)) / T
+
+
 def _values_ratio(pos: tuple, neg: tuple, levels: np.ndarray, step: float) -> np.ndarray:
     """max exp(w) / (step * sum exp(w)) over |i| <= level.
 
@@ -230,10 +236,10 @@ def _values_ratio(pos: tuple, neg: tuple, levels: np.ndarray, step: float) -> np
 class _Kernel:
     """A value kernel and its inputs, passed in this order: what it reads of
     the positive lags ("pos") or the negative lags ("neg") of a path out to
-    each level, or the whole two-sided path ("path"); then the exponential E
-    if ``expo``; then the levels and the grid step. A side is read as its
-    running maxima at the levels, a (count, n_levels) array, or with
-    ``sums`` as the pair of those maxima and the running sums of exp(x)."""
+    each level; then the exponential E if ``expo``; then the levels and the
+    grid step. A side is read as its running maxima at the levels, a
+    (count, n_levels) array, or with ``sums`` as the pair of those maxima
+    and the running sums of exp(x)."""
 
     values: Callable[..., np.ndarray]
     reads: tuple[str, ...]
@@ -335,9 +341,8 @@ def _shared_path_run(model: Model, delta: float, reps: int, kernels: dict, level
     after w, and only if some kernel reads it. Each side that some kernel
     reads is read once for all kernels, at the levels only, in each of its
     equal-law forms (``_read_side``): the side itself on the alpha = 2 line,
-    read from the path slopes where no kernel reads the whole path
-    (``_read_line_side``), and for jump Levy models; where
-    ``antithetic_shift`` applies also its mirror
+    read from the path slopes (``_read_line_side``), and for jump Levy
+    models; where ``antithetic_shift`` applies also its mirror
     -x - sigma^2, the side of -b; and, with ``reversals``, where
     ``independent_sides`` holds also the reversals of both. A kernel's
     value is its mean over the forms it reads, with the same E: the forms
@@ -345,17 +350,15 @@ def _shared_path_run(model: Model, delta: float, reps: int, kernels: dict, level
     and a negative form where the sides are independent, else the matched
     pairs. The side reads and these kernels run a row group at a time, and
     each kernel sums its forms in place, so that a chunk holds one row
-    group's reads and one form's values beside its paths. A kernel of the
-    whole path reads w, then, where ``antithetic_shift`` applies, w turned
-    in place into -w - sigma^2. With
+    group's reads and one form's values beside its paths. With
     ``correction`` the paths are the long paths of a two-level run, on
     stream 1, and each kernel's values at the later levels less its value
     at the first are reduced.
     """
     levels = np.asarray(levels)
     n = int(levels[-1])
-    reads = {r for k in kernels.values() for r in k.reads}
-    one_sided = reads == {"pos"}
+    reads = sorted({r for k in kernels.values() for r in k.reads})
+    one_sided = reads == ["pos"]
     with_expo = any(k.expo for k in kernels.values())
     sums = any(k.sums for k in kernels.values())
     grid = GridSpec(delta, 0, n) if one_sided else GridSpec(delta, -n, n)
@@ -366,12 +369,10 @@ def _shared_path_run(model: Model, delta: float, reps: int, kernels: dict, level
     # each side's mirror row, in its lag order, read by its forms past the first
     mirror = np.zeros(grid.n_points) if shift is None else shift
     mirrors = {"pos": mirror[-n:], "neg": mirror[n - 1::-1]}
-    path = [name for name, k in kernels.items() if k.reads == ("path",)]
-    side_reads = sorted(reads - {"path"})
     # a row group's side reads hold about half a row block: kept beside the
     # paths and a block buffer of exponentials, they raise the peak little
-    group_bytes = 16 * len(levels) * forms * (1 + sums) * len(side_reads)
-    if is_line(model) and not path:
+    group_bytes = 16 * len(levels) * forms * (1 + sums) * len(reads)
+    if is_line(model):
         # a path of the line is its slope: each side is read from the slopes,
         # and no path matrix is built
         t = grid.times()
@@ -387,28 +388,21 @@ def _shared_path_run(model: Model, delta: float, reps: int, kernels: dict, level
         def read_side(w, r):
             return _read_side(w[:, -n:] if r == "pos" else w[:, n - 1::-1], mirrors[r], forms, levels, sums)
 
-    def call(k, inputs, expo):
-        return k.values(*inputs, *(expo if k.expo else ()), levels, delta)
-
     def worker(rng, count):
         w = draw(rng, count)
         expo = (rng.exponential(size=count),) if with_expo else ()
-        parts = {name: [] for name in kernels if name not in path}
+        parts = {name: [] for name in kernels}
         for group in engine.row_blocks(count, group_bytes):
-            read = {r: read_side(w[group], r) for r in side_reads}
+            read = {r: read_side(w[group], r) for r in reads}
             group_expo = tuple(e[group] for e in expo)
             for name, part in parts.items():
                 k = kernels[name]
                 inputs = pairings(*([f if k.sums else f[0] for f in read[r]] for r in k.reads))
-                part.append(_form_mean(call(k, i, group_expo) for i in inputs))
-        values = {name: call(kernels[name], (w,), expo) for name in path}
-        if path and shift is not None:
-            np.subtract(shift, w, out=w)
-            for name in path:
-                values[name] = _form_mean((values[name], call(kernels[name], (w,), expo)))
+                part.append(_form_mean(k.values(*i, *(group_expo if k.expo else ()), levels, delta)
+                                       for i in inputs))
         # the paths are freed before the groups' values are joined
         del w
-        values |= {name: np.concatenate(part) for name, part in parts.items()}
+        values = {name: np.concatenate(part) for name, part in parts.items()}
         if correction:
             return {name: v[:, 1:] - v[:, :1] for name, v in values.items()}
         return values
@@ -416,35 +410,37 @@ def _shared_path_run(model: Model, delta: float, reps: int, kernels: dict, level
     return worker, seed, reps, n if one_sided else 2 * n + 1, int(correction)
 
 
+def _antithetic(model: Model, step: float) -> bool | None:
+    """The ``antithetic`` field of a shared-path run's records at grid step
+    ``step``: True where its paths are read in more than one form."""
+    return True if antithetic_shift(model, GridSpec(step)) is not None else None
+
+
 def _run_exact(model: Model, delta: float, reps: int, methods, horizon: int | None,
-               seed: int, extra: dict | None = None, reach: int = 0,
-               reversals: bool = True) -> tuple[dict, dict]:
+               seed: int, reversals: bool = True) -> dict:
     """Registry ``methods`` on shared paths, each read at ``horizon`` (default:
     ``default_horizon``) and checked against half of it by the doubling rule.
 
     The horizon H is read in two levels (see the module docstring) when the
-    base level H0 has 4 H0 <= H and covers the ``reach`` positive lags that
-    the ``extra`` kernels read. Returns the EstimateResults and the raw
-    moments of the run that evaluates the ``extra`` kernels, on the same
-    paths as ``methods`` (the base paths of a two-level run). Without
-    ``reversals`` an alpha = 1 path is read as the antithetic pair only.
+    base level H0 has 4 H0 <= H. Returns the EstimateResults by method.
+    Without ``reversals`` an alpha = 1 path is read as the antithetic pair
+    only.
     """
     _require(delta > 0, "delta must be positive")
     if horizon is None:
         horizon = default_horizon(model, delta)
     _require(horizon >= 2, "horizon must be at least 2 grid points")
     kernels = {m: _KERNELS[m] for m in methods}
-    shared = kernels | (extra or {})
     base = default_horizon(model, delta, math.sqrt(HORIZON_TAIL))
-    antithetic = True if antithetic_shift(model, GridSpec(delta)) is not None else None
-    if 4 * base > horizon or reach > base:
-        moments = engine.run(*_shared_path_run(model, delta, reps, shared, [horizon // 2, horizon], seed,
-                                               reversals=reversals))
-        at, tail = moments, {}
+    antithetic = _antithetic(model, delta)
+    if 4 * base > horizon:
+        at = engine.run(*_shared_path_run(model, delta, reps, kernels, [horizon // 2, horizon], seed,
+                                          reversals=reversals))
+        tail = {}
     else:
         # the two levels are independent runs, so their chunks share one pool
         moments, long = engine.run_all([
-            _shared_path_run(model, delta, reps, shared, [base], seed, reversals=reversals),
+            _shared_path_run(model, delta, reps, kernels, [base], seed, reversals=reversals),
             _shared_path_run(model, delta, max(2, -(-reps * base // horizon)), kernels,
                              [base, horizon // 2, horizon], seed, correction=True, reversals=reversals),
         ])
@@ -458,7 +454,7 @@ def _run_exact(model: Model, delta: float, reps: int, methods, horizon: int | No
         flags = () if stable else ("truncation-unstable",)
         results[m] = EstimateResult(m, delta, float(means[-1]), float(ses[-1]), reps, int(horizon),
                                     stable, seed, flags=flags, antithetic=antithetic, **tail.get(m, {}))
-    return results, moments
+    return results
 
 
 def estimate(
@@ -478,7 +474,7 @@ def estimate(
     long horizon is read in two levels (see the module docstring).
     """
     _require(method in _KERNELS, f"unknown method {method!r}; expected one of {', '.join(EXACT_METHODS)}")
-    return _run_exact(model, delta, reps, (method,), horizon, seed)[0][method]
+    return _run_exact(model, delta, reps, (method,), horizon, seed)[method]
 
 
 def est_definitional(
@@ -498,6 +494,11 @@ def est_definitional(
     continuous-time functional; that limit is specific to the
     fractional-Brownian family and is flagged as such. For delta > 0 the
     grid step is delta, and ``mesh`` is neither used nor recorded.
+
+    The sup is exp(max(m, 0)) / T, with m the running maximum of the
+    positive lags at k = floor(T / step), read by the shared-path run of
+    the exact formulas in the same forms. k = 0 leaves only the origin:
+    the estimate is 1/T, with standard error 0, from no draw.
     """
     _require(T > 0, "T must be positive")
     flags: tuple[str, ...] = ()
@@ -508,15 +509,17 @@ def est_definitional(
     else:
         _require(delta > 0, "delta must be nonnegative")
         step, mesh = delta, None
-    k_max = int(math.floor(T / step + 1e-12))
-    grid = GridSpec(step, 0, k_max)
-
-    def worker(rng, count):
-        return np.exp(w_matrix(model, grid, rng, count).max(axis=1)) / T
-
-    mean, se = engine.run(worker, seed, reps, grid.n_points)
-    return EstimateResult("definitional", delta, float(mean[0]), float(se[0]),
-                          reps, k_max, True, seed, mesh=mesh, flags=flags)
+    k = int(math.floor(T / step + 1e-12))
+    if k == 0:
+        # a run that draws nothing still takes the engine's replication check
+        engine.chunk_plan(reps, 1)
+        mean, se, antithetic = 1.0 / T, 0.0, None
+    else:
+        kernels = {"definitional": _Kernel(functools.partial(_values_definitional, T=T), ("pos",))}
+        (mean,), (se,) = engine.run(*_shared_path_run(model, step, reps, kernels, [k], seed))["definitional"]
+        antithetic = _antithetic(model, step)
+    return EstimateResult("definitional", delta, float(mean), float(se), reps, k, True, seed,
+                          mesh=mesh, flags=flags, antithetic=antithetic)
 
 
 def est_continuous_dy(
@@ -616,38 +619,28 @@ def crosscheck(
     """Run the grid formulas on shared paths and compare their CIs.
 
     A single two-sided path (and one exponential variate) per replication
-    feeds every estimator, so disagreement is formula error rather than
-    sampling noise. The five exact representations, truncated as by
+    feeds every exact estimator, so disagreement is formula error rather
+    than sampling noise. The five exact representations, truncated as by
     ``estimate``, enter the pairwise overlap matrix; the definitional
     functional is checked for dominance instead, over [0, T] with T
-    defaulting to the largest MC-feasible horizon. A two-level run reads
-    [0, T] from the base paths, so it runs only where they cover it. At
-    alpha = 1 a replication is the antithetic pair, not the sixteen forms
-    of ``estimate``: the overlap gate compares 95% intervals pair by pair,
-    with no family-wise level, so it stays on the reading it was set for.
+    defaulting to the largest MC-feasible horizon. It is the
+    ``est_definitional`` run of seed + 1, on paths independent of the
+    exact routes', so the hypot of the two standard errors in the
+    dominance test is the standard error of their difference. At
+    alpha = 1 an exact route's replication is the antithetic pair, not the
+    sixteen forms of ``estimate``: the overlap gate compares 95% intervals
+    pair by pair, with no family-wise level, so it stays on the reading it
+    was set for.
     """
     _require(delta > 0, "delta must be positive")
     _require(T is None or T > 0, "T must be positive")
     if horizon is None:
         horizon = default_horizon(model, delta)
-    horizon_T = T if T is not None else min(horizon * delta, feasible_definitional_T(model, delta, reps))
-    # number of positive grid points inside [0, T]; 0 leaves only the origin
-    k_T = min(horizon, int(math.floor(horizon_T / delta + 1e-12)))
-
-    def definitional(w, levels, delta):
-        # [0, T] from the origin, the middle column, where w = 0
-        origin = w.shape[1] // 2
-        return np.exp(w[:, origin:origin + k_T + 1].max(axis=1)) / horizon_T
-
-    extra = {"definitional": _Kernel(definitional, ("path",))}
-    results, moments = _run_exact(model, delta, reps, EXACT_METHODS, horizon, seed, extra, reach=k_T,
-                                  reversals=False)
+    results = _run_exact(model, delta, reps, EXACT_METHODS, horizon, seed, reversals=False)
     overlap = {(a, b): _ci_overlap(results[a], results[b])
                for i, a in enumerate(EXACT_METHODS) for b in EXACT_METHODS[i + 1:]}
-    means, ses = moments["definitional"]
-    d = results["definitional"] = EstimateResult("definitional", delta, float(means[0]), float(ses[0]),
-                                                 reps, k_T, True, seed,
-                                                 antithetic=results[EXACT_METHODS[0]].antithetic)
+    horizon_T = T if T is not None else min(horizon * delta, feasible_definitional_T(model, delta, reps))
+    d = results["definitional"] = est_definitional(model, delta, horizon_T, reps, seed=seed + 1)
     dominates = all(
         d.estimate + 3.0 * math.hypot(d.stderr, results[m].stderr) >= results[m].estimate
         for m in EXACT_METHODS

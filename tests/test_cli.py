@@ -142,7 +142,8 @@ class TestEstimate:
         assert header == [*estimate, "antithetic", "config_hash"] and len(rows) == 1
         header, _ = csv_rows(["estimate", "--family", "fbm", "--alpha", "1", "--delta", "0",
                               "--method", "definitional", "--reps", "200", "--seed", "2"])
-        assert header == [*estimate, "mesh", "config_hash"]
+        # the definitional reads the four forms of its side at alpha = 1, after the mesh field
+        assert header == [*estimate, "mesh", "antithetic", "config_hash"]
         header, _ = csv_rows(["bound", "--family", "power", "--alpha", "1", "--scale", "2",
                               "--delta", "10"])
         # a nested dict is spread into dotted columns

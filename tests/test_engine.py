@@ -206,10 +206,14 @@ class TestLevelReadsKeepBytes:
         "difference": ("0x1.34c3b0967b731p-1", "0x1.b7b478fb70d8ep-9"),
         "argmax": ("0x1.2d65b7a328470p-1", "0x1.6312d23836a6dp-7"),
         "time-reversed": ("0x1.2ce2a53490b9bp-1", "0x1.478ad02a4d04ep-7"),
-        "definitional, T None": ("0x1.29a06dfb3581bp+0", "0x1.f4ca5d2c8ba5cp-5"),
-        "definitional, T 0.3": ("0x1.aaaaaaaaaaaabp+1", "0x1.ee62c8763eeabp-31"),
-        "definitional, T 4.0": ("0x1.a8e91fe90cbecp-1", "0x1.ff71ad7332ef7p-4"),
-        "definitional, T 8.0": ("0x1.451a2e7a46cafp+0", "0x1.a7d283851486dp-1"),
+        # the definitional is est_definitional's run of seed 12, on paths of its own, and
+        # 1/T from no draw at T 0.3 (was 0x1.29a06dfb3581bp+0 +- 0x1.f4ca5d2c8ba5cp-5,
+        # 0x1.aaaaaaaaaaaabp+1 +- 0x1.ee62c8763eeabp-31, 0x1.a8e91fe90cbecp-1 +- 0x1.ff71ad7332ef7p-4
+        # and 0x1.451a2e7a46cafp+0 +- 0x1.a7d283851486dp-1 on the exact routes' paths)
+        "definitional, T None": ("0x1.1a2fb8df60d0fp+0", "0x1.87a3e917acce5p-5"),
+        "definitional, T 0.3": ("0x1.aaaaaaaaaaaabp+1", "0x0.0p+0"),
+        "definitional, T 4.0": ("0x1.40248f84934e8p-1", "0x1.56ea868d9557ep-5"),
+        "definitional, T 8.0": ("0x1.4669cd79dfa16p-2", "0x1.325719efa73ecp-6"),
     }
 
     def test_paired(self):
@@ -217,7 +221,8 @@ class TestLevelReadsKeepBytes:
                                                                         "time-reversed")}
         results |= {f"definitional, T {T}": crosscheck(FBM15, 0.5, 3000, horizon=16, seed=11, T=T)
                     .results["definitional"] for T in (None, 0.3, 4.0, 8.0)}
-        assert all(res.antithetic for res in results.values())
+        # [0, 0.3] holds only the origin, so no path is read
+        assert [k for k, res in results.items() if not res.antithetic] == ["definitional, T 0.3"]
         assert {k: (res.estimate.hex(), res.stderr.hex()) for k, res in results.items()} == self.PAIRED
 
     @pytest.mark.parametrize("method, value, stderr", [
@@ -231,12 +236,15 @@ class TestLevelReadsKeepBytes:
         assert res.horizon == 32
         assert (res.estimate.hex(), res.stderr.hex()) == (value, stderr)
 
-    # k_T = 4 (the feasible default), 0 (the origin only), 8 (a level) and 16 (the horizon)
+    # k_T = 4 (the feasible default), 0 (the origin only), 8 and 16 (T = H delta). Read by
+    # est_definitional on paths of its own: was 0x1.2731317291e5fp+0 +- 0x1.a2e65c8c95972p-4,
+    # 0x1.aaaaaaaaaaaabp+1 +- 0x1.ee62c8763eeabp-31, 0x1.edb2d7a7e37fdp-1 +- 0x1.f4e4f27947313p-3
+    # and 0x1.17957d45c593dp+1 +- 0x1.a7ca08f4c728cp+0 on the exact routes' paths
     @pytest.mark.parametrize("T, k_T, value, stderr", [
-        (None, 4, "0x1.2731317291e5fp+0", "0x1.a2e65c8c95972p-4"),
-        (0.3, 0, "0x1.aaaaaaaaaaaabp+1", "0x1.ee62c8763eeabp-31"),
-        (4.0, 8, "0x1.edb2d7a7e37fdp-1", "0x1.f4e4f27947313p-3"),
-        (8.0, 16, "0x1.17957d45c593dp+1", "0x1.a7ca08f4c728cp+0"),
+        (None, 4, "0x1.28070fda73b52p+0", "0x1.2e92622250336p-4"),
+        (0.3, 0, "0x1.aaaaaaaaaaaabp+1", "0x0.0p+0"),
+        (4.0, 8, "0x1.4bc8bf41f21bcp-1", "0x1.aa9a3665aafe5p-5"),
+        (8.0, 16, "0x1.4a633b62dda79p-2", "0x1.c1513cbcca7fap-6"),
     ])
     def test_crosscheck_definitional(self, T, k_T, value, stderr, unpaired):
         res = crosscheck(FBM15, 0.5, 3000, horizon=16, seed=11, T=T).results["definitional"]

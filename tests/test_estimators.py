@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from oracles import FROZEN, alpha1_series, alpha2_constant, alpha2_sup_mean, levy_brownian_series
-from pickands import engine
+from pickands import engine, estimators
 from pickands.bounds import levy_h0_bound
 from pickands.engine import ROW_BLOCK_BYTES, chunk_stream, resolve_threads
 from pickands.estimators import (
@@ -152,10 +152,16 @@ class TestAgainstRandomWalkOracle:
 
 
 class TestDefinitional:
-    def test_single_point_grid_is_exact(self):
+    def test_single_point_grid_is_exact(self, monkeypatch):
+        # [0, T] holds only the origin: 1/T with SE 0, from no draw
+        def no_draws(seed, chunk, stream=0):
+            raise AssertionError("a chunk was drawn")
+
+        monkeypatch.setattr(engine, "chunk_stream", no_draws)
         res = est_definitional(FBM1, 1.0, 0.75, 100, seed=1)
-        assert res.estimate == pytest.approx(1.0 / 0.75)
-        assert res.stderr == 0.0
+        assert (res.estimate, res.stderr, res.horizon, res.antithetic) == (1.0 / 0.75, 0.0, 0, None)
+        with pytest.raises(ValueError, match="two replications"):
+            est_definitional(FBM1, 1.0, 0.75, 1)
 
     def test_degenerate_model(self):
         flat = VarianceFunction.tabulated([0.0, 100.0], [0.0, 0.0])
@@ -373,9 +379,17 @@ class TestTwoLevel:
         assert "base_horizon" not in runs[0]["results"]["definitional"]
 
     def test_crosscheck_definitional_beyond_base_is_one_level(self):
+        # [0, T] past the base level H0 = 64: the exact routes keep their two levels, and the
+        # definitional, a one-level run of its own, reads all of [0, T]
         report = crosscheck(FBM1, 0.5, 4_000, horizon=256, seed=45, T=40.0)
-        assert report.results["definitional"].horizon == 80
-        assert all(report.results[m].base_horizon is None for m in EXACT_METHODS)
+        assert {report.results[m].base_horizon for m in EXACT_METHODS} == {64}
+        d = report.results["definitional"]
+        assert d.horizon == 80 and d.base_horizon is None
+        assert d == est_definitional(FBM1, 0.5, 40.0, 4_000, seed=46)
+        # past the horizon H delta = 8 too: all of [0, 16] is read, not [0, 8] divided by 16
+        d = crosscheck(FBM1, 0.5, 4_000, horizon=16, seed=45, T=16.0).results["definitional"]
+        assert d.horizon == 32
+        assert d == est_definitional(FBM1, 0.5, 16.0, 4_000, seed=46)
 
 
 class TestAntitheticPairs:
@@ -418,9 +432,11 @@ class TestAntitheticPairs:
         assert report.results["definitional"].antithetic is True
 
     def test_only_shared_path_runs_are_paired(self):
-        # continuous-dy is a relabelled estimate run; est_definitional draws its own paths
+        # continuous-dy is a relabelled estimate run, and est_definitional a kernel of the
+        # shared-path run; [0, T] holding only the origin reads no path
         assert est_continuous_dy(FBM1, 0.05, 2.0, 500, seed=4).antithetic is True
-        assert est_definitional(FBM1, 0.5, 4.0, 500, seed=4).antithetic is None
+        assert est_definitional(FBM1, 0.5, 4.0, 500, seed=4).antithetic is True
+        assert est_definitional(FBM1, 0.5, 0.4, 500, seed=4).antithetic is None
 
 
 class TestSideForms:
@@ -490,7 +506,7 @@ class TestSideForms:
     @pytest.mark.parametrize("delta", [0.5, 1.0, 2.0])
     def test_alpha1_series(self, delta, seed):
         # all five routes on shared paths, as `estimate --method all` runs them
-        results, _ = _run_exact(FBM1, delta, 30_000, EXACT_METHODS, None, seed)
+        results = _run_exact(FBM1, delta, 30_000, EXACT_METHODS, None, seed)
         for m in EXACT_METHODS:
             assert results[m].antithetic is True
             assert_within(results[m], alpha1_series(delta))
@@ -501,7 +517,7 @@ class TestSideForms:
         runs = []
         for threads in ("1", "2", "3"):
             monkeypatch.setenv("PICKANDS_THREADS", threads)
-            results, _ = _run_exact(FBM1, 1.0, 40_000, EXACT_METHODS, None, 6)
+            results = _run_exact(FBM1, 1.0, 40_000, EXACT_METHODS, None, 6)
             runs.append({m: r.to_dict() for m, r in results.items()})
         assert runs[0] == runs[1] == runs[2]
         assert "base_horizon" not in runs[0]["exceedance"]
@@ -545,7 +561,7 @@ class TestLineReads:
         runs = []
         for threads in ("1", "2", "3"):
             monkeypatch.setenv("PICKANDS_THREADS", threads)
-            results, _ = _run_exact(FBM2, 1.0, 70_000, EXACT_METHODS, None, 6)
+            results = _run_exact(FBM2, 1.0, 70_000, EXACT_METHODS, None, 6)
             runs.append({m: r.to_dict() for m, r in results.items()})
         assert runs[0] == runs[1] == runs[2]
         assert "antithetic" not in runs[0]["exceedance"]
@@ -560,6 +576,72 @@ class TestLineReads:
         # the slopes, a block buffer of exponentials and the reads hold about 1.2 MB
         matrix_bytes = count * (2 * n + 1) * 8  # 33.5 MB
         assert peak < matrix_bytes / 8
+
+
+def definitional_reference(model, step, T, rng, count):
+    """exp(max of w over the grid in [0, T]) / T on the ``w_matrix`` draw of the
+    chunk stream ``rng``, averaged over the forms of the positive side
+    (``side_forms``) in the worker's order."""
+    k = int(math.floor(T / step + 1e-12))
+    grid = GridSpec(step, 0, k)
+    w = w_matrix(model, grid, rng, count)
+    shift = antithetic_shift(model, grid)
+    forms = 1 if shift is None else 4 if independent_sides(model) else 2
+    mirror = np.zeros(k + 1) if shift is None else shift
+    values = [np.exp(np.maximum(w[:, :1], form.max(axis=1, keepdims=True))) / T
+              for form in side_forms(w[:, 1:], mirror[1:], forms, np.empty((count, k)))]
+    return sum(values[1:], values[0]) * (1.0 / len(values))
+
+
+class TestDefinitionalKernel:
+    """``est_definitional`` is a kernel of the shared-path run: the maxima of the
+    positive side at the one level k, in the side's forms, and on the
+    alpha = 2 line from the slopes."""
+
+    MODELS = [FBM1, VarianceFunction.fbm(1.5), TestAntitheticPairs.TABULATED, LEVY_MODELS["normal-jumps"],
+              LevyModel.brownian(), FBM2]
+
+    @pytest.mark.parametrize("model", MODELS, ids=["fbm1, 4 forms", "fbm1.5, the pair", "tabulated, the pair",
+                                                   "jump levy, one form", "brownian levy, 4 forms",
+                                                   "fbm2, the line"])
+    @pytest.mark.parametrize("delta, T, mesh, reps", [
+        # k = 8, a side narrow enough for its maxima to be combined a column at a time;
+        # 40000 paths: two row groups of 4-form side reads
+        (0.5, 4.0, None, 40_000),
+        # the mesh's k = 80, a side read by reduceat
+        (0.0, 4.0, 0.05, 3_000),
+    ])
+    def test_worker_is_the_matrix_reference(self, model, delta, T, mesh, reps, monkeypatch):
+        runs = []
+        run = engine.run
+        monkeypatch.setattr(engine, "run", lambda *r: runs.append(r) or run(*r))
+        step = mesh or delta
+        res = est_definitional(model, delta, T, reps, mesh=mesh, seed=5)
+        k = int(math.floor(T / step + 1e-12))
+        worker, *plan = runs[0]
+        assert res.horizon == k and plan == [5, reps, k, 0] and engine.chunk_plan(reps, k) == [reps]
+        got = worker(chunk_stream(5, 0), reps)["definitional"]
+        assert got.tobytes() == definitional_reference(model, step, T, chunk_stream(5, 0), reps).tobytes()
+
+    @pytest.mark.parametrize("model", [VarianceFunction.fbm(1.5), LEVY_MODELS["exponential-jumps"]])
+    def test_crosscheck_reads_seed_plus_one(self, model):
+        # paths independent of the exact routes', so hypot(SE, SE) is the SE of the difference;
+        # at the default T, the smaller of H delta and the feasible horizon
+        report = crosscheck(model, 1.0, 5_000, seed=7)
+        T = min(default_horizon(model, 1.0), feasible_definitional_T(model, 1.0, 5_000))
+        assert report.results["definitional"] == est_definitional(model, 1.0, T, 5_000, seed=8)
+
+    def test_line_runs_draw_no_path_matrix(self, monkeypatch):
+        def no_matrix(*args):
+            raise AssertionError("a path matrix was drawn")
+
+        monkeypatch.setattr(estimators, "w_matrix", no_matrix)
+        for model in (FBM2, VarianceFunction.power(2.0, 0.5)):
+            est_definitional(model, 1.0, 2.0, 2_000, seed=1)
+            est_definitional(model, 0.0, 2.0, 2_000, mesh=0.01, seed=1)
+            crosscheck(model, 1.0, 2_000, seed=1)
+            # [0, T] past the horizon H delta = 16
+            crosscheck(model, 1.0, 2_000, seed=1, T=40.0)
 
 
 class TestTwoLevelPins:
@@ -585,8 +667,10 @@ class TestTwoLevelPins:
             assert {m: (r.estimate.hex(), r.stderr.hex(), r.correction.hex(), r.correction_stderr.hex())
                     for m, r in report.results.items() if m != "definitional"} == pins
             assert {r.base_horizon for m, r in report.results.items() if m != "definitional"} == {1024}
+            # est_definitional's run of seed 4, on paths of its own (was 0x1.60646666b6fd6p-1 +-
+            # 0x1.5ad9a9ea592dap-4 on the base paths)
             d = report.results["definitional"]
-            assert (d.estimate.hex(), d.stderr.hex()) == ("0x1.60646666b6fd6p-1", "0x1.5ad9a9ea592dap-4")
+            assert (d.estimate.hex(), d.stderr.hex()) == ("0x1.5d93bcbfa2573p-1", "0x1.6c0f5962d5d79p-5")
 
 
 class TestOneLevelPins:
@@ -618,7 +702,9 @@ class TestOneLevelPins:
             "argmax": ("0x1.06809d495182bp-1", "0x1.44458dc3d2707p-8"),
             "dieker-yakir": ("0x1.04ccbb643a885p-1", "0x1.22a2a3bb55a93p-10"),
             "time-reversed": ("0x1.0617c1bda511ap-1", "0x1.0e91e7735138ep-8"),
-            "definitional": ("0x1.ed7332f5113b0p-1", "0x1.1844cf553ad6fp-5"),
+            # est_definitional's run of seed 8, on paths of its own (was 0x1.ed7332f5113b0p-1 +-
+            # 0x1.1844cf553ad6fp-5 on the exact routes' paths)
+            "definitional": ("0x1.039e8203c49cfp+0", "0x1.4c968029d8385p-5"),
         }
 
 
