@@ -8,14 +8,15 @@ on; 1 runs serially); it never changes numerical output, and peak memory
 grows with it, about one chunk per thread.
 
 Exit codes: 0 success, 1 a requested check failed (its records are still
-written), 2 invalid usage or input, such as fewer than two --reps or
---samples or a nonpositive --T, --cutoff or --rn (never read as a request
-for the default), a smallball alpha outside (0, 2], a nonpositive eta, a
-repeated eta in a sweep of three or more or an eta that no automatic cutoff
-reaches (give --cutoff), a model flag that the family does not read (such
-as --scale for fbm, or --phi-jump with --brownian), a --phi-jump with more
-values than its law takes, or a bound run with only one of --kappa and
---cbound, or with either for a Levy model.
+written), 2 invalid usage or input, such as a float option that is not a
+finite number, fewer than two --reps or --samples or a nonpositive --T,
+--cutoff or --rn (never read as a request for the default), a smallball
+alpha outside (0, 2], a nonpositive eta, a repeated eta in a sweep of three
+or more or an eta that no automatic cutoff reaches (give --cutoff), a model
+flag that the family does not read (such as --scale for fbm, or --phi-jump
+with --brownian), a --phi-jump with more values than its law takes, or a
+bound run with only one of --kappa and --cbound, or with either for a Levy
+model.
 """
 
 from __future__ import annotations
@@ -75,6 +76,18 @@ REPS_HELP = ("replications, counted as drawn paths. On a Gaussian model off the 
              "formulas do, as the antithetic pair w, -w - sigma^2; the records say antithetic: true")
 
 
+def _finite(text: str) -> float:
+    """The argparse type of every float option: a finite float, so that inf
+    and nan are a usage error (exit 2) and not run."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pickands",
@@ -90,57 +103,57 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"), default="json")
         if with_model:
             p.add_argument("--family", choices=("fbm", "power", "levy"), default="fbm")
-            p.add_argument("--alpha", type=float, default=1.0)
-            p.add_argument("--scale", type=float, default=2.0)
+            p.add_argument("--alpha", type=_finite, default=1.0)
+            p.add_argument("--scale", type=_finite, default=2.0)
             p.add_argument("--brownian", action="store_true",
                            help="shortcut for the standard Brownian Levy model")
-            p.add_argument("--phi-diffusion", type=float, default=1.0)
-            p.add_argument("--phi-jump-rate", type=float, default=0.0)
+            p.add_argument("--phi-diffusion", type=_finite, default=1.0)
+            p.add_argument("--phi-jump-rate", type=_finite, default=0.0)
             p.add_argument("--phi-jump", default=None,
                            help="jump law, e.g. constant:1.0, normal:0,1 or exponential:2")
 
     p_est = sub.add_parser("estimate", help="estimate H^delta (or H^0) by one or all formulas")
     add_common(p_est, reps_help=REPS_HELP)
-    p_est.add_argument("--delta", type=float, default=1.0)
-    p_est.add_argument("--mesh", type=float, help=f"mesh for delta = 0 runs (default {DEFAULT_MESH})")
+    p_est.add_argument("--delta", type=_finite, default=1.0)
+    p_est.add_argument("--mesh", type=_finite, help=f"mesh for delta = 0 runs (default {DEFAULT_MESH})")
     p_est.add_argument("--method", default="exceedance",
                        choices=sorted(ESTIMATORS) + ["all"])
     p_est.add_argument("--horizon", type=int, help=HORIZON_HELP)
-    p_est.add_argument("--T", type=float, help="definitional horizon in time units")
-    p_est.add_argument("--window", type=float, default=10.0, help="half-width for continuous-dy")
-    p_est.add_argument("--level", type=float, dest="level", default=1e4,
+    p_est.add_argument("--T", type=_finite, help="definitional horizon in time units")
+    p_est.add_argument("--window", type=_finite, default=10.0, help="half-width for continuous-dy")
+    p_est.add_argument("--level", type=_finite, dest="level", default=1e4,
                        help="exceedance level n for theta-blocks")
     p_est.add_argument("--rn", type=int, help="block length r_n for theta-blocks")
 
     p_x = sub.add_parser("crosscheck", help="run all exact formulas on shared paths")
     add_common(p_x, reps_help=REPS_HELP)
-    p_x.add_argument("--delta", type=float, default=1.0)
+    p_x.add_argument("--delta", type=_finite, default=1.0)
     p_x.add_argument("--horizon", type=int, help=HORIZON_HELP)
-    p_x.add_argument("--T", type=float)
+    p_x.add_argument("--T", type=_finite)
 
     p_b = sub.add_parser("bound", help="closed-form lower bounds")
     add_common(p_b)
-    p_b.add_argument("--delta", type=float, default=1.0)
-    p_b.add_argument("--kappa", type=float, help="power-bound exponent")
-    p_b.add_argument("--cbound", type=float, help="power-bound constant c")
+    p_b.add_argument("--delta", type=_finite, default=1.0)
+    p_b.add_argument("--kappa", type=_finite, help="power-bound exponent")
+    p_b.add_argument("--cbound", type=_finite, help="power-bound constant c")
 
     p_m = sub.add_parser("maxstable", help="max-stable simulation and its checks")
     add_common(p_m, reps_help="replications of the fdd oracle and of the theta check's candidate, which "
                               "counts pairs where estimate reads antithetic pairs; the theta check's blocks "
                               "take reps // 100, at least 100")
-    p_m.add_argument("--delta", type=float, default=1.0)
+    p_m.add_argument("--delta", type=_finite, default=1.0)
     p_m.add_argument("--check", choices=("fdd", "marginal", "theta"), default="fdd")
     p_m.add_argument("--points", default=None, help="comma-separated times (fdd check)")
     p_m.add_argument("--thresholds", default=None, help="comma-separated thresholds (fdd check)")
     p_m.add_argument("--samples", type=int, default=20_000)
-    p_m.add_argument("--level", type=float, default=1e4,
+    p_m.add_argument("--level", type=_finite, default=1e4,
                      help="sets the default --rn, isqrt(level) (theta check)")
     p_m.add_argument("--rn", type=int, help="block length r_n (theta check)")
     p_m.add_argument("--export", help="write simulated samples as CSV (index,t,zeta)")
 
     p_s = sub.add_parser("smallball", help="reciprocal-grid lower-tail probabilities")
     add_common(p_s, with_model=False)
-    p_s.add_argument("--alpha", type=float, required=True)
+    p_s.add_argument("--alpha", type=_finite, required=True)
     p_s.add_argument("--eta", required=True, help="comma-separated eta values")
     p_s.add_argument("--cutoff", type=int, help="initial constraint cutoff K (default: automatic)")
     return parser

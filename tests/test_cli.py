@@ -1,6 +1,7 @@
 """Command-line interface: dispatch, record schema, exit codes,
 reproducibility across thread counts."""
 
+import argparse
 import csv
 import json
 import os
@@ -524,6 +525,32 @@ def test_bad_input_exits_2_with_nothing_drawn(args, monkeypatch, capsys):
     monkeypatch.setattr(engine, "chunk_stream", lambda *key: drawn.append(key))
     assert main([*args, "--reps", "2000"]) == 2
     assert not drawn and capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("args", [
+    ["estimate", "--method", "theta-blocks", "--level", "inf"],
+    ["maxstable", "--check", "theta", "--level", "inf"],
+    ["estimate", "--method", "continuous-dy", "--window", "inf"],
+    ["estimate", "--method", "definitional", "--T", "inf"],
+    # an infinite grid step is not run into a zero estimate
+    ["estimate", "--family", "fbm", "--alpha", "2", "--delta", "inf", "--method", "exceedance"],
+    ["estimate", "--alpha", "nan"],
+], ids=" ".join)
+def test_non_finite_float_option_exits_2(args, monkeypatch, capsys):
+    drawn = []
+    monkeypatch.setattr(engine, "chunk_stream", lambda *key: drawn.append(key))
+    with pytest.raises(SystemExit) as stop:
+        main([*args, "--reps", "2000"])
+    out, err = capsys.readouterr()
+    assert stop.value.code == 2 and not drawn and out == ""
+    assert "expected a finite number" in err
+
+
+def test_every_float_option_is_finite():
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    types = {action.type for sub in subparsers.choices.values() for action in sub._actions}
+    assert float not in types and cli._finite in types
 
 
 @pytest.mark.parametrize("command, verdict", [

@@ -19,6 +19,7 @@ from pickands.models import VarianceFunction
 from pickands.smallball import est_smallball_prob
 
 FBM15 = VarianceFunction.fbm(1.5)
+FBM2 = VarianceFunction.fbm(2.0)
 
 
 def _toy(rng, count):
@@ -273,6 +274,16 @@ class TestBlockStatisticsKeepBytes:
     def test_boundary_corrected(self):
         res = _boundary_corrected_theta(FBM15, 0.5, 31, 3000, seed=11)
         assert (res.estimate.hex(), res.stderr.hex()) == ("0x1.35620e06e1dedp-2", "0x1.97b1c418ab4d1p-10")
+
+    def test_line_block_formula(self):
+        # the alpha = 2 line, its rows built from the path slopes
+        res = est_extremal_index_blocks(FBM2, 1.0, 1000, 3000, seed=11)
+        assert res.horizon == 31
+        assert (res.estimate.hex(), res.stderr.hex()) == ("0x1.190253114d415p-1", "0x1.649bc5dfa8865p-11")
+
+    def test_line_boundary_corrected(self):
+        res = _boundary_corrected_theta(FBM2, 1.0, 31, 3000, seed=11)
+        assert (res.estimate.hex(), res.stderr.hex()) == ("0x1.0ad7f1be07478p-1", "0x1.672f1d85fea9cp-11")
 
 
 class TestDoublingStable:

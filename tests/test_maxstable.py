@@ -8,11 +8,14 @@ import pytest
 from scipy import stats
 
 from oracles import alpha2_constant, alpha2_fdd_exponent, alpha2_sup_mean, levy_brownian_series
-from pickands.engine import ROW_BLOCK_BYTES, chunk_stream
+from pickands import maxstable
+from pickands.engine import ROW_BLOCK_BYTES, chunk_plan, chunk_stream
 from pickands.estimators import estimate
 from pickands.maxstable import (
+    _block_paths,
     _block_sup_values,
     _boundary_corrected_theta,
+    _LineRows,
     est_candidate_theta,
     est_extremal_index_blocks,
     fdd_probability,
@@ -24,6 +27,7 @@ from pickands.models import (
     JumpLaw,
     LevyModel,
     VarianceFunction,
+    w_matrix,
 )
 
 FBM2 = VarianceFunction.fbm(2.0)
@@ -186,7 +190,7 @@ class TestBoundaryCorrectedBlocks:
 
 
 class TestBlockSupKernel:
-    # 12 row blocks and a remainder of paths on [-100, 100]
+    # several row blocks, not all of one size, of paths on [-100, 100]
     R = 100
     ROWS = 12 * (ROW_BLOCK_BYTES // (201 * 8)) + 5
 
@@ -208,21 +212,64 @@ class TestBlockSupKernel:
         return chunk_stream(3, 0).standard_normal((rows, 2 * r + 1)).cumsum(axis=1) * (3.0 / math.sqrt(2 * r + 1))
 
     # (r, rows): one block, one of a few rows, and several blocks with a
-    # remainder; blocks of two rows of a very long block
+    # remainder; blocks of two and three rows of a very long row
     @pytest.mark.parametrize("r,rows", [(100, 1), (100, 7), (100, 400), (R, ROWS), (40_000, 5)])
     def test_row_blocks_change_no_value(self, r, rows):
         w = self.paths(rows, r)
-        assert _block_sup_values(w, r).tobytes() == self.unblocked(w, r).tobytes()
+        assert _block_sup_values(w, [r])[:, 0].tobytes() == self.unblocked(w, r).tobytes()
 
     def test_row_values_do_not_depend_on_row_count(self):
         # 3 x 101 window ratios and 3000 x 101 ones must add each row alike
         w = self.paths(3000, 100)
-        assert _block_sup_values(w[:3], 100).tobytes() == _block_sup_values(w, 100)[:3].tobytes()
+        assert _block_sup_values(w[:3], [100]).tobytes() == _block_sup_values(w, [100])[:3].tobytes()
+
+    def test_central_window_is_its_own_path(self):
+        w = self.paths(700, 40)
+        both = _block_sup_values(w, [40, 20])
+        assert both[:, 1].tobytes() == _block_sup_values(w[:, 20:61], [20])[:, 0].tobytes()
+        assert both[:, 0].tobytes() == _block_sup_values(w, [40])[:, 0].tobytes()
 
     def test_peak_within_bound(self, peak_bytes):
+        # one block's buffers and the output; taking each step's temporaries
+        # afresh in 1 MiB row blocks held about four ROW_BLOCK_BYTES at once
         w = self.paths(self.ROWS, self.R)
-        _, peak = peak_bytes(_block_sup_values, w, self.R)
-        assert peak <= 1.5 * w.nbytes
+        _, peak = peak_bytes(_block_sup_values, w, [self.R])
+        assert peak <= 3 * ROW_BLOCK_BYTES
+
+    # (r, count): one block, several blocks with a remainder, the shortest
+    # windows, and blocks of two and three rows of a very long row
+    @pytest.mark.parametrize("delta", [1.0, 0.5])
+    @pytest.mark.parametrize("r,count", [(100, 7), (100, 2000), (1, 3000), (40_000, 5)],
+                             ids=["one-block", "blocks", "r1", "two-row-blocks"])
+    @pytest.mark.parametrize("windows", [1, 2])
+    def test_line_rows_equal_matrix_rows(self, delta, r, count, windows):
+        # the block formula's window, or the boundary-corrected pair [-2r, 2r] and [-r, r]
+        grid = GridSpec(delta, -windows * r, windows * r)
+        radii = [windows * r, r][:windows]
+        line = _block_paths(FBM2, grid, chunk_stream(5, 2), count)
+        assert isinstance(line, _LineRows)
+        matrix = _block_sup_values(w_matrix(FBM2, grid, chunk_stream(5, 2), count), radii)
+        assert _block_sup_values(line, radii).tobytes() == matrix.tobytes()
+
+    def test_line_runs_draw_no_path_matrix(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a path matrix was drawn on the alpha = 2 line")
+
+        monkeypatch.setattr(maxstable, "w_matrix", refuse)
+        est_extremal_index_blocks(FBM2, 1.0, 1000, 200, seed=1)
+        _boundary_corrected_theta(FBM2, 0.5, 10, 200, seed=1)
+
+    def test_line_chunk_peak(self, peak_bytes):
+        # a chunk of the benchmark's 40000 paths on [-100, 100] holds no path matrix
+        grid = GridSpec(1.0, -100, 100)
+        count = chunk_plan(40_000, grid.n_points)[0]
+        assert count == 20867
+
+        def chunk():
+            return _block_sup_values(_block_paths(FBM2, grid, chunk_stream(11, 0), count), [100])
+
+        _, peak = peak_bytes(chunk)
+        assert peak < count * grid.n_points * 8 / 8
 
 
 class TestCandidate:
