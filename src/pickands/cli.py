@@ -71,9 +71,9 @@ HORIZON_HELP = ("truncation horizon H in grid points for the exact formulas: the
 REPS_HELP = ("replications, counted as drawn paths. On a Gaussian model off the alpha = 2 line, and on the "
              "Brownian Levy model, each path is read in several forms of one law and its values averaged: the "
              "exact formulas, continuous-dy and theta-candidate read it in 16 at alpha = 1 and on the Brownian "
-             "Levy model (each side as x, -x - sigma^2, its reversal and the reversal's mirror), the "
-             "definitional formula its positive side in those 4, and otherwise, as crosscheck's exact "
-             "formulas do, as the antithetic pair w, -w - sigma^2; the records say antithetic: true")
+             "Levy model (each side as x, -x - sigma^2, its reversal and the reversal's mirror), and "
+             "otherwise, as crosscheck's exact formulas do, as the antithetic pair w, -w - sigma^2; the "
+             "records say antithetic: true")
 
 
 def _finite(text: str) -> float:
@@ -86,6 +86,15 @@ def _finite(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
+
+
+def _floats(text: str, option: str) -> list[float]:
+    """A comma-separated option's values, each a finite float by ``_finite``;
+    a bad one is invalid input (exit 2), named in the message."""
+    try:
+        return [_finite(v) for v in text.split(",")]
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"{option}: {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -119,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--method", default="exceedance",
                        choices=sorted(ESTIMATORS) + ["all"])
     p_est.add_argument("--horizon", type=int, help=HORIZON_HELP)
-    p_est.add_argument("--T", type=_finite, help="definitional horizon in time units")
+    p_est.add_argument("--T", type=_finite, help="definitional horizon in time units (default max(2, 2 delta))")
     p_est.add_argument("--window", type=_finite, default=10.0, help="half-width for continuous-dy")
     p_est.add_argument("--level", type=_finite, dest="level", default=1e4,
                        help="exceedance level n for theta-blocks")
@@ -129,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_x, reps_help=REPS_HELP)
     p_x.add_argument("--delta", type=_finite, default=1.0)
     p_x.add_argument("--horizon", type=int, help=HORIZON_HELP)
-    p_x.add_argument("--T", type=_finite)
+    p_x.add_argument("--T", type=_finite, help="definitional horizon in time units (default max(2, 2 delta))")
 
     p_b = sub.add_parser("bound", help="closed-form lower bounds")
     add_common(p_b)
@@ -200,7 +209,7 @@ def parse_jump_law(text: str | None) -> JumpLaw | None:
     kind, _, params = text.partition(":")
     if kind not in JUMP_PARAMS:
         raise ValueError(f"unknown jump law {text!r}; expected constant, normal or exponential")
-    vals = [float(v) for v in params.split(",")] if params else []
+    vals = _floats(params, "--phi-jump") if params else []
     names = JUMP_PARAMS[kind]
     if len(vals) > len(names):
         raise ValueError(f"jump law {kind} takes at most {len(names)} value(s), got {text!r}")
@@ -223,8 +232,7 @@ def _run_single_estimate(args, model, method: str) -> dict:
     seed, reps = args.seed, args.reps
     mesh = args.mesh if args.mesh is not None else DEFAULT_MESH
     if method == "definitional":
-        T = args.T if args.T is not None else max(2.0, 2.0 * args.delta)
-        res = est_definitional(model, args.delta, T, reps, mesh=mesh, seed=seed)
+        res = est_definitional(model, args.delta, args.T, reps, mesh=mesh, seed=seed)
     elif method == "continuous-dy":
         res = est_continuous_dy(model, mesh, args.window, reps, seed=seed)
     elif method == "theta-blocks":
@@ -279,9 +287,8 @@ def cmd_maxstable(args) -> tuple[list[dict], str | None]:
         raise ValueError("--rn must be at least 1")
     model = build_model(args)
     if args.check == "fdd":
-        points = [float(v) for v in args.points.split(",")] if args.points else [0.0, args.delta]
-        thresholds = ([float(v) for v in args.thresholds.split(",")] if args.thresholds
-                      else [2.0, 3.0][: len(points)])
+        points = _floats(args.points, "--points") if args.points else [0.0, args.delta]
+        thresholds = _floats(args.thresholds, "--thresholds") if args.thresholds else [2.0, 3.0][: len(points)]
         oracle = fdd_probability(model, points, thresholds, args.reps, seed=args.seed + 1)
         grid, cols = _containing_grid(np.asarray(points))
 
@@ -374,7 +381,7 @@ def _export_samples(args, model) -> None:
 
 
 def cmd_smallball(args) -> tuple[list[dict], str | None]:
-    etas = [float(v) for v in args.eta.split(",")]
+    etas = _floats(args.eta, "--eta")
     # every eta is checked, and its cutoff found, before the first is drawn
     for eta in etas:
         _check_alpha_eta(args.alpha, eta)

@@ -9,8 +9,8 @@ which lies in (0, 1/delta) and equals the extremal index of the associated
 max-stable sequence divided by delta. Each estimator evaluates a different
 exact representation of this constant:
 
-* ``definitional``   (1/T) E sup over the grid in [0, T]; upper-biased for
-                     finite T, used as a dominance check.
+* ``definitional``   c(k)/T by the ratio, at least H^delta at every T; a
+                     dominance check.
 * ``exceedance``     (1/delta) P{E + w(delta i) <= 0 for all i >= 1} with a
                      unit exponential E independent of w.
 * ``difference``     (1/delta) E (1 - sup_{i >= 1} exp(w(delta i)))_+ ,
@@ -24,10 +24,8 @@ exact representation of this constant:
                      the continuous-time constant H^0.
 
 ``estimate`` runs any of the exact formulas by name; ``crosscheck`` runs
-them all on shared paths. The definitional functional is one more value
-kernel of the same shared-path run, read at the one level k that [0, T]
-reaches (``est_definitional``). The exact formulas' infinite index sets
-are truncated by one rule: paths run to a horizon of H grid points (by
+them all on shared paths. The exact formulas' infinite index sets are
+truncated by one rule: paths run to a horizon of H grid points (by
 default ``default_horizon``, past which w is certified not to return), the
 estimate is read at H, and it is flagged unstable when doubling from H/2
 moved it by more than a tenth of its standard error. Both levels are read
@@ -59,9 +57,8 @@ side, sixteen a path. A replication's value is the mean over the
 forms its kernel reads, all with the same E: the forms of its side for
 exceedance, difference and time reversal; for argmax and dieker-yakir all
 16 pairings of a positive and a negative form at alpha = 1, else the two
-matched pairs; for the definitional functional the forms of its positive
-side. ``crosscheck``'s exact formulas read no reversals: their alpha = 1
-replications are the pairs. ``reps`` counts drawn paths; they are
+matched pairs. ``crosscheck``'s exact formulas read no reversals: their
+alpha = 1 replications are the pairs. ``reps`` counts drawn paths; they are
 independent, so the standard error is the engine's. Exceedance,
 difference, argmax and time reversal are monotone in b, so a mirror cannot
 raise their variance. On the alpha = 2 line -b is the time reversal of b,
@@ -75,6 +72,16 @@ x(k) = c t_k - sigma^2(t_k) / 2 is a concave parabola in k, so its maxima
 at the levels are read in closed form at the two integers around its
 vertex, and its sums of exp(x) from x built a row block at a time; both
 equal, bit for bit, what the path matrix would give.
+
+The window sup c(k) = E sup_{0<=i<=k} exp(w(delta i)) has one reader,
+``_block_sup_values``, the shift-invariant ratio of Dieker and Yakir
+(2014): its value per path is at most k + 1, where the plain mean of the
+sup is carried by rare, high paths. The definitional functional is
+c(k) / T, k = floor(T / delta) (``est_definitional``), and the block
+statistics of ``maxstable`` read c at their block lengths. By
+subadditivity c(k) >= (k + 1) delta H^delta, so c(k) / T >= H^delta at
+every T. The kernel reads each path once, from the path matrix or, on the
+alpha = 2 line, from row blocks built from the slopes.
 """
 
 from __future__ import annotations
@@ -83,7 +90,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -203,12 +210,6 @@ def _values_difference(pos: np.ndarray, levels: np.ndarray, delta: float) -> np.
 def _values_argmax(pos: np.ndarray, neg: np.ndarray, levels: np.ndarray, delta: float) -> np.ndarray:
     """The two-sided grid sup of w is attained at 0 (w(0) = 0), uniquely among negative lags."""
     return ((neg < 0.0) & (pos <= 0.0)).astype(float) / delta
-
-
-def _values_definitional(pos: np.ndarray, levels: np.ndarray, step: float, T: float) -> np.ndarray:
-    """exp(sup w) / T over the grid in [0, T], from the maxima ``pos`` of w
-    over the lags 1 <= i <= level = floor(T / step); w(0) = 0 adds the 0."""
-    return np.exp(np.maximum(pos, 0.0)) / T
 
 
 def _values_ratio(pos: tuple, neg: tuple, levels: np.ndarray, step: float) -> np.ndarray:
@@ -410,12 +411,6 @@ def _shared_path_run(model: Model, delta: float, reps: int, kernels: dict, level
     return worker, seed, reps, n if one_sided else 2 * n + 1, int(correction)
 
 
-def _antithetic(model: Model, step: float) -> bool | None:
-    """The ``antithetic`` field of a shared-path run's records at grid step
-    ``step``: True where its paths are read in more than one form."""
-    return True if antithetic_shift(model, GridSpec(step)) is not None else None
-
-
 def _run_exact(model: Model, delta: float, reps: int, methods, horizon: int | None,
                seed: int, reversals: bool = True) -> dict:
     """Registry ``methods`` on shared paths, each read at ``horizon`` (default:
@@ -432,7 +427,8 @@ def _run_exact(model: Model, delta: float, reps: int, methods, horizon: int | No
     _require(horizon >= 2, "horizon must be at least 2 grid points")
     kernels = {m: _KERNELS[m] for m in methods}
     base = default_horizon(model, delta, math.sqrt(HORIZON_TAIL))
-    antithetic = _antithetic(model, delta)
+    # records read in more than one form say so
+    antithetic = True if antithetic_shift(model, GridSpec(delta)) is not None else None
     if 4 * base > horizon:
         at = engine.run(*_shared_path_run(model, delta, reps, kernels, [horizon // 2, horizon], seed,
                                           reversals=reversals))
@@ -477,29 +473,133 @@ def estimate(
     return _run_exact(model, delta, reps, (method,), horizon, seed)[method]
 
 
+# --- the window sup c(k) ------------------------------------------------------
+
+
+# NumPy runs an accumulate along the rows of an array without holding the GIL
+# only over more than 500 rows. The block kernel's row blocks hold that many
+# where their buffers then take at most GIL_FREE_BYTES (paths up to [-129, 129]
+# on the alpha = 2 line and [-194, 194] elsewhere), so that its chunks on
+# several threads overlap.
+GIL_FREE_ROWS = 501
+GIL_FREE_BYTES = 3 << 20
+
+
+class _LineRows(NamedTuple):
+    """Paths of the parametric alpha = 2 line on a grid, kept as their slopes
+    (``models.line_slopes``): ``rows(block, out)`` builds a block of rows in
+    ``out`` by the arithmetic of ``gaussian_w_matrix``, c t - sigma^2(t) / 2
+    with the origin column 0, so they equal the path matrix's rows bit for bit."""
+
+    slopes: np.ndarray
+    times: np.ndarray
+    half: np.ndarray
+    origin: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.slopes), len(self.times)
+
+    def rows(self, block: slice, out: np.ndarray) -> np.ndarray:
+        np.multiply(self.slopes[block], self.times, out=out)
+        out -= self.half
+        out[:, self.origin] = 0.0
+        return out
+
+
+def _block_paths(model: Model, grid: GridSpec, rng: np.random.Generator,
+                 count: int) -> np.ndarray | _LineRows:
+    """``count`` paths on ``grid`` for ``_block_sup_values``: on the alpha = 2
+    line their slopes, one normal a path, else the path matrix."""
+    if is_line(model):
+        t = grid.times()
+        return _LineRows(line_slopes(model, rng, count), t, 0.5 * variance_at(model, t), grid.origin)
+    return w_matrix(model, grid, rng, count)
+
+
+def _block_sup_values(paths: np.ndarray | _LineRows, radii) -> np.ndarray:
+    """Per-path estimates of c(r) = E sup_{0<=i<=r} exp(w(delta i)) for each r
+    in ``radii``, read from the central window [-r, r] of the paths, as a
+    (count, len(radii)) array.
+
+    The paths are a path matrix, whose row blocks are read as views, or the
+    slopes of the alpha = 2 line (``_LineRows``), whose row blocks are built
+    in a row buffer. Every window of r + 1 columns holds the centre column
+    r, so its maximum is the larger of the running maxima from the centre
+    out to its two ends. The rows are walked in blocks, and every step writes
+    into work buffers allocated once per call: the row buffer, the
+    exponentials and their cumulative sums after a zero column, the left and
+    right running maxima and the shift. They are C-ordered, so each row adds
+    in the same order whatever the number of rows.
+    """
+    count, n_cols = paths.shape
+    centre = n_cols // 2
+    line = isinstance(paths, _LineRows)
+    top = max(radii)
+    # a row takes 4 top + 5 floats of the buffers, and n_cols more on the line;
+    # the rows split evenly into blocks of at least per_block rows unless all
+    # rows are fewer
+    per_block = max(2, min(GIL_FREE_ROWS, GIL_FREE_BYTES // (8 * (4 * top + 5 + line * n_cols))))
+    n_blocks = max(1, count // per_block)
+    edges = [count * i // n_blocks for i in range(n_blocks + 1)]
+    size = -(-count // n_blocks)
+    row_buf = np.empty((size, n_cols)) if line else None
+    csums, lefts, rights = (np.empty(size * k) for k in (2 * top + 2, top + 1, top + 1))
+    shift = np.empty((size, 1))
+    out = np.empty((count, len(radii)))
+    for block in map(slice, edges, edges[1:]):
+        n = block.stop - block.start
+        rows = paths.rows(block, row_buf[:n]) if line else paths[block]
+        for j, r in enumerate(radii):
+            w = rows[:, centre - r:centre + r + 1]
+            csum, left, right = (buf[:n * k].reshape(n, k) for buf, k in
+                                 ((csums, 2 * r + 2), (lefts, r + 1), (rights, r + 1)))
+            np.max(w, axis=1, keepdims=True, out=shift[:n])
+            csum[:, 0] = 0.0
+            e = csum[:, 1:]
+            np.subtract(w, shift[:n], out=e)
+            np.exp(e, out=e)
+            np.cumsum(e, axis=1, out=e)  # in place: each term is read before it is written
+            # window maxima, start s = 0..r: columns s..r on the left, r..s + r
+            # on the right
+            np.maximum.accumulate(w[:, r::-1], axis=1, out=left)
+            np.maximum.accumulate(w[:, r:], axis=1, out=right)
+            np.maximum(left[:, ::-1], right, out=right)
+            np.subtract(right, shift[:n], out=right)
+            np.exp(right, out=right)
+            # window sums, start = 0..r
+            np.subtract(csum[:, r + 1:], csum[:, :-r - 1], out=left)
+            # the window starting at column r - j covers grid indices (0..r) - j,
+            # so summing the ratio over all r + 1 starts sums over all shifts j
+            out[block, j] = np.divide(right, left, out=right).sum(axis=1)
+    return out
+
+
 def est_definitional(
     model: Model,
     delta: float,
-    T: float,
+    T: float | None,
     reps: int,
     *,
     mesh: float | None = None,
     seed: int = 0,
 ) -> EstimateResult:
-    """(1/T) E sup of exp(w) over the grid in [0, T].
+    """(1/T) E sup of exp(w) over the grid in [0, T]: c(k) / T, with
+    k = floor(T / step) and c(k) = E sup_{0<=i<=k} exp(w(step i)).
 
-    For finite T this dominates H^delta in expectation (the constant is the
-    infimum over T), so it serves as an upper cross-check rather than an
-    exact estimator. ``delta = 0`` with a ``mesh`` approximates the
-    continuous-time functional; that limit is specific to the
-    fractional-Brownian family and is flagged as such. For delta > 0 the
-    grid step is delta, and ``mesh`` is neither used nor recorded.
-
-    The sup is exp(max(m, 0)) / T, with m the running maximum of the
-    positive lags at k = floor(T / step), read by the shared-path run of
-    the exact formulas in the same forms. k = 0 leaves only the origin:
+    c(k) is read by the block kernel's shift-invariant ratio
+    (``_block_sup_values``) from one two-sided path on [-k, k], so the value
+    per path is at most (k + 1) / T. It is at least H^delta at every T
+    (the module docstring), which makes it a dominance check rather than
+    an exact estimator. ``T`` None is the default horizon max(2, 2 delta).
+    ``delta = 0`` with a ``mesh`` approximates the continuous-time
+    functional; that limit is specific to the fractional-Brownian family
+    and is flagged as such. For delta > 0 the grid step is delta, and
+    ``mesh`` is neither used nor recorded. k = 0 leaves only the origin:
     the estimate is 1/T, with standard error 0, from no draw.
     """
+    if T is None:
+        T = max(2.0, 2.0 * delta)
     _require(T > 0, "T must be positive")
     flags: tuple[str, ...] = ()
     if delta == 0:
@@ -513,13 +613,16 @@ def est_definitional(
     if k == 0:
         # a run that draws nothing still takes the engine's replication check
         engine.chunk_plan(reps, 1)
-        mean, se, antithetic = 1.0 / T, 0.0, None
+        mean, se = 1.0 / T, 0.0
     else:
-        kernels = {"definitional": _Kernel(functools.partial(_values_definitional, T=T), ("pos",))}
-        (mean,), (se,) = engine.run(*_shared_path_run(model, step, reps, kernels, [k], seed))["definitional"]
-        antithetic = _antithetic(model, step)
+        grid = GridSpec(step, -k, k)
+
+        def worker(rng, count):
+            return _block_sup_values(_block_paths(model, grid, rng, count), [k])[:, 0] / T
+
+        (mean,), (se,) = engine.run(worker, seed, reps, grid.n_points)
     return EstimateResult("definitional", delta, float(mean), float(se), reps, k, True, seed,
-                          mesh=mesh, flags=flags, antithetic=antithetic)
+                          mesh=mesh, flags=flags)
 
 
 def est_continuous_dy(
@@ -556,10 +659,8 @@ class CrosscheckReport:
     """Shared-path runs of the grid formulas plus their CI-overlap matrix.
 
     The overlap matrix covers the five exact representations. The
-    definitional functional is reported alongside but enters only through
-    its dominance property (it upper-bounds the constant in expectation
-    and is heavy-tailed, so its finite-T estimate cannot be expected to
-    match within CI width).
+    definitional functional c(k) / T is at least H^delta at every T, so it
+    enters through a one-sided test instead: ``definitional_dominates``.
     """
 
     results: dict
@@ -586,27 +687,6 @@ def _ci_overlap(a: EstimateResult, b: EstimateResult) -> bool:
     return lo_a <= hi_b and lo_b <= hi_a
 
 
-def feasible_definitional_T(model: Model, delta: float, reps: int) -> float:
-    """Largest horizon at which the definitional sup-mean is MC-estimable.
-
-    The mean of sup exp(w) accumulates from sample paths with sup w up to
-    sigma^2(T)/2, while ``reps`` replications only reach levels of order
-    ln(reps); beyond that the plain average is badly biased low. When even
-    two grid steps exceed that budget, a sub-delta horizon is returned:
-    the grid then holds only the origin and the estimate is exactly 1/T,
-    the elementary upper bound for H^delta.
-    """
-    if not is_gaussian(model):
-        return 2.0 * delta
-    cap = 2.0 * max(2.0, math.log(max(reps, 8)) - 4.0)
-    if variance_at(model, 2.0 * delta) > cap:
-        return 0.75 * delta
-    t = 2.0 * delta
-    while variance_at(model, 2.0 * t) <= cap and t < 1e6:
-        t *= 2.0
-    return t
-
-
 def crosscheck(
     model: Model,
     delta: float,
@@ -622,9 +702,9 @@ def crosscheck(
     feeds every exact estimator, so disagreement is formula error rather
     than sampling noise. The five exact representations, truncated as by
     ``estimate``, enter the pairwise overlap matrix; the definitional
-    functional is checked for dominance instead, over [0, T] with T
-    defaulting to the largest MC-feasible horizon. It is the
-    ``est_definitional`` run of seed + 1, on paths independent of the
+    functional c(k) / T, at least H^delta at every T, is checked for
+    dominance instead, over [0, T], by default T = max(2, 2 delta). It is
+    the ``est_definitional`` run of seed + 1, on paths independent of the
     exact routes', so the hypot of the two standard errors in the
     dominance test is the standard error of their difference. At
     alpha = 1 an exact route's replication is the antithetic pair, not the
@@ -634,13 +714,10 @@ def crosscheck(
     """
     _require(delta > 0, "delta must be positive")
     _require(T is None or T > 0, "T must be positive")
-    if horizon is None:
-        horizon = default_horizon(model, delta)
     results = _run_exact(model, delta, reps, EXACT_METHODS, horizon, seed, reversals=False)
     overlap = {(a, b): _ci_overlap(results[a], results[b])
                for i, a in enumerate(EXACT_METHODS) for b in EXACT_METHODS[i + 1:]}
-    horizon_T = T if T is not None else min(horizon * delta, feasible_definitional_T(model, delta, reps))
-    d = results["definitional"] = est_definitional(model, delta, horizon_T, reps, seed=seed + 1)
+    d = results["definitional"] = est_definitional(model, delta, T, reps, seed=seed + 1)
     dominates = all(
         d.estimate + 3.0 * math.hypot(d.stderr, results[m].stderr) >= results[m].estimate
         for m in EXACT_METHODS

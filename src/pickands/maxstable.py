@@ -13,31 +13,23 @@ exact on a finite grid: it draws only the extremal functions, the atoms that
 attain zeta at some grid point (Dombry, Engelke and Oesting 2016), at an
 expected cost of one spectral path per grid point and sample.
 
-Both block statistics read their windows with one kernel,
-``_block_sup_values``, in row blocks through work buffers allocated once per
-chunk: as views of the path matrix, or on the alpha = 2 line built from the
-paths' slopes, so that no path matrix of the line is held.
+Both block statistics read their windows with the one reader of the window
+sup, ``estimators._block_sup_values``, which the definitional functional
+shares: in row blocks through work buffers allocated once per chunk, as
+views of the path matrix, or on the alpha = 2 line built from the paths'
+slopes, so that no path matrix of the line is held.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
 from . import engine
-from .estimators import EstimateResult, estimate
-from .models import GridSpec, Model, is_line, line_slopes, variance_at, w_matrix
-
-# NumPy runs an accumulate along the rows of an array without holding the GIL
-# only over more than 500 rows. The block kernel's row blocks hold that many
-# where their buffers then take at most GIL_FREE_BYTES (paths up to [-129, 129]
-# on the alpha = 2 line and [-194, 194] elsewhere), so that its chunks on
-# several threads overlap.
-GIL_FREE_ROWS = 501
-GIL_FREE_BYTES = 3 << 20
+from .estimators import EstimateResult, _block_paths, _block_sup_values, estimate
+from .models import GridSpec, Model, w_matrix
 
 __all__ = [
     "FddEstimate",
@@ -120,10 +112,12 @@ def fdd_probability(
     x = np.asarray(thresholds, dtype=float)
     if t.shape != x.shape or t.ndim != 1 or t.size == 0:
         raise ValueError("points and thresholds must be matching nonempty vectors")
+    if not np.all(np.isfinite(t)):
+        raise ValueError("points must be finite")
     if len(set(t.tolist())) != t.size:
         raise ValueError("points must be distinct")
-    if np.any(x <= 0):
-        raise ValueError("thresholds must be positive")
+    if not np.all(np.isfinite(x) & (x > 0)):
+        raise ValueError("thresholds must be positive and finite")
     grid, cols = _containing_grid(t)
     span = int(cols.max() - cols.min())
     grid = GridSpec(grid.delta, -span, span)
@@ -238,96 +232,6 @@ def _boundary_corrected_theta(model: Model, delta: float, r: int, reps: int, *,
     mean, se = engine.run(worker, seed, reps, grid.n_points)
     return EstimateResult("theta-blocks", delta, float(mean[0]), float(se[0]), reps, r, True, seed,
                           flags=("boundary-corrected",))
-
-
-class _LineRows(NamedTuple):
-    """Paths of the parametric alpha = 2 line on a grid, kept as their slopes
-    (``models.line_slopes``): ``rows(block, out)`` builds a block of rows in
-    ``out`` by the arithmetic of ``gaussian_w_matrix``, c t - sigma^2(t) / 2
-    with the origin column 0, so they equal the path matrix's rows bit for bit."""
-
-    slopes: np.ndarray
-    times: np.ndarray
-    half: np.ndarray
-    origin: int
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.slopes), len(self.times)
-
-    def rows(self, block: slice, out: np.ndarray) -> np.ndarray:
-        np.multiply(self.slopes[block], self.times, out=out)
-        out -= self.half
-        out[:, self.origin] = 0.0
-        return out
-
-
-def _block_paths(model: Model, grid: GridSpec, rng: np.random.Generator,
-                 count: int) -> np.ndarray | _LineRows:
-    """``count`` paths on ``grid`` for ``_block_sup_values``: on the alpha = 2
-    line their slopes, one normal a path, else the path matrix."""
-    if is_line(model):
-        t = grid.times()
-        return _LineRows(line_slopes(model, rng, count), t, 0.5 * variance_at(model, t), grid.origin)
-    return w_matrix(model, grid, rng, count)
-
-
-def _block_sup_values(paths: np.ndarray | _LineRows, radii) -> np.ndarray:
-    """Per-path estimates of c(r) = E sup_{0<=i<=r} exp(w(delta i)) for each r
-    in ``radii``, read from the central window [-r, r] of the paths, as a
-    (count, len(radii)) array.
-
-    The paths are a path matrix, whose row blocks are read as views, or the
-    slopes of the alpha = 2 line (``_LineRows``), whose row blocks are built
-    in a row buffer. Every window of r + 1 columns holds the centre column
-    r, so its maximum is the larger of the running maxima from the centre
-    out to its two ends. The rows are walked in blocks, and every step writes
-    into work buffers allocated once per call: the row buffer, the
-    exponentials and their cumulative sums after a zero column, the left and
-    right running maxima and the shift. They are C-ordered, so each row adds
-    in the same order whatever the number of rows.
-    """
-    count, n_cols = paths.shape
-    centre = n_cols // 2
-    line = isinstance(paths, _LineRows)
-    top = max(radii)
-    # a row takes 4 top + 5 floats of the buffers, and n_cols more on the line;
-    # the rows split evenly into blocks of at least per_block rows unless all
-    # rows are fewer
-    per_block = max(2, min(GIL_FREE_ROWS, GIL_FREE_BYTES // (8 * (4 * top + 5 + line * n_cols))))
-    n_blocks = max(1, count // per_block)
-    edges = [count * i // n_blocks for i in range(n_blocks + 1)]
-    size = -(-count // n_blocks)
-    row_buf = np.empty((size, n_cols)) if line else None
-    csums, lefts, rights = (np.empty(size * k) for k in (2 * top + 2, top + 1, top + 1))
-    shift = np.empty((size, 1))
-    out = np.empty((count, len(radii)))
-    for block in map(slice, edges, edges[1:]):
-        n = block.stop - block.start
-        rows = paths.rows(block, row_buf[:n]) if line else paths[block]
-        for j, r in enumerate(radii):
-            w = rows[:, centre - r:centre + r + 1]
-            csum, left, right = (buf[:n * k].reshape(n, k) for buf, k in
-                                 ((csums, 2 * r + 2), (lefts, r + 1), (rights, r + 1)))
-            np.max(w, axis=1, keepdims=True, out=shift[:n])
-            csum[:, 0] = 0.0
-            e = csum[:, 1:]
-            np.subtract(w, shift[:n], out=e)
-            np.exp(e, out=e)
-            np.cumsum(e, axis=1, out=e)  # in place: each term is read before it is written
-            # window maxima, start s = 0..r: columns s..r on the left, r..s + r
-            # on the right
-            np.maximum.accumulate(w[:, r::-1], axis=1, out=left)
-            np.maximum.accumulate(w[:, r:], axis=1, out=right)
-            np.maximum(left[:, ::-1], right, out=right)
-            np.subtract(right, shift[:n], out=right)
-            np.exp(right, out=right)
-            # window sums, start = 0..r
-            np.subtract(csum[:, r + 1:], csum[:, :-r - 1], out=left)
-            # the window starting at column r - j covers grid indices (0..r) - j,
-            # so summing the ratio over all r + 1 starts sums over all shifts j
-            out[block, j] = np.divide(right, left, out=right).sum(axis=1)
-    return out
 
 
 def est_candidate_theta(

@@ -143,8 +143,8 @@ class TestEstimate:
         assert header == [*estimate, "antithetic", "config_hash"] and len(rows) == 1
         header, _ = csv_rows(["estimate", "--family", "fbm", "--alpha", "1", "--delta", "0",
                               "--method", "definitional", "--reps", "200", "--seed", "2"])
-        # the definitional reads the four forms of its side at alpha = 1, after the mesh field
-        assert header == [*estimate, "mesh", "antithetic", "config_hash"]
+        # the definitional reads each path once, by the block kernel: a mesh and no antithetic column
+        assert header == [*estimate, "mesh", "config_hash"]
         header, _ = csv_rows(["bound", "--family", "power", "--alpha", "1", "--scale", "2",
                               "--delta", "10"])
         # a nested dict is spread into dotted columns
@@ -153,9 +153,9 @@ class TestEstimate:
         header, rows = csv_rows(["crosscheck", "--family", "fbm", "--alpha", "1.5", "--delta", "1",
                                  "--reps", "5000", "--seed", "2"])
         exact = ["exceedance", "difference", "argmax", "dieker-yakir", "time-reversed"]
-        result = ["method", "delta", "estimate", "stderr", "reps", "horizon", "stable", "seed", "flags",
-                  "antithetic"]
-        assert header == [*(f"results.{m}.{f}" for m in [*exact, "definitional"] for f in result),
+        result = ["method", "delta", "estimate", "stderr", "reps", "horizon", "stable", "seed", "flags"]
+        assert header == [*(f"results.{m}.{f}" for m in exact for f in [*result, "antithetic"]),
+                          *(f"results.definitional.{f}" for f in result),
                           *(f"overlap.{a}|{b}" for i, a in enumerate(exact) for b in exact[i + 1:]),
                           "all_overlap", "definitional_dominates", "flags", "config_hash"]
         assert len(rows) == 1 and rows[0]["results.exceedance.method"] == "exceedance"
@@ -544,6 +544,22 @@ def test_non_finite_float_option_exits_2(args, monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert stop.value.code == 2 and not drawn and out == ""
     assert "expected a finite number" in err
+
+
+@pytest.mark.parametrize("args, bad", [
+    (["smallball", "--alpha", "1", "--eta", "inf"], "'inf'"),
+    (["estimate", "--family", "levy", "--phi-jump-rate", "1", "--phi-jump", "normal:nan,1"], "'nan'"),
+    (["maxstable", "--check", "fdd", "--points", "0,1", "--thresholds", "1,nan"], "'nan'"),
+    (["maxstable", "--check", "fdd", "--points", "0,inf"], "'inf'"),
+], ids=" ".join)
+def test_non_finite_list_value_exits_2(args, bad, monkeypatch, capsys):
+    # each value of a comma-separated float option is read by the float options' type
+    drawn = []
+    monkeypatch.setattr(engine, "chunk_stream", lambda *key: drawn.append(key))
+    assert main([*args, "--reps", "200"]) == 2
+    out, err = capsys.readouterr()
+    assert not drawn and out == ""
+    assert f"{args[-2]}: expected a finite number, got {bad}" in err
 
 
 def test_every_float_option_is_finite():

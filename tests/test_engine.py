@@ -207,14 +207,18 @@ class TestLevelReadsKeepBytes:
         "difference": ("0x1.34c3b0967b731p-1", "0x1.b7b478fb70d8ep-9"),
         "argmax": ("0x1.2d65b7a328470p-1", "0x1.6312d23836a6dp-7"),
         "time-reversed": ("0x1.2ce2a53490b9bp-1", "0x1.478ad02a4d04ep-7"),
-        # the definitional is est_definitional's run of seed 12, on paths of its own, and
-        # 1/T from no draw at T 0.3 (was 0x1.29a06dfb3581bp+0 +- 0x1.f4ca5d2c8ba5cp-5,
-        # 0x1.aaaaaaaaaaaabp+1 +- 0x1.ee62c8763eeabp-31, 0x1.a8e91fe90cbecp-1 +- 0x1.ff71ad7332ef7p-4
-        # and 0x1.451a2e7a46cafp+0 +- 0x1.a7d283851486dp-1 on the exact routes' paths)
-        "definitional, T None": ("0x1.1a2fb8df60d0fp+0", "0x1.87a3e917acce5p-5"),
+        # the definitional is est_definitional's run of seed 12, c(k) / T by the block kernel
+        # on paths of its own, each read once, and 1/T from no draw at T 0.3. The plain mean
+        # of its positive side's pair gave 0x1.1a2fb8df60d0fp+0 +- 0x1.87a3e917acce5p-5 at the
+        # then default T 2, 0x1.40248f84934e8p-1 +- 0x1.56ea868d9557ep-5 and
+        # 0x1.4669cd79dfa16p-2 +- 0x1.325719efa73ecp-6; on the exact routes' paths it gave
+        # 0x1.29a06dfb3581bp+0 +- 0x1.f4ca5d2c8ba5cp-5, 0x1.aaaaaaaaaaaabp+1 +-
+        # 0x1.ee62c8763eeabp-31, 0x1.a8e91fe90cbecp-1 +- 0x1.ff71ad7332ef7p-4 and
+        # 0x1.451a2e7a46cafp+0 +- 0x1.a7d283851486dp-1
+        "definitional, T None": ("0x1.1f4628fd27157p+0", "0x1.02ab46a7de8ddp-8"),
         "definitional, T 0.3": ("0x1.aaaaaaaaaaaabp+1", "0x0.0p+0"),
-        "definitional, T 4.0": ("0x1.40248f84934e8p-1", "0x1.56ea868d9557ep-5"),
-        "definitional, T 8.0": ("0x1.4669cd79dfa16p-2", "0x1.325719efa73ecp-6"),
+        "definitional, T 4.0": ("0x1.ba072a3938666p-1", "0x1.c4d87af867641p-9"),
+        "definitional, T 8.0": ("0x1.78a28a60908e9p-1", "0x1.9c94adbf2e67ep-9"),
     }
 
     def test_paired(self):
@@ -222,8 +226,9 @@ class TestLevelReadsKeepBytes:
                                                                         "time-reversed")}
         results |= {f"definitional, T {T}": crosscheck(FBM15, 0.5, 3000, horizon=16, seed=11, T=T)
                     .results["definitional"] for T in (None, 0.3, 4.0, 8.0)}
-        # [0, 0.3] holds only the origin, so no path is read
-        assert [k for k, res in results.items() if not res.antithetic] == ["definitional, T 0.3"]
+        # only the exact formulas read the pair
+        assert [k for k, res in results.items() if res.antithetic] == ["exceedance", "difference", "argmax",
+                                                                        "time-reversed"]
         assert {k: (res.estimate.hex(), res.stderr.hex()) for k, res in results.items()} == self.PAIRED
 
     @pytest.mark.parametrize("method, value, stderr", [
@@ -237,15 +242,18 @@ class TestLevelReadsKeepBytes:
         assert res.horizon == 32
         assert (res.estimate.hex(), res.stderr.hex()) == (value, stderr)
 
-    # k_T = 4 (the feasible default), 0 (the origin only), 8 and 16 (T = H delta). Read by
-    # est_definitional on paths of its own: was 0x1.2731317291e5fp+0 +- 0x1.a2e65c8c95972p-4,
-    # 0x1.aaaaaaaaaaaabp+1 +- 0x1.ee62c8763eeabp-31, 0x1.edb2d7a7e37fdp-1 +- 0x1.f4e4f27947313p-3
-    # and 0x1.17957d45c593dp+1 +- 0x1.a7ca08f4c728cp+0 on the exact routes' paths
+    # k_T = 4 (the default T = 2), 0 (the origin only), 8 and 16 (T = H delta). The block
+    # kernel reads each path once, so these are test_paired's values. Read by the plain mean of
+    # one form, they were 0x1.28070fda73b52p+0 +- 0x1.2e92622250336p-4 (at the then feasible
+    # default T 2), 0x1.aaaaaaaaaaaabp+1 +- 0x0.0p+0, 0x1.4bc8bf41f21bcp-1 +- 0x1.aa9a3665aafe5p-5
+    # and 0x1.4a633b62dda79p-2 +- 0x1.c1513cbcca7fap-6; on the exact routes' paths
+    # 0x1.2731317291e5fp+0 +- 0x1.a2e65c8c95972p-4, 0x1.aaaaaaaaaaaabp+1 +- 0x1.ee62c8763eeabp-31,
+    # 0x1.edb2d7a7e37fdp-1 +- 0x1.f4e4f27947313p-3 and 0x1.17957d45c593dp+1 +- 0x1.a7ca08f4c728cp+0
     @pytest.mark.parametrize("T, k_T, value, stderr", [
-        (None, 4, "0x1.28070fda73b52p+0", "0x1.2e92622250336p-4"),
+        (None, 4, "0x1.1f4628fd27157p+0", "0x1.02ab46a7de8ddp-8"),
         (0.3, 0, "0x1.aaaaaaaaaaaabp+1", "0x0.0p+0"),
-        (4.0, 8, "0x1.4bc8bf41f21bcp-1", "0x1.aa9a3665aafe5p-5"),
-        (8.0, 16, "0x1.4a633b62dda79p-2", "0x1.c1513cbcca7fap-6"),
+        (4.0, 8, "0x1.ba072a3938666p-1", "0x1.c4d87af867641p-9"),
+        (8.0, 16, "0x1.78a28a60908e9p-1", "0x1.9c94adbf2e67ep-9"),
     ])
     def test_crosscheck_definitional(self, T, k_T, value, stderr, unpaired):
         res = crosscheck(FBM15, 0.5, 3000, horizon=16, seed=11, T=T).results["definitional"]

@@ -15,6 +15,7 @@ from pickands.estimators import (
     EXACT_METHODS,
     HORIZON_TAIL,
     _KERNELS,
+    _block_sup_values,
     _read_side,
     _run_exact,
     _shared_path_run,
@@ -24,7 +25,6 @@ from pickands.estimators import (
     est_continuous_dy,
     est_definitional,
     estimate,
-    feasible_definitional_T,
 )
 from pickands.models import (
     GridSpec,
@@ -168,16 +168,27 @@ class TestDefinitional:
         res = est_definitional(flat, 1.0, 10.0, 100, seed=1)
         assert res.estimate == pytest.approx(0.1)
 
-    def test_alpha2_small_T_oracle(self):
-        # E sup over {0, 1, 2} of exp(w) from one-dimensional quadrature
-        res = est_definitional(FBM2, 1.0, 2.0, 200_000, seed=5)
-        target = alpha2_sup_mean(2.0, 1.0) / 2.0
-        assert abs(res.estimate - target) <= 3.0 * res.stderr + 0.02 * target
+    @pytest.mark.parametrize("T", [1.0, 2.0, 8.0, 32.0])
+    def test_alpha2_sup_mean(self, T):
+        # c(k) = E sup over {0, ..., k} of exp(w) from one-dimensional quadrature
+        res = est_definitional(FBM2, 1.0, T, 50_000, seed=5)
+        assert res.horizon == int(T)
+        assert_within(res, alpha2_sup_mean(T, 1.0) / T)
 
     def test_dominates_constant_alpha1(self):
-        T = feasible_definitional_T(FBM1, 0.5, 200_000)
-        res = est_definitional(FBM1, 0.5, T, 200_000, seed=6)
+        res = est_definitional(FBM1, 0.5, 8.0, 200_000, seed=6)
         assert res.estimate >= FROZEN[("alpha1", 0.5)] - 3.0 * res.stderr
+
+    # c(k) >= (k + 1) delta H^delta >= T H^delta, also just below a grid point
+    @pytest.mark.parametrize("T", [1.0, 2.999, 3.0, 16.0])
+    def test_dominates_at_every_T(self, T):
+        res = est_definitional(FBM1, 1.0, T, 50_000, seed=7)
+        assert res.horizon == int(T)
+        assert res.estimate >= FROZEN[("alpha1", 1.0)] - 3.0 * res.stderr
+        jumps = LEVY_MODELS["normal-jumps"]
+        d = est_definitional(jumps, 1.0, T, 50_000, seed=8)
+        e = estimate(jumps, "dieker-yakir", 1.0, 50_000, seed=9)
+        assert d.estimate >= e.estimate - 3.0 * np.hypot(d.stderr, e.stderr)
 
     def test_delta_zero_requires_mesh(self):
         with pytest.raises(ValueError):
@@ -265,8 +276,7 @@ class TestInvariants:
 
     def test_definitional_dominates_exceedance(self):
         delta = 1.0
-        T = feasible_definitional_T(FBM1, delta, 100_000)
-        d = est_definitional(FBM1, delta, T, 100_000, seed=22)
+        d = est_definitional(FBM1, delta, 4.0, 100_000, seed=22)
         e = estimate(FBM1, "exceedance", delta, 100_000, seed=23)
         assert d.estimate >= e.estimate - 3.0 * np.hypot(d.stderr, e.stderr)
 
@@ -375,8 +385,9 @@ class TestTwoLevel:
             runs.append(crosscheck(FBM1, 0.5, 40_000, horizon=4096, seed=44).to_dict())
         assert runs[0] == runs[1] == runs[2]
         assert runs[0]["results"]["exceedance"]["base_horizon"] == 64
-        assert all(r["antithetic"] is True for r in runs[0]["results"].values())
-        assert "base_horizon" not in runs[0]["results"]["definitional"]
+        assert all(runs[0]["results"][m]["antithetic"] is True for m in EXACT_METHODS)
+        # the definitional reads each path once, in one level
+        assert not {"antithetic", "base_horizon"} & set(runs[0]["results"]["definitional"])
 
     def test_crosscheck_definitional_beyond_base_is_one_level(self):
         # [0, T] past the base level H0 = 64: the exact routes keep their two levels, and the
@@ -429,13 +440,13 @@ class TestAntitheticPairs:
         for m in EXACT_METHODS:
             assert report.results[m].antithetic is True
             assert_within(report.results[m], alpha1_series(0.5))
-        assert report.results["definitional"].antithetic is True
+        assert report.results["definitional"].antithetic is None
 
     def test_only_shared_path_runs_are_paired(self):
-        # continuous-dy is a relabelled estimate run, and est_definitional a kernel of the
-        # shared-path run; [0, T] holding only the origin reads no path
+        # continuous-dy is a relabelled estimate run; est_definitional reads each path once
+        # by the block kernel (was antithetic at T 4.0), and [0, 0.4] holds only the origin
         assert est_continuous_dy(FBM1, 0.05, 2.0, 500, seed=4).antithetic is True
-        assert est_definitional(FBM1, 0.5, 4.0, 500, seed=4).antithetic is True
+        assert est_definitional(FBM1, 0.5, 4.0, 500, seed=4).antithetic is None
         assert est_definitional(FBM1, 0.5, 0.4, 500, seed=4).antithetic is None
 
 
@@ -578,40 +589,23 @@ class TestLineReads:
         assert peak < matrix_bytes / 8
 
 
-def definitional_reference(model, step, T, rng, count):
-    """exp(max of w over the grid in [0, T]) / T on the ``w_matrix`` draw of the
-    chunk stream ``rng``, averaged over the forms of the positive side
-    (``side_forms``) in the worker's order."""
-    k = int(math.floor(T / step + 1e-12))
-    grid = GridSpec(step, 0, k)
-    w = w_matrix(model, grid, rng, count)
-    shift = antithetic_shift(model, grid)
-    forms = 1 if shift is None else 4 if independent_sides(model) else 2
-    mirror = np.zeros(k + 1) if shift is None else shift
-    values = [np.exp(np.maximum(w[:, :1], form.max(axis=1, keepdims=True))) / T
-              for form in side_forms(w[:, 1:], mirror[1:], forms, np.empty((count, k)))]
-    return sum(values[1:], values[0]) * (1.0 / len(values))
-
-
 class TestDefinitionalKernel:
-    """``est_definitional`` is a kernel of the shared-path run: the maxima of the
-    positive side at the one level k, in the side's forms, and on the
-    alpha = 2 line from the slopes."""
+    """``est_definitional`` is c(k) / T, c(k) read by the block kernel from one
+    two-sided path on [-k, k] a replication, on the alpha = 2 line from the
+    slopes."""
 
     MODELS = [FBM1, VarianceFunction.fbm(1.5), TestAntitheticPairs.TABULATED, LEVY_MODELS["normal-jumps"],
               LevyModel.brownian(), FBM2]
 
-    @pytest.mark.parametrize("model", MODELS, ids=["fbm1, 4 forms", "fbm1.5, the pair", "tabulated, the pair",
-                                                   "jump levy, one form", "brownian levy, 4 forms",
+    @pytest.mark.parametrize("model", MODELS, ids=["fbm1", "fbm1.5", "tabulated", "jump levy", "brownian levy",
                                                    "fbm2, the line"])
     @pytest.mark.parametrize("delta, T, mesh, reps", [
-        # k = 8, a side narrow enough for its maxima to be combined a column at a time;
-        # 40000 paths: two row groups of 4-form side reads
+        # k = 8; 40000 paths: many row blocks of the kernel
         (0.5, 4.0, None, 40_000),
-        # the mesh's k = 80, a side read by reduceat
+        # the mesh's k = 80
         (0.0, 4.0, 0.05, 3_000),
     ])
-    def test_worker_is_the_matrix_reference(self, model, delta, T, mesh, reps, monkeypatch):
+    def test_worker_is_the_block_kernel(self, model, delta, T, mesh, reps, monkeypatch):
         runs = []
         run = engine.run
         monkeypatch.setattr(engine, "run", lambda *r: runs.append(r) or run(*r))
@@ -619,17 +613,28 @@ class TestDefinitionalKernel:
         res = est_definitional(model, delta, T, reps, mesh=mesh, seed=5)
         k = int(math.floor(T / step + 1e-12))
         worker, *plan = runs[0]
-        assert res.horizon == k and plan == [5, reps, k, 0] and engine.chunk_plan(reps, k) == [reps]
-        got = worker(chunk_stream(5, 0), reps)["definitional"]
-        assert got.tobytes() == definitional_reference(model, step, T, chunk_stream(5, 0), reps).tobytes()
+        assert res.horizon == k and plan == [5, reps, 2 * k + 1] and engine.chunk_plan(reps, 2 * k + 1) == [reps]
+        want = _block_sup_values(w_matrix(model, GridSpec(step, -k, k), chunk_stream(5, 0), reps), [k])[:, 0] / T
+        assert worker(chunk_stream(5, 0), reps).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("model", [VarianceFunction.fbm(1.5), FBM2], ids=["fbm1.5", "fbm2, the line"])
+    def test_thread_invariance(self, model, monkeypatch):
+        # k = 160: chunks of 13066, 13066 and 3868 paths
+        assert engine.chunk_plan(30_000, 321) == [13066, 13066, 3868]
+        runs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("PICKANDS_THREADS", threads)
+            runs.append(est_definitional(model, 0.5, 80.0, 30_000, seed=3))
+        assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("model", [VarianceFunction.fbm(1.5), LEVY_MODELS["exponential-jumps"]])
     def test_crosscheck_reads_seed_plus_one(self, model):
         # paths independent of the exact routes', so hypot(SE, SE) is the SE of the difference;
-        # at the default T, the smaller of H delta and the feasible horizon
-        report = crosscheck(model, 1.0, 5_000, seed=7)
-        T = min(default_horizon(model, 1.0), feasible_definitional_T(model, 1.0, 5_000))
-        assert report.results["definitional"] == est_definitional(model, 1.0, T, 5_000, seed=8)
+        # at the default T = max(2, 2 delta) = 2
+        d = crosscheck(model, 1.0, 5_000, seed=7).results["definitional"]
+        assert d.horizon == 2
+        assert d == est_definitional(model, 1.0, None, 5_000, seed=8)
+        assert d == est_definitional(model, 1.0, 2.0, 5_000, seed=8)
 
     def test_line_runs_draw_no_path_matrix(self, monkeypatch):
         def no_matrix(*args):
@@ -667,10 +672,12 @@ class TestTwoLevelPins:
             assert {m: (r.estimate.hex(), r.stderr.hex(), r.correction.hex(), r.correction_stderr.hex())
                     for m, r in report.results.items() if m != "definitional"} == pins
             assert {r.base_horizon for m, r in report.results.items() if m != "definitional"} == {1024}
-            # est_definitional's run of seed 4, on paths of its own (was 0x1.60646666b6fd6p-1 +-
-            # 0x1.5ad9a9ea592dap-4 on the base paths)
+            # est_definitional's run of seed 4, c(4) / 2 by the block kernel (was
+            # 0x1.5d93bcbfa2573p-1 +- 0x1.6c0f5962d5d79p-5, the plain mean at T = 8, and before
+            # that 0x1.60646666b6fd6p-1 +- 0x1.5ad9a9ea592dap-4 on the base paths)
             d = report.results["definitional"]
-            assert (d.estimate.hex(), d.stderr.hex()) == ("0x1.5d93bcbfa2573p-1", "0x1.6c0f5962d5d79p-5")
+            assert d.horizon == 4
+            assert (d.estimate.hex(), d.stderr.hex()) == ("0x1.32643f8e993a0p+0", "0x1.1daf50c6fd5fap-7")
 
 
 class TestOneLevelPins:
@@ -702,9 +709,10 @@ class TestOneLevelPins:
             "argmax": ("0x1.06809d495182bp-1", "0x1.44458dc3d2707p-8"),
             "dieker-yakir": ("0x1.04ccbb643a885p-1", "0x1.22a2a3bb55a93p-10"),
             "time-reversed": ("0x1.0617c1bda511ap-1", "0x1.0e91e7735138ep-8"),
-            # est_definitional's run of seed 8, on paths of its own (was 0x1.ed7332f5113b0p-1 +-
-            # 0x1.1844cf553ad6fp-5 on the exact routes' paths)
-            "definitional": ("0x1.039e8203c49cfp+0", "0x1.4c968029d8385p-5"),
+            # est_definitional's run of seed 8, c(2) / 2 by the block kernel (was
+            # 0x1.039e8203c49cfp+0 +- 0x1.4c968029d8385p-5, the plain mean, and before that
+            # 0x1.ed7332f5113b0p-1 +- 0x1.1844cf553ad6fp-5 on the exact routes' paths)
+            "definitional": ("0x1.03d6d00f69dacp+0", "0x1.254faddafe6b5p-9"),
         }
 
 

@@ -8,14 +8,11 @@ import pytest
 from scipy import stats
 
 from oracles import alpha2_constant, alpha2_fdd_exponent, alpha2_sup_mean, levy_brownian_series
-from pickands import maxstable
+from pickands import estimators
 from pickands.engine import ROW_BLOCK_BYTES, chunk_plan, chunk_stream
-from pickands.estimators import estimate
+from pickands.estimators import _block_paths, _block_sup_values, _LineRows, estimate
 from pickands.maxstable import (
-    _block_paths,
-    _block_sup_values,
     _boundary_corrected_theta,
-    _LineRows,
     est_candidate_theta,
     est_extremal_index_blocks,
     fdd_probability,
@@ -137,6 +134,16 @@ class TestFddOracle:
         with pytest.raises(ValueError):
             fdd_probability(FBM2, [0.0], [-1.0], 100)
 
+    @pytest.mark.parametrize("points, thresholds, message", [
+        ([0.0, math.inf], [2.0, 3.0], "points must be finite"),
+        ([0.0, math.nan], [2.0, 3.0], "points must be finite"),
+        ([0.0, 1.0], [1.0, math.nan], "thresholds must be positive and finite"),
+        ([0.0, 1.0], [1.0, math.inf], "thresholds must be positive and finite"),
+    ])
+    def test_non_finite_input_rejected(self, points, thresholds, message):
+        with pytest.raises(ValueError, match=message):
+            fdd_probability(FBM2, points, thresholds, 100)
+
     @pytest.mark.parametrize("points", [[0.0, 0.0], [1.0, 2.0, 1.0]])
     def test_repeated_points_rejected(self, points):
         with pytest.raises(ValueError, match="points must be distinct"):
@@ -255,7 +262,8 @@ class TestBlockSupKernel:
         def refuse(*args):
             raise AssertionError("a path matrix was drawn on the alpha = 2 line")
 
-        monkeypatch.setattr(maxstable, "w_matrix", refuse)
+        # the block kernel's paths are drawn by estimators._block_paths
+        monkeypatch.setattr(estimators, "w_matrix", refuse)
         est_extremal_index_blocks(FBM2, 1.0, 1000, 200, seed=1)
         _boundary_corrected_theta(FBM2, 0.5, 10, 200, seed=1)
 
