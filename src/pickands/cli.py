@@ -10,13 +10,15 @@ grows with it, about one chunk per thread.
 Exit codes: 0 success, 1 a requested check failed (its records are still
 written), 2 invalid usage or input, such as a float option that is not a
 finite number, fewer than two --reps or --samples or a nonpositive --T,
---cutoff or --rn (never read as a request for the default), a smallball
-alpha outside (0, 2], a nonpositive eta, a repeated eta in a sweep of three
-or more or an eta that no automatic cutoff reaches (give --cutoff), a model
-flag that the family does not read (such as --scale for fbm, or --phi-jump
-with --brownian), a --phi-jump with more values than its law takes, or a
-bound run with only one of --kappa and --cbound, or with either for a Levy
-model.
+--cutoff or --rn (never read as a request for the default), a theta check's
+--level below 1, a smallball alpha outside (0, 2], a nonpositive eta, a
+repeated eta in a sweep of three or more or an eta that no automatic cutoff
+reaches (give --cutoff), a model flag that the family does not read (such
+as --scale for fbm, or --phi-jump with --brownian), a method flag that the
+estimate method or the maxstable check does not read (such as --T for
+exceedance or --level for the fdd check), a --phi-jump with more values
+than its law takes, or a bound run with only one of --kappa and --cbound,
+or with either for a Levy model.
 """
 
 from __future__ import annotations
@@ -175,22 +177,27 @@ def _config_flags(path: str) -> list[str]:
             for key, value in parse_config_file(path).items() if value is not False]
 
 
+def _refuse_unread(what: str, flags) -> None:
+    """Invalid input: a flag of the (flag, given, read) triples ``flags`` given,
+    that is, not at its default, but not read by ``what``."""
+    unread = [flag for flag, given, read in flags if given and not read]
+    if unread:
+        raise ValueError(f"{what} does not read {', '.join(unread)}")
+
+
 def build_model(args: argparse.Namespace):
     """The model of the family flags. A model flag that the family does not read is
     invalid input, not dropped; --brownian means the --phi defaults, so it reads no --phi flag."""
     levy = args.family == "levy"
     phi = levy and not args.brownian
-    unread = [flag for flag, given, read in (
+    _refuse_unread(f"--family {args.family}" + (" --brownian" if args.brownian and levy else ""), (
         ("--alpha", args.alpha != 1.0, not levy),
         ("--scale", args.scale != 2.0, args.family == "power"),
         ("--brownian", args.brownian, levy),
         ("--phi-diffusion", args.phi_diffusion != 1.0, phi),
         ("--phi-jump-rate", args.phi_jump_rate != 0.0, phi),
         ("--phi-jump", args.phi_jump is not None, phi),
-    ) if given and not read]
-    if unread:
-        family = f"--family {args.family}" + (" --brownian" if args.brownian and levy else "")
-        raise ValueError(f"{family} does not read {', '.join(unread)}")
+    ))
     if args.family == "fbm":
         return VarianceFunction.fbm(args.alpha)
     if args.family == "power":
@@ -246,6 +253,18 @@ def _run_single_estimate(args, model, method: str) -> dict:
 
 
 def cmd_estimate(args) -> tuple[list[dict], str | None]:
+    # --method all runs them all, and at delta = 0 those that take it
+    methods = {args.method} if args.method != "all" else set(ESTIMATORS if args.delta else CONTINUUM_METHODS)
+    _refuse_unread(f"--method {args.method} at --delta {args.delta:g}", (
+        ("--T", args.T is not None, "definitional" in methods),
+        ("--window", args.window != 10.0, "continuous-dy" in methods),
+        ("--level", args.level != 1e4, "theta-blocks" in methods),
+        ("--rn", args.rn is not None, "theta-blocks" in methods),
+        ("--horizon", args.horizon is not None, bool(methods & {*EXACT_METHODS, "theta-candidate"})),
+        # the definitional's grid step is delta unless delta = 0
+        ("--mesh", args.mesh is not None,
+         "continuous-dy" in methods or "definitional" in methods and not args.delta),
+    ))
     model = build_model(args)
     if args.method != "all":
         return [_run_single_estimate(args, model, args.method)], None
@@ -280,6 +299,17 @@ def cmd_bound(args) -> tuple[list[dict], str | None]:
 
 
 def cmd_maxstable(args) -> tuple[list[dict], str | None]:
+    theta, fdd = args.check == "theta", args.check == "fdd"
+    _refuse_unread(f"--check {args.check}" + (" --export" if args.export else ""), (
+        ("--points", args.points is not None, fdd),
+        ("--thresholds", args.thresholds is not None, fdd),
+        # --level sets the default --rn only
+        ("--level", args.level != 1e4, theta and args.rn is None),
+        ("--rn", args.rn is not None, theta or args.export),
+        ("--samples", args.samples != 20_000, not theta or args.export),
+    ))
+    if args.level < 1:
+        raise ValueError("--level must be at least 1")
     # the engine's rule, checked before the fdd oracle draws
     if args.samples < 2:
         raise ValueError("--samples must be at least 2")

@@ -20,10 +20,9 @@ reduction order, so its result is the one it has alone.
 Each thread holds one chunk at a time, whichever run it belongs to, so peak
 memory is still about the thread count times one chunk's working set.
 Samplers and value kernels keep that working set small by walking a chunk
-in row blocks (``row_blocks``, ``by_row_blocks``) of a fixed byte size,
-which changes no value, and by reading running maxima and sums at a
-kernel's truncation levels only (``running_at``) instead of over every
-column.
+in row blocks (``row_blocks``) of a fixed byte size, which changes no
+value, and by reading running maxima and sums at a kernel's truncation
+levels only (``running_at``) instead of over every column.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ import numpy as np
 import numpy.random  # numpy loads it lazily; every run draws from it, so load it with the package
 
 __all__ = [
-    "by_row_blocks",
     "chunk_stream",
     "chunk_plan",
     "doubling_stable",
@@ -173,21 +171,6 @@ def row_blocks(n_rows: int, row_bytes: int) -> list[slice]:
     step = max(2, ROW_BLOCK_BYTES // max(1, row_bytes))
     edges = list(range(0, n_rows - step + 1, step)) or [0]
     return [slice(a, b) for a, b in zip(edges, edges[1:] + [n_rows])]
-
-
-def by_row_blocks(kernel: Callable[..., np.ndarray]) -> Callable[..., np.ndarray]:
-    """``kernel(a, *args)`` evaluated on the row blocks of ``a`` and stacked in row order.
-
-    For kernels whose output row i depends only on input row i, by operations
-    that treat every row alike; the result is then the same as one call on
-    all of ``a``, with temporaries the size of one block.
-    """
-
-    @functools.wraps(kernel)
-    def blocked(a: np.ndarray, *args) -> np.ndarray:
-        return np.concatenate([kernel(a[rows], *args) for rows in row_blocks(len(a), a[:1].nbytes)])
-
-    return blocked
 
 
 def running_at(ufunc: np.ufunc, side: np.ndarray, levels) -> np.ndarray:

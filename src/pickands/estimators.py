@@ -66,45 +66,41 @@ which the two-sided kernels already read, and jump laws are not symmetric,
 so that line and the jump Levy models read each path once. Records read in
 more than one form carry ``antithetic`` = true; others leave it out.
 
-The alpha = 2 line b(t) = c t is read from its slope c = sqrt(scale) Z,
-one normal a path, and no path matrix is built. A side
-x(k) = c t_k - sigma^2(t_k) / 2 is a concave parabola in k, so its maxima
-at the levels are read in closed form at the two integers around its
-vertex, and its sums of exp(x) from x built a row block at a time; both
-equal, bit for bit, what the path matrix would give.
+The alpha = 2 line b(t) = c t is read from its slopes c = sqrt(scale) Z
+(``models.LinePaths``), and no path matrix is built: a side's maxima at the
+levels in closed form, and its sums of exp(x) from rows built a row block
+at a time, both equal, bit for bit, to what the path matrix would give.
 
 The window sup c(k) = E sup_{0<=i<=k} exp(w(delta i)) has one reader,
 ``_block_sup_values``, the shift-invariant ratio of Dieker and Yakir
 (2014): its value per path is at most k + 1, where the plain mean of the
 sup is carried by rare, high paths. The definitional functional is
 c(k) / T, k = floor(T / delta) (``est_definitional``), and the block
-statistics of ``maxstable`` read c at their block lengths. By
-subadditivity c(k) >= (k + 1) delta H^delta, so c(k) / T >= H^delta at
-every T. The kernel reads each path once, from the path matrix or, on the
-alpha = 2 line, from row blocks built from the slopes.
+statistics of ``maxstable`` read c at their block lengths, all through one
+run (``_window_sups``). By subadditivity c(k) >= (k + 1) delta H^delta, so
+c(k) / T >= H^delta at every T. The kernel reads each path once.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from . import engine
 from .models import (
     GridSpec,
+    LinePaths,
     Model,
     antithetic_shift,
     independent_sides,
     is_gaussian,
     is_line,
     levy_lambda,
-    line_maxima,
-    line_slopes,
+    line_paths,
     side_forms,
     variance_at,
     w_matrix,
@@ -291,27 +287,21 @@ def _read_side(x: np.ndarray, mirror: np.ndarray, forms: int, levels: np.ndarray
     return [tuple(c[0] if len(c) == 1 else np.concatenate(c) for c in zip(*part)) for part in parts]
 
 
-def _read_line_side(c: np.ndarray, times: np.ndarray, drop: np.ndarray, curvature: float,
-                    levels: np.ndarray, sums: bool) -> list:
-    """``_read_side`` of a side of the alpha = 2 line, its one form, from the
-    path slopes ``c`` (``models.line_slopes``): the side's rows t_k and drop_k,
-    1 <= k <= n, give x(k) = c t_k - drop_k, as in the path matrix.
-
-    The maxima are read in closed form (``models.line_maxima``). The sums
-    are read from x built a row block at a time in one block buffer that
-    runs the way the rows run in memory, as ``_read_side`` reads a side of
-    the matrix, so they add in the same order.
+def _read_line_side(side: LinePaths, levels: np.ndarray, sums: bool) -> list:
+    """``_read_side`` of a side of the alpha = 2 line (``LinePaths.side``), its
+    one form: its maxima in closed form, its sums from its rows built a row
+    block at a time in one buffer that runs the way the rows run in memory,
+    as ``_read_side`` reads a side of the matrix, so they add in the same order.
     """
-    maxima = line_maxima(c, times, drop, curvature, levels)
+    maxima = side.maxima(levels)
     if not sums:
         return [(maxima,)]
-    n = int(levels[-1])
-    blocks = engine.row_blocks(len(c), 8 * n)
-    exps = np.empty((blocks[-1].stop - blocks[-1].start, n))[:, ::1 if times.strides[0] > 0 else -1]
+    count, n = side.shape
+    blocks = engine.row_blocks(count, 8 * n)
+    exps = np.empty((blocks[-1].stop - blocks[-1].start, n))[:, ::1 if side.times.strides[0] > 0 else -1]
     parts = []
     for block in blocks:
-        x = np.multiply(c[block], times, out=exps[:block.stop - block.start])
-        x -= drop
+        x = side.rows(block, exps[:block.stop - block.start])
         parts.append(engine.running_at(np.add, np.exp(x, out=x), levels))
     return [(maxima, parts[0] if len(parts) == 1 else np.concatenate(parts))]
 
@@ -331,19 +321,28 @@ def _form_mean(values) -> np.ndarray:
     return total
 
 
+def _block_paths(model: Model, grid: GridSpec, rng: np.random.Generator,
+                 count: int) -> np.ndarray | LinePaths:
+    """``count`` paths on ``grid``, the one draw of every chunk worker here: on
+    the alpha = 2 line their slopes (``models.line_paths``), else the path matrix."""
+    if is_line(model):
+        return line_paths(model, grid, rng, count)
+    return w_matrix(model, grid, rng, count)
+
+
 def _shared_path_run(model: Model, delta: float, reps: int, kernels: dict, levels,
                      seed: int, correction: bool = False, reversals: bool = True) -> tuple:
     """The engine run, ``(worker, seed, reps, n_cols, stream)``, whose
     ``engine.run`` gives the means and standard errors per level of every
     kernel, all on the same paths.
 
-    Paths hold w(delta i) for 1 <= i <= n when every kernel reads positive
-    lags only, and for |i| <= n otherwise (n the last level). E is drawn
-    after w, and only if some kernel reads it. Each side that some kernel
-    reads is read once for all kernels, at the levels only, in each of its
-    equal-law forms (``_read_side``): the side itself on the alpha = 2 line,
-    read from the path slopes (``_read_line_side``), and for jump Levy
-    models; where ``antithetic_shift`` applies also its mirror
+    Paths (``_block_paths``) hold w(delta i) for 1 <= i <= n when every
+    kernel reads positive lags only, and for |i| <= n otherwise (n the last
+    level). E is drawn after w, and only if some kernel reads it. Each side
+    that some kernel reads is read once for all kernels, at the levels only,
+    in each of its equal-law forms (``_read_side``): the side itself on the
+    alpha = 2 line, read from the path slopes (``_read_line_side``), and for
+    jump Levy models; where ``antithetic_shift`` applies also its mirror
     -x - sigma^2, the side of -b; and, with ``reversals``, where
     ``independent_sides`` holds also the reversals of both. A kernel's
     value is its mean over the forms it reads, with the same E: the forms
@@ -373,24 +372,14 @@ def _shared_path_run(model: Model, delta: float, reps: int, kernels: dict, level
     # a row group's side reads hold about half a row block: kept beside the
     # paths and a block buffer of exponentials, they raise the peak little
     group_bytes = 16 * len(levels) * forms * (1 + sums) * len(reads)
-    if is_line(model):
-        # a path of the line is its slope: each side is read from the slopes,
-        # and no path matrix is built
-        t = grid.times()
-        half = 0.5 * variance_at(model, t)
-        lines = {"pos": (t[-n:], half[-n:]), "neg": (t[n - 1::-1], half[n - 1::-1])}
-        draw = functools.partial(line_slopes, model)
 
-        def read_side(c, r):
-            return _read_line_side(c, *lines[r], 0.5 * model.scale, levels, sums)
-    else:
-        draw = functools.partial(w_matrix, model, grid)
-
-        def read_side(w, r):
-            return _read_side(w[:, -n:] if r == "pos" else w[:, n - 1::-1], mirrors[r], forms, levels, sums)
+    def read_side(w, r):
+        if isinstance(w, LinePaths):
+            return _read_line_side(w.side(r == "pos"), levels, sums)
+        return _read_side(w[:, -n:] if r == "pos" else w[:, n - 1::-1], mirrors[r], forms, levels, sums)
 
     def worker(rng, count):
-        w = draw(rng, count)
+        w = _block_paths(model, grid, rng, count)
         expo = (rng.exponential(size=count),) if with_expo else ()
         parts = {name: [] for name in kernels}
         for group in engine.row_blocks(count, group_bytes):
@@ -485,45 +474,13 @@ GIL_FREE_ROWS = 501
 GIL_FREE_BYTES = 3 << 20
 
 
-class _LineRows(NamedTuple):
-    """Paths of the parametric alpha = 2 line on a grid, kept as their slopes
-    (``models.line_slopes``): ``rows(block, out)`` builds a block of rows in
-    ``out`` by the arithmetic of ``gaussian_w_matrix``, c t - sigma^2(t) / 2
-    with the origin column 0, so they equal the path matrix's rows bit for bit."""
-
-    slopes: np.ndarray
-    times: np.ndarray
-    half: np.ndarray
-    origin: int
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return len(self.slopes), len(self.times)
-
-    def rows(self, block: slice, out: np.ndarray) -> np.ndarray:
-        np.multiply(self.slopes[block], self.times, out=out)
-        out -= self.half
-        out[:, self.origin] = 0.0
-        return out
-
-
-def _block_paths(model: Model, grid: GridSpec, rng: np.random.Generator,
-                 count: int) -> np.ndarray | _LineRows:
-    """``count`` paths on ``grid`` for ``_block_sup_values``: on the alpha = 2
-    line their slopes, one normal a path, else the path matrix."""
-    if is_line(model):
-        t = grid.times()
-        return _LineRows(line_slopes(model, rng, count), t, 0.5 * variance_at(model, t), grid.origin)
-    return w_matrix(model, grid, rng, count)
-
-
-def _block_sup_values(paths: np.ndarray | _LineRows, radii) -> np.ndarray:
+def _block_sup_values(paths: np.ndarray | LinePaths, radii) -> np.ndarray:
     """Per-path estimates of c(r) = E sup_{0<=i<=r} exp(w(delta i)) for each r
     in ``radii``, read from the central window [-r, r] of the paths, as a
     (count, len(radii)) array.
 
     The paths are a path matrix, whose row blocks are read as views, or the
-    slopes of the alpha = 2 line (``_LineRows``), whose row blocks are built
+    slopes of the alpha = 2 line (``LinePaths``), whose row blocks are built
     in a row buffer. Every window of r + 1 columns holds the centre column
     r, so its maximum is the larger of the running maxima from the centre
     out to its two ends. The rows are walked in blocks, and every step writes
@@ -534,7 +491,7 @@ def _block_sup_values(paths: np.ndarray | _LineRows, radii) -> np.ndarray:
     """
     count, n_cols = paths.shape
     centre = n_cols // 2
-    line = isinstance(paths, _LineRows)
+    line = isinstance(paths, LinePaths)
     top = max(radii)
     # a row takes 4 top + 5 floats of the buffers, and n_cols more on the line;
     # the rows split evenly into blocks of at least per_block rows unless all
@@ -573,6 +530,20 @@ def _block_sup_values(paths: np.ndarray | _LineRows, radii) -> np.ndarray:
             # so summing the ratio over all r + 1 starts sums over all shifts j
             out[block, j] = np.divide(right, left, out=right).sum(axis=1)
     return out
+
+
+def _window_sups(model: Model, step: float, radii, reps: int, seed: int,
+                 combine: Callable[[np.ndarray], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """``engine.run`` of ``combine`` applied to the block kernel's estimates of
+    c(r) for each r in ``radii`` (``_block_sup_values``), one path a
+    replication on the grid of step ``step`` on [-max r, max r]."""
+    top = max(radii)
+    grid = GridSpec(step, -top, top)
+
+    def worker(rng, count):
+        return combine(_block_sup_values(_block_paths(model, grid, rng, count), radii))
+
+    return engine.run(worker, seed, reps, grid.n_points)
 
 
 def est_definitional(
@@ -615,12 +586,7 @@ def est_definitional(
         engine.chunk_plan(reps, 1)
         mean, se = 1.0 / T, 0.0
     else:
-        grid = GridSpec(step, -k, k)
-
-        def worker(rng, count):
-            return _block_sup_values(_block_paths(model, grid, rng, count), [k])[:, 0] / T
-
-        (mean,), (se,) = engine.run(worker, seed, reps, grid.n_points)
+        (mean,), (se,) = _window_sups(model, step, [k], reps, seed, lambda sups: sups[:, 0] / T)
     return EstimateResult("definitional", delta, float(mean), float(se), reps, k, True, seed,
                           mesh=mesh, flags=flags)
 

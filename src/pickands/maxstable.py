@@ -13,11 +13,11 @@ exact on a finite grid: it draws only the extremal functions, the atoms that
 attain zeta at some grid point (Dombry, Engelke and Oesting 2016), at an
 expected cost of one spectral path per grid point and sample.
 
-Both block statistics read their windows with the one reader of the window
-sup, ``estimators._block_sup_values``, which the definitional functional
-shares: in row blocks through work buffers allocated once per chunk, as
-views of the path matrix, or on the alpha = 2 line built from the paths'
-slopes, so that no path matrix of the line is held.
+Both block statistics read their windows with the one run of the window
+sup, ``estimators._window_sups``, which the definitional functional shares:
+in row blocks through work buffers allocated once per chunk, as views of
+the path matrix, or on the alpha = 2 line built from the paths' slopes
+(``models.LinePaths``), so that no path matrix of the line is held.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import engine
-from .estimators import EstimateResult, _block_paths, _block_sup_values, estimate
+from .estimators import EstimateResult, _window_sups, estimate
 from .models import GridSpec, Model, w_matrix
 
 __all__ = [
@@ -123,19 +123,17 @@ def fdd_probability(
     grid = GridSpec(grid.delta, -span, span)
     windows = [cols - c + span for c in cols]
 
-    @engine.by_row_blocks
-    def values(w):
-        # one row per time for fast reductions over times; every window holds
-        # lag 0, where Y_k = 1, so no sum vanishes
-        e = np.exp(w.T, order="C")
-        m = np.zeros(w.shape[0])
-        for k, window in enumerate(windows):
-            y = e[window] / x[:, None]
-            m += y.max(axis=0) / (x[k] * y.sum(axis=0))
-        return m
-
     def worker(rng, count):
-        return values(w_matrix(model, grid, rng, count))
+        w = w_matrix(model, grid, rng, count)
+        m = np.zeros(count)
+        for block in engine.row_blocks(count, 8 * grid.n_points):
+            # one row per time for fast reductions over times; every window
+            # holds lag 0, where Y_k = 1, so no sum vanishes
+            e = np.exp(w[block].T, order="C")
+            for k, window in enumerate(windows):
+                y = e[window] / x[:, None]
+                m[block] += y.max(axis=0) / (x[k] * y.sum(axis=0))
+        return m
 
     mean, se = engine.run(worker, seed, reps, grid.n_points)
     prob = math.exp(-mean[0])
@@ -187,10 +185,8 @@ def est_extremal_index_blocks(
 
     whose per-replication value is bounded by |A|; one two-sided path on
     [-r_n, r_n] evaluates every shifted ratio, each window read outward
-    from the centre column it holds. Defaults to r_n = floor(sqrt(n)).
-
-    On the alpha = 2 line a chunk draws only its slopes (``_block_paths``),
-    and the kernel builds each row block from them.
+    from the centre column it holds (``estimators._window_sups``). Defaults
+    to r_n = floor(sqrt(n)).
     """
     if delta <= 0 or n < 2:
         raise ValueError("need delta > 0 and n >= 2")
@@ -198,12 +194,7 @@ def est_extremal_index_blocks(
         r_n = int(math.isqrt(n))
     if not 1 <= r_n < n:
         raise ValueError("r_n must satisfy 1 <= r_n < n")
-    grid = GridSpec(delta, -r_n, r_n)
-
-    def worker(rng, count):
-        return _block_sup_values(_block_paths(model, grid, rng, count), [r_n])
-
-    mean, se = engine.run(worker, seed, reps, grid.n_points)
+    mean, se = _window_sups(model, delta, [r_n], reps, seed, lambda sups: sups)
     c_hat, c_se = float(mean[0]), float(se[0])
     p_hat = -math.expm1(-c_hat / n)
     theta = (n / r_n) * p_hat
@@ -223,13 +214,7 @@ def _boundary_corrected_theta(model: Model, delta: float, r: int, reps: int, *,
     """
     if r < 1:
         raise ValueError("need r >= 1")
-    grid = GridSpec(delta, -2 * r, 2 * r)
-
-    def worker(rng, count):
-        sups = _block_sup_values(_block_paths(model, grid, rng, count), [2 * r, r])
-        return (sups[:, 0] - sups[:, 1]) / r
-
-    mean, se = engine.run(worker, seed, reps, grid.n_points)
+    mean, se = _window_sups(model, delta, [2 * r, r], reps, seed, lambda sups: (sups[:, 0] - sups[:, 1]) / r)
     return EstimateResult("theta-blocks", delta, float(mean[0]), float(se[0]), reps, r, True, seed,
                           flags=("boundary-corrected",))
 

@@ -297,7 +297,7 @@ def gaussian_b_matrix(
 ) -> np.ndarray:
     """n exact draws of (b(delta i))_{i in grid} as an (n, n_points) array.
 
-    Parametric alpha = 2 is the random line c t (``line_slopes``) and
+    Parametric alpha = 2 is the random line c t (``line_paths``) and
     parametric alpha = 1 has i.i.d. increments; every other model draws its
     increments by circulant embedding, with a Cholesky fallback when the
     embedding has negative eigenvalues.
@@ -307,7 +307,7 @@ def gaussian_b_matrix(
         return np.zeros((n, 1))
 
     if is_line(vf):
-        return line_slopes(vf, rng, n) * grid.times()[None, :]
+        return line_paths(vf, grid, rng, n).slopes * grid.times()
     if vf.parametric:
         if vf.alpha == 1.0:
             # Independent increments, drawn a row block at a time.
@@ -329,40 +329,76 @@ def gaussian_w_matrix(
     rng: np.random.Generator,
     n: int,
 ) -> np.ndarray:
-    """n draws of w(delta i) = b(delta i) - sigma^2(delta i) / 2."""
+    """n draws of w(delta i) = b(delta i) - sigma^2(delta i) / 2, on the alpha = 2 line by ``LinePaths.rows``."""
+    if is_line(vf) and grid.n_points > 1:
+        return line_paths(vf, grid, rng, n).rows(slice(None), np.empty((n, grid.n_points)))
     b = gaussian_b_matrix(vf, grid, rng, n)
     b -= 0.5 * variance_at(vf, grid.times())[None, :]
     b[:, grid.origin] = 0.0
     return b
 
 
-def line_slopes(vf: VarianceFunction, rng: np.random.Generator, n: int) -> np.ndarray:
-    """The slopes c = sqrt(scale) Z of n draws of the parametric alpha = 2 line
-    b(t) = c t, as an (n, 1) array: one normal per path."""
-    return np.sqrt(vf.scale) * rng.standard_normal((n, 1))
+@dataclass(frozen=True, eq=False)
+class LinePaths:
+    """Paths x(t) = c t - drop(t) of the parametric alpha = 2 line, kept as
+    their (n, 1) slopes c (``line_paths``), with grid rows ``times`` and
+    ``drop`` = curvature t^2 and the column ``origin`` of t = 0, None on a
+    side (``side``). Indexing slices the slopes, as a matrix's rows."""
+
+    slopes: np.ndarray
+    times: np.ndarray
+    drop: np.ndarray
+    curvature: float
+    origin: int | None
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.slopes), len(self.times)
+
+    def __getitem__(self, rows) -> "LinePaths":
+        return replace(self, slopes=self.slopes[rows])
+
+    def rows(self, block: slice, out: np.ndarray) -> np.ndarray:
+        """The rows ``block`` of the path matrix, c t - drop with the origin
+        column 0, built in ``out``: the one place the line's values are made."""
+        np.multiply(self.slopes[block], self.times, out=out)
+        out -= self.drop
+        if self.origin is not None:
+            out[:, self.origin] = 0.0
+        return out
+
+    def side(self, positive: bool) -> "LinePaths":
+        """The positive or, on a two-sided grid, the negative lags, k = 1, 2, ...
+        outward from the origin; the negative side runs against memory order."""
+        lags = np.s_[self.origin + 1:] if positive else np.s_[self.origin - 1::-1]
+        return replace(self, times=self.times[lags], drop=self.drop[lags], origin=None)
+
+    def maxima(self, levels) -> np.ndarray:
+        """Running maxima of x(k) = c t_k - drop_k over 1 <= k <= L of a side
+        (``side``), for each L in ``levels``, as a (count, n_levels) array,
+        Fortran-ordered as ``engine.running_at`` leaves the matrix's.
+
+        x is a concave parabola in k with its vertex at k* = c / (2 curvature t_1),
+        so its maximum over 1..L lies at floor(k*) or the integer after, clipped
+        into [1, L]. Those two are evaluated as the path matrix evaluates them,
+        c t_k - drop_k, so the maxima equal the matrix's running maxima bit for
+        bit wherever the step of x between neighbours, at least curvature t_1^2,
+        exceeds the rounding of x near its vertex: at mesh 1e-5 and |Z| = 40 of
+        the fBm line, by a factor above 50.
+        """
+        c, times, drop, levels = self.slopes, self.times, self.drop, np.asarray(levels)
+        vertex = np.floor(np.clip(c / (2.0 * self.curvature * times[0]), 0.0, levels[-1]))
+        lo = np.clip(vertex, 1, levels).astype(np.intp) - 1
+        hi = np.minimum(lo + 1, levels - 1)
+        return np.maximum(c * times[lo] - drop[lo], c * times[hi] - drop[hi], out=np.empty(lo.shape, order="F"))
 
 
-def line_maxima(c: np.ndarray, times: np.ndarray, drop: np.ndarray, curvature: float,
-                levels) -> np.ndarray:
-    """Running maxima of x(k) = c t_k - drop_k over 1 <= k <= L, for each L in
-    ``levels``, as a (count, n_levels) array, Fortran-ordered as
-    ``engine.running_at`` leaves the matrix's; ``c`` holds (count, 1) line
-    slopes, and ``times`` and ``drop`` the rows t_k and drop_k = curvature t_k^2
-    of a side, 1 <= k <= n.
-
-    x is a concave parabola in k with its vertex at k* = c / (2 curvature t_1),
-    so its maximum over 1..L lies at floor(k*) or the integer after, clipped
-    into [1, L]. Those two are evaluated as the path matrix evaluates them,
-    c t_k - drop_k, so the maxima equal the matrix's running maxima bit for
-    bit wherever the step of x between neighbours, at least curvature t_1^2,
-    exceeds the rounding of x near its vertex: at mesh 1e-5 and |Z| = 40 of
-    the fBm line, by a factor above 50.
-    """
-    levels = np.asarray(levels)
-    vertex = np.floor(np.clip(c / (2.0 * curvature * times[0]), 0.0, levels[-1]))
-    lo = np.clip(vertex, 1, levels).astype(np.intp) - 1
-    hi = np.minimum(lo + 1, levels - 1)
-    return np.maximum(c * times[lo] - drop[lo], c * times[hi] - drop[hi], out=np.empty(lo.shape, order="F"))
+def line_paths(vf: VarianceFunction, grid: GridSpec, rng: np.random.Generator, n: int) -> LinePaths:
+    """n draws of the parametric alpha = 2 line on ``grid``: b(t) = c t with
+    slopes c = sqrt(scale) Z, one normal a path, and w = b - sigma^2 / 2."""
+    t = grid.times()
+    return LinePaths(np.sqrt(vf.scale) * rng.standard_normal((n, 1)), t, 0.5 * variance_at(vf, t),
+                     0.5 * vf.scale, grid.origin)
 
 
 def antithetic_shift(model: Model, grid: GridSpec) -> np.ndarray | None:
@@ -580,7 +616,7 @@ def is_gaussian(model: Model) -> bool:
 
 
 def is_line(model: Model) -> bool:
-    """Whether ``model`` is the parametric alpha = 2 line b(t) = c t (``line_slopes``)."""
+    """Whether ``model`` is the parametric alpha = 2 line b(t) = c t (``line_paths``)."""
     return is_gaussian(model) and model.parametric and model.alpha == 2.0
 
 

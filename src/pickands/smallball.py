@@ -17,7 +17,7 @@ its first crossing of eta k, and the probability is the product of the two
 one-sided probabilities, each estimated from the same paths. At alpha = 2
 b_alpha(k) = Z k is a line, so each side of Z k - eta k^2 is a parabola
 with its vertex at Z / (2 eta), and its maximum is read in closed form from
-Z. Other alphas draw whole paths on -K..K with the library's exact grid
+Z (``models.LinePaths``). Other alphas draw whole paths on -K..K with the library's exact grid
 sampler, since a path of correlated increments cannot be stopped part-way.
 The probability is estimated by Monte Carlo at twice the given cutoff and
 checked for stability against the cutoff itself; an affine-in-eta fit of
@@ -27,7 +27,7 @@ the scaled values extrapolates the eta -> 0 constant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,8 +39,7 @@ from .models import (
     gaussian_b_matrix,
     independent_sides,
     is_line,
-    line_maxima,
-    line_slopes,
+    line_paths,
 )
 from .report import Record
 
@@ -153,11 +152,11 @@ def _side_indicators(vf: VarianceFunction, eta: float, levels: np.ndarray,
     come from ``rng`` in a fixed order, side 0's blocks and then side 1's.
     At alpha = 2, b~(k) = z k, and each side's maxima of z k - eta k^2 at
     the levels are read in closed form, around the vertex z / (2 eta), from
-    the one normal z of each path (``models.line_maxima``): the same
-    indicators, from the same draws, as the path matrix. Other alphas read
-    the events off exact draws of b~ on the integer grid -K..K, drawn one
-    row block at a time, from each side's maxima of b~(k) - eta |k|^alpha
-    read at the levels only (``engine.running_at``).
+    the one normal z of each path (``models.LinePaths.maxima``, its drop the
+    barrier eta k^2): the same indicators, from the same draws, as the path
+    matrix. Other alphas read the events off exact draws of b~ on the integer
+    grid -K..K, drawn one row block at a time, from each side's maxima of
+    b~(k) - eta |k|^alpha read at the levels only (``engine.running_at``).
     """
     if independent_sides(vf):
         out = np.zeros((count, 2, levels.size))
@@ -174,16 +173,15 @@ def _side_indicators(vf: VarianceFunction, eta: float, levels: np.ndarray,
         return out
     k_max = int(levels[-1])
     grid = GridSpec(1.0, -k_max, k_max)
-    t = grid.times()
-    barrier = eta * np.abs(t) ** vf.alpha
-    # column j <-> |k| = j + 1, outward from the origin
-    sides = (slice(k_max + 1, None), slice(k_max - 1, None, -1))
+    barrier = eta * np.abs(grid.times()) ** vf.alpha
     out = np.empty((count, 2, levels.size))
     if is_line(vf):
-        c = line_slopes(vf, rng, count)
-        for side, s in enumerate(sides):
-            out[:, side] = line_maxima(c, t[s], barrier[s], eta, levels) <= 0.0
+        line = replace(line_paths(vf, grid, rng, count), drop=barrier, curvature=eta)
+        for side in range(2):
+            out[:, side] = line.side(side == 0).maxima(levels) <= 0.0
         return out
+    # column j <-> |k| = j + 1, outward from the origin
+    sides = (slice(k_max + 1, None), slice(k_max - 1, None, -1))
     for block in engine.row_blocks(count, 8 * grid.n_points):
         x = gaussian_b_matrix(vf, grid, rng, block.stop - block.start)
         x -= barrier

@@ -527,6 +527,60 @@ def test_bad_input_exits_2_with_nothing_drawn(args, monkeypatch, capsys):
     assert not drawn and capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("args, message", [
+    (["estimate", "--method", "exceedance", "--T", "5", "--window", "3", "--rn", "4"],
+     "--method exceedance at --delta 1 does not read --T, --window, --rn"),
+    (["estimate", "--method", "definitional", "--horizon", "99"], "does not read --horizon"),
+    (["estimate", "--method", "theta-candidate", "--T", "5"], "does not read --T"),
+    (["estimate", "--method", "theta-blocks", "--window", "3"], "does not read --window"),
+    (["estimate", "--method", "continuous-dy", "--level", "1000"], "does not read --level"),
+    (["estimate", "--method", "dieker-yakir", "--rn", "4"], "does not read --rn"),
+    (["estimate", "--method", "theta-blocks", "--horizon", "16"], "does not read --horizon"),
+    # at a delta above 0 the definitional's grid step is delta
+    (["estimate", "--method", "definitional", "--delta", "1", "--mesh", "0.1"],
+     "--method definitional at --delta 1 does not read --mesh"),
+    (["estimate", "--method", "exceedance", "--mesh", "0.1"], "does not read --mesh"),
+    # at delta = 0 --method all runs definitional and continuous-dy only
+    (["estimate", "--method", "all", "--delta", "0", "--horizon", "16", "--rn", "4"],
+     "--method all at --delta 0 does not read --rn, --horizon"),
+    (["maxstable", "--check", "fdd", "--rn", "3", "--level", "7"], "--check fdd does not read --level, --rn"),
+    (["maxstable", "--check", "marginal", "--points", "0,1"], "--check marginal does not read --points"),
+    (["maxstable", "--check", "theta", "--thresholds", "2,3"], "--check theta does not read --thresholds"),
+    # --level sets the default --rn only
+    (["maxstable", "--check", "theta", "--rn", "3", "--level", "7"], "--check theta does not read --level"),
+    (["maxstable", "--check", "marginal", "--rn", "3"], "--check marginal does not read --rn"),
+    (["maxstable", "--check", "theta", "--samples", "500"], "--check theta does not read --samples"),
+    (["maxstable", "--check", "theta", "--level", "-5"], "--level must be at least 1"),
+    (["maxstable", "--check", "theta", "--level", "0.5"], "--level must be at least 1"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_unread_method_flag_exits_2(args, message, monkeypatch, capsys):
+    # a method flag that the method or check does not read is not dropped
+    drawn = []
+    monkeypatch.setattr(engine, "chunk_stream", lambda *key: drawn.append(key))
+    assert main([*args, "--reps", "2000"]) == 2
+    out, err = capsys.readouterr()
+    assert not drawn and out == ""
+    assert err.startswith("pickands: ") and err.rstrip().endswith(message)
+
+
+@pytest.mark.parametrize("args", [
+    # --method all reads every flag that a method it runs reads
+    ["estimate", "--method", "all", "--T", "3", "--window", "2", "--level", "1000", "--rn", "5",
+     "--horizon", "16", "--mesh", "0.05"],
+    ["estimate", "--method", "all", "--delta", "0", "--T", "3", "--window", "2", "--mesh", "0.05"],
+    ["maxstable", "--check", "fdd", "--points", "0,1", "--thresholds", "2,3", "--samples", "50"],
+    ["maxstable", "--check", "theta", "--rn", "5"],
+    # --export reads --rn and --samples
+    ["maxstable", "--check", "theta", "--export", "zeta.csv", "--rn", "2", "--samples", "20"],
+    ["maxstable", "--check", "marginal", "--export", "zeta.csv", "--rn", "2", "--samples", "20"],
+], ids=" ".join)
+def test_read_method_flags_run(args, tmp_path, monkeypatch):
+    # on the alpha = 2 line, where runs are quick; a failed check exits 1
+    monkeypatch.chdir(tmp_path)
+    argv = [args[0], "--family", "fbm", "--alpha", "2", *args[1:]]
+    assert main([*argv, "--reps", "2000", "--seed", "1", "--out", "r.json"]) in (0, 1)
+
+
 @pytest.mark.parametrize("args", [
     ["estimate", "--method", "theta-blocks", "--level", "inf"],
     ["maxstable", "--check", "theta", "--level", "inf"],
@@ -602,7 +656,9 @@ def readme_commands() -> list[list[str]]:
 @pytest.mark.parametrize("args", readme_commands(), ids=" ".join)
 def test_readme_command_runs(args, tmp_path):
     # small runs: only usage is checked, so a failed statistical check (1) is allowed
-    small = {"--reps": "2000"} | ({"--samples": "500"} if args[0] == "maxstable" else {})
+    # --samples where the command reads it: the theta check reads it only with --export
+    samples = args[0] == "maxstable" and ("theta" not in args or "--export" in args)
+    small = {"--reps": "2000"} | ({"--samples": "500"} if samples else {})
     args = list(args)
     for flag, value in small.items():
         if flag in args:

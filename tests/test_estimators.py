@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 from oracles import FROZEN, alpha1_series, alpha2_constant, alpha2_sup_mean, levy_brownian_series
-from pickands import engine, estimators
+from pickands import engine, estimators, maxstable, smallball
 from pickands.bounds import levy_h0_bound
+from pickands.cli import main
 from pickands.engine import ROW_BLOCK_BYTES, chunk_stream, resolve_threads
 from pickands.estimators import (
     EXACT_METHODS,
@@ -38,6 +39,7 @@ from pickands.models import (
     variance_at,
     w_matrix,
 )
+from pickands.smallball import est_smallball_prob
 
 FBM2 = VarianceFunction.fbm(2.0)
 FBM1 = VarianceFunction.fbm(1.0)
@@ -636,17 +638,23 @@ class TestDefinitionalKernel:
         assert d == est_definitional(model, 1.0, None, 5_000, seed=8)
         assert d == est_definitional(model, 1.0, 2.0, 5_000, seed=8)
 
-    def test_line_runs_draw_no_path_matrix(self, monkeypatch):
+    def test_line_runs_draw_no_path_matrix(self, monkeypatch, tmp_path):
         def no_matrix(*args):
             raise AssertionError("a path matrix was drawn")
 
-        monkeypatch.setattr(estimators, "w_matrix", no_matrix)
+        for module in (estimators, maxstable):
+            monkeypatch.setattr(module, "w_matrix", no_matrix)
+        monkeypatch.setattr(smallball, "gaussian_b_matrix", no_matrix)
         for model in (FBM2, VarianceFunction.power(2.0, 0.5)):
             est_definitional(model, 1.0, 2.0, 2_000, seed=1)
             est_definitional(model, 0.0, 2.0, 2_000, mesh=0.01, seed=1)
             crosscheck(model, 1.0, 2_000, seed=1)
             # [0, T] past the horizon H delta = 16
             crosscheck(model, 1.0, 2_000, seed=1, T=40.0)
+        # every method of estimate, and the smallball sides
+        assert main(["estimate", "--family", "fbm", "--alpha", "2", "--delta", "1", "--method", "all",
+                     "--reps", "2000", "--seed", "1", "--out", str(tmp_path / "all.json")]) == 0
+        est_smallball_prob(2.0, 0.1, 16, 2_000, seed=1)
 
 
 class TestTwoLevelPins:

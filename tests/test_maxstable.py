@@ -8,9 +8,9 @@ import pytest
 from scipy import stats
 
 from oracles import alpha2_constant, alpha2_fdd_exponent, alpha2_sup_mean, levy_brownian_series
-from pickands import estimators
-from pickands.engine import ROW_BLOCK_BYTES, chunk_plan, chunk_stream
-from pickands.estimators import _block_paths, _block_sup_values, _LineRows, estimate
+from pickands import estimators, maxstable
+from pickands.engine import ROW_BLOCK_BYTES, chunk_plan, chunk_stream, row_blocks
+from pickands.estimators import _block_paths, _block_sup_values, estimate
 from pickands.maxstable import (
     _boundary_corrected_theta,
     est_candidate_theta,
@@ -23,6 +23,7 @@ from pickands.models import (
     GridSpec,
     JumpLaw,
     LevyModel,
+    LinePaths,
     VarianceFunction,
     w_matrix,
 )
@@ -127,6 +128,17 @@ class TestFddOracle:
         est = fdd_probability(FBM2, points, thresholds, 200_000, seed=4)
         exact = math.exp(-alpha2_fdd_exponent(points, thresholds))
         assert abs(est.probability - exact) <= 3.0 * est.stderr
+
+    @pytest.mark.parametrize("model, probability, stderr", [
+        (FBM2, "0x1.74cb5f0c7e563p-2", "0x1.c79891d18c3c2p-14"),
+        (FBM15, "0x1.752cec8c6e808p-2", "0x1.a70e4892312a4p-13"),
+        (LevyModel.brownian(), "0x1.abe37535ced17p-2", "0x1.a7fb43693d0c4p-13"),
+    ], ids=["fbm2", "fbm1.5", "levy-brownian"])
+    def test_pinned_in_row_blocks(self, model, probability, stderr):
+        # paths on [-2, 2] in chunks of 65536 and 4464, the first read in two row blocks
+        assert chunk_plan(70_000, 5) == [65536, 4464] and len(row_blocks(65536, 5 * 8)) == 2
+        est = fdd_probability(model, [0.0, 1.0, 2.0], [2.0, 1.5, 3.0], 70_000, seed=4)
+        assert (est.probability.hex(), est.stderr.hex()) == (probability, stderr)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -254,7 +266,7 @@ class TestBlockSupKernel:
         grid = GridSpec(delta, -windows * r, windows * r)
         radii = [windows * r, r][:windows]
         line = _block_paths(FBM2, grid, chunk_stream(5, 2), count)
-        assert isinstance(line, _LineRows)
+        assert isinstance(line, LinePaths)
         matrix = _block_sup_values(w_matrix(FBM2, grid, chunk_stream(5, 2), count), radii)
         assert _block_sup_values(line, radii).tobytes() == matrix.tobytes()
 
@@ -264,6 +276,7 @@ class TestBlockSupKernel:
 
         # the block kernel's paths are drawn by estimators._block_paths
         monkeypatch.setattr(estimators, "w_matrix", refuse)
+        monkeypatch.setattr(maxstable, "w_matrix", refuse)
         est_extremal_index_blocks(FBM2, 1.0, 1000, 200, seed=1)
         _boundary_corrected_theta(FBM2, 0.5, 10, 200, seed=1)
 

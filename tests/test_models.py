@@ -21,6 +21,7 @@ from pickands.models import (
     laplace_exponent,
     levy_lambda,
     levy_w_matrix,
+    line_paths,
     side_forms,
     variance_at,
 )
@@ -296,7 +297,8 @@ class TestSideForms:
 
 class TestLineMaxima:
     """On the alpha = 2 line a side x(k) = c t_k - drop_k is a concave parabola
-    in k: its running maxima in closed form equal the path matrix's bit for bit."""
+    in k: its running maxima in closed form equal the path matrix's bit for bit.
+    The path matrix is checked against the line's formula written here."""
 
     class FixedNormals:
         """A generator stand-in whose normals are given: the line's draw is
@@ -319,19 +321,50 @@ class TestLineMaxima:
         return np.concatenate([z, [40.0, -40.0], np.random.default_rng(3).standard_normal(500)])
 
     @pytest.mark.parametrize("vf", [VarianceFunction.fbm(2.0), VarianceFunction.power(2.0, 4.0)])
+    @pytest.mark.parametrize("grid", [GridSpec(1.0, -16, 16), GridSpec(0.01, -1000, 1000), GridSpec(0.5, 0, 9),
+                                      GridSpec(0.25, -7, 3)])
+    def test_matrix_is_the_line(self, vf, grid):
+        # w = sqrt(scale) z t - sigma^2(t) / 2, with the origin column 0
+        z = self.normals(vf, grid.delta, grid.i_max or 8)
+        t = grid.times()
+        want = np.sqrt(vf.scale) * z[:, None] * t - 0.5 * variance_at(vf, t)
+        want[:, grid.origin] = 0.0
+        got = gaussian_w_matrix(vf, grid, self.FixedNormals(z), z.size)
+        assert got.tobytes() == want.tobytes()
+        b = gaussian_b_matrix(vf, grid, self.FixedNormals(z), z.size)
+        assert b.tobytes() == (np.sqrt(vf.scale) * z[:, None] * t).tobytes()
+
+    def test_one_point_grid_draws_nothing(self):
+        class NoNormals:
+            def standard_normal(self, shape):
+                raise AssertionError("a one-point grid drew normals")
+
+        w = gaussian_w_matrix(VarianceFunction.fbm(2.0), GridSpec(1.0), NoNormals(), 5)
+        assert w.shape == (5, 1) and not w.any()
+
+    @pytest.mark.parametrize("vf", [VarianceFunction.fbm(2.0), VarianceFunction.power(2.0, 4.0)])
     @pytest.mark.parametrize("delta, n", [(1.0, 16), (0.01, 1000)])
     def test_matrix_running_maxima(self, vf, delta, n):
         z = self.normals(vf, delta, n)
         grid = GridSpec(delta, -n, n)
         w = gaussian_w_matrix(vf, grid, self.FixedNormals(z), z.size)
-        c = models.line_slopes(vf, self.FixedNormals(z), z.size)
-        t, half = grid.times(), 0.5 * variance_at(vf, grid.times())
+        line = line_paths(vf, grid, self.FixedNormals(z), z.size)
         levels = np.arange(1, n + 1)
-        for side in (slice(n + 1, None), slice(n - 1, None, -1)):
+        for positive, side in ((True, slice(n + 1, None)), (False, slice(n - 1, None, -1))):
             want = np.maximum.accumulate(w[:, side], axis=1)
-            got = models.line_maxima(c, t[side], half[side], 0.5 * vf.scale, levels)
+            got = line.side(positive).maxima(levels)
             assert got.tobytes() == want.tobytes()
             assert got.flags.f_contiguous
+
+    def test_side_rows_are_the_matrix_columns(self):
+        vf, grid = VarianceFunction.fbm(2.0), GridSpec(0.5, -6, 9)
+        line = line_paths(vf, grid, np.random.default_rng(4), 50)
+        w = line.rows(slice(None), np.empty(line.shape))
+        for positive, side in ((True, w[:, 7:]), (False, w[:, 5::-1])):
+            part = line.side(positive)
+            assert part.origin is None and part.shape == side.shape
+            rows = part[10:20].rows(slice(None), np.empty((10, side.shape[1])))
+            assert rows.tobytes() == side[10:20].tobytes()
 
 
 LEVY_LAWS = {
