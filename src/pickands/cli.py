@@ -16,9 +16,10 @@ repeated eta in a sweep of three or more or an eta that no automatic cutoff
 reaches (give --cutoff), a model flag that the family does not read (such
 as --scale for fbm, or --phi-jump with --brownian), a method flag that the
 estimate method or the maxstable check does not read (such as --T for
-exceedance or --level for the fdd check), a --phi-jump with more values
-than its law takes, or a bound run with only one of --kappa and --cbound,
-or with either for a Levy model.
+exceedance, --delta 5 for continuous-dy, --level for the fdd check or
+--reps for the marginal check), a --reps for bound, a --phi-jump with more
+values than its law takes, or a bound run with only one of --kappa and
+--cbound, or with either for a Levy model.
 """
 
 from __future__ import annotations
@@ -261,6 +262,8 @@ def cmd_estimate(args) -> tuple[list[dict], str | None]:
         ("--level", args.level != 1e4, "theta-blocks" in methods),
         ("--rn", args.rn is not None, "theta-blocks" in methods),
         ("--horizon", args.horizon is not None, bool(methods & {*EXACT_METHODS, "theta-candidate"})),
+        # continuous-dy is a delta = 0 run on its mesh
+        ("--delta", args.delta not in (0.0, 1.0), methods != {"continuous-dy"}),
         # the definitional's grid step is delta unless delta = 0
         ("--mesh", args.mesh is not None,
          "continuous-dy" in methods or "definitional" in methods and not args.delta),
@@ -284,6 +287,7 @@ def cmd_crosscheck(args) -> tuple[list[dict], str | None]:
 
 
 def cmd_bound(args) -> tuple[list[dict], str | None]:
+    _refuse_unread("bound", (("--reps", args.reps != 100_000, False),))
     model = build_model(args)
     power = (args.kappa is not None, args.cbound is not None)
     if any(power) and not isinstance(model, VarianceFunction):
@@ -307,6 +311,9 @@ def cmd_maxstable(args) -> tuple[list[dict], str | None]:
         ("--level", args.level != 1e4, theta and args.rn is None),
         ("--rn", args.rn is not None, theta or args.export),
         ("--samples", args.samples != 20_000, not theta or args.export),
+        # the marginal check draws --samples only, and the fdd check's times are --points if given
+        ("--reps", args.reps != 100_000, args.check != "marginal"),
+        ("--delta", args.delta != 1.0, not (fdd and args.points) or args.export),
     ))
     if args.level < 1:
         raise ValueError("--level must be at least 1")

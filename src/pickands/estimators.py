@@ -73,8 +73,9 @@ at a time, both equal, bit for bit, to what the path matrix would give.
 
 The window sup c(k) = E sup_{0<=i<=k} exp(w(delta i)) has one reader,
 ``_block_sup_values``, the shift-invariant ratio of Dieker and Yakir
-(2014): its value per path is at most k + 1, where the plain mean of the
-sup is carried by rare, high paths. The definitional functional is
+(2014), each window's maximum and sum of exp(w) read outward from the
+centre it holds: its value per path is at most k + 1, where the plain mean
+of the sup is carried by rare, high paths. The definitional functional is
 c(k) / T, k = floor(T / delta) (``est_definitional``), and the block
 statistics of ``maxstable`` read c at their block lengths, all through one
 run (``_window_sups``). By subadditivity c(k) >= (k + 1) delta H^delta, so
@@ -190,25 +191,25 @@ def _require(cond: bool, message: str) -> None:
 # horizon.
 
 
-def _values_exceedance(m: np.ndarray, expo: np.ndarray, levels: np.ndarray, delta: float) -> np.ndarray:
+def _values_exceedance(m: np.ndarray, expo: np.ndarray, delta: float) -> np.ndarray:
     """Exceedance event {E + w(delta i) <= 0} from the maxima ``m`` of w over
     the lags 1 <= i <= level, or -level <= i <= -1 for time reversal, which
     shares the constant."""
     return (m + expo[:, None] <= 0.0).astype(float) / delta
 
 
-def _values_difference(pos: np.ndarray, levels: np.ndarray, delta: float) -> np.ndarray:
+def _values_difference(pos: np.ndarray, delta: float) -> np.ndarray:
     """(1 - sup_{i >= 1} exp(w(delta i)))_+ ; with x(0) = 1 the identity
     max(1, s) - s = (1 - s)_+ makes it the one-step difference of grid sup means."""
     return -np.expm1(np.minimum(pos, 0.0)) / delta
 
 
-def _values_argmax(pos: np.ndarray, neg: np.ndarray, levels: np.ndarray, delta: float) -> np.ndarray:
+def _values_argmax(pos: np.ndarray, neg: np.ndarray, delta: float) -> np.ndarray:
     """The two-sided grid sup of w is attained at 0 (w(0) = 0), uniquely among negative lags."""
     return ((neg < 0.0) & (pos <= 0.0)).astype(float) / delta
 
 
-def _values_ratio(pos: tuple, neg: tuple, levels: np.ndarray, step: float) -> np.ndarray:
+def _values_ratio(pos: tuple, neg: tuple, step: float) -> np.ndarray:
     """max exp(w) / (step * sum exp(w)) over |i| <= level.
 
     Each side is read as its running maxima m and its running sums of exp(x)
@@ -233,10 +234,10 @@ def _values_ratio(pos: tuple, neg: tuple, levels: np.ndarray, step: float) -> np
 class _Kernel:
     """A value kernel and its inputs, passed in this order: what it reads of
     the positive lags ("pos") or the negative lags ("neg") of a path out to
-    each level; then the exponential E if ``expo``; then the levels and the
-    grid step. A side is read as its running maxima at the levels, a
-    (count, n_levels) array, or with ``sums`` as the pair of those maxima
-    and the running sums of exp(x)."""
+    each level; then the exponential E if ``expo``; then the grid step. A
+    side is read as its running maxima at the levels, a (count, n_levels)
+    array, or with ``sums`` as the pair of those maxima and the running sums
+    of exp(x)."""
 
     values: Callable[..., np.ndarray]
     reads: tuple[str, ...]
@@ -388,8 +389,7 @@ def _shared_path_run(model: Model, delta: float, reps: int, kernels: dict, level
             for name, part in parts.items():
                 k = kernels[name]
                 inputs = pairings(*([f if k.sums else f[0] for f in read[r]] for r in k.reads))
-                part.append(_form_mean(k.values(*i, *(group_expo if k.expo else ()), levels, delta)
-                                       for i in inputs))
+                part.append(_form_mean(k.values(*i, *(group_expo if k.expo else ()), delta) for i in inputs))
         # the paths are freed before the groups' values are joined
         del w
         values = {name: np.concatenate(part) for name, part in parts.items()}
@@ -468,7 +468,7 @@ def estimate(
 # NumPy runs an accumulate along the rows of an array without holding the GIL
 # only over more than 500 rows. The block kernel's row blocks hold that many
 # where their buffers then take at most GIL_FREE_BYTES (paths up to [-129, 129]
-# on the alpha = 2 line and [-194, 194] elsewhere), so that its chunks on
+# on the alpha = 2 line and [-195, 195] elsewhere), so that its chunks on
 # several threads overlap.
 GIL_FREE_ROWS = 501
 GIL_FREE_BYTES = 3 << 20
@@ -481,54 +481,47 @@ def _block_sup_values(paths: np.ndarray | LinePaths, radii) -> np.ndarray:
 
     The paths are a path matrix, whose row blocks are read as views, or the
     slopes of the alpha = 2 line (``LinePaths``), whose row blocks are built
-    in a row buffer. Every window of r + 1 columns holds the centre column
-    r, so its maximum is the larger of the running maxima from the centre
-    out to its two ends. The rows are walked in blocks, and every step writes
-    into work buffers allocated once per call: the row buffer, the
-    exponentials and their cumulative sums after a zero column, the left and
-    right running maxima and the shift. They are C-ordered, so each row adds
-    in the same order whatever the number of rows.
+    in a row buffer. A window of r + 1 columns is the centre column r, k lags
+    to its left and r - k to its right: its maximum is the larger of the
+    running maxima outward from the centre at k and r - k, and its sum of
+    exp(w) the sum of the running sums there less the centre's exp(0) = 1,
+    counted in both; no shift is needed (``_values_ratio``). The rows are
+    walked in blocks through the row buffer and four work buffers, allocated
+    once per call and C-ordered, so each row adds in the same order whatever
+    the number of rows.
     """
     count, n_cols = paths.shape
     centre = n_cols // 2
     line = isinstance(paths, LinePaths)
     top = max(radii)
-    # a row takes 4 top + 5 floats of the buffers, and n_cols more on the line;
-    # the rows split evenly into blocks of at least per_block rows unless all
-    # rows are fewer
-    per_block = max(2, min(GIL_FREE_ROWS, GIL_FREE_BYTES // (8 * (4 * top + 5 + line * n_cols))))
+    # a row takes 4 top + 4 floats of the buffers, and n_cols more on the line;
+    # the rows split evenly into blocks of at least per_block rows, or one block
+    per_block = max(2, min(GIL_FREE_ROWS, GIL_FREE_BYTES // (8 * (4 * top + 4 + line * n_cols))))
     n_blocks = max(1, count // per_block)
     edges = [count * i // n_blocks for i in range(n_blocks + 1)]
     size = -(-count // n_blocks)
     row_buf = np.empty((size, n_cols)) if line else None
-    csums, lefts, rights = (np.empty(size * k) for k in (2 * top + 2, top + 1, top + 1))
-    shift = np.empty((size, 1))
+    bufs = [np.empty(size * (top + 1)) for _ in range(4)]
     out = np.empty((count, len(radii)))
     for block in map(slice, edges, edges[1:]):
         n = block.stop - block.start
         rows = paths.rows(block, row_buf[:n]) if line else paths[block]
         for j, r in enumerate(radii):
             w = rows[:, centre - r:centre + r + 1]
-            csum, left, right = (buf[:n * k].reshape(n, k) for buf, k in
-                                 ((csums, 2 * r + 2), (lefts, r + 1), (rights, r + 1)))
-            np.max(w, axis=1, keepdims=True, out=shift[:n])
-            csum[:, 0] = 0.0
-            e = csum[:, 1:]
-            np.subtract(w, shift[:n], out=e)
-            np.exp(e, out=e)
-            np.cumsum(e, axis=1, out=e)  # in place: each term is read before it is written
-            # window maxima, start s = 0..r: columns s..r on the left, r..s + r
-            # on the right
-            np.maximum.accumulate(w[:, r::-1], axis=1, out=left)
-            np.maximum.accumulate(w[:, r:], axis=1, out=right)
-            np.maximum(left[:, ::-1], right, out=right)
-            np.subtract(right, shift[:n], out=right)
-            np.exp(right, out=right)
-            # window sums, start = 0..r
-            np.subtract(csum[:, r + 1:], csum[:, :-r - 1], out=left)
-            # the window starting at column r - j covers grid indices (0..r) - j,
-            # so summing the ratio over all r + 1 starts sums over all shifts j
-            out[block, j] = np.divide(right, left, out=right).sum(axis=1)
+            left_max, right_max, left_sum, right_sum = (buf[:n * (r + 1)].reshape(n, r + 1) for buf in bufs)
+            # column k: the centre and the k lags to its left, or to its right;
+            # each cumsum runs in place, each term read before it is written
+            np.maximum.accumulate(w[:, r::-1], axis=1, out=left_max)
+            np.maximum.accumulate(w[:, r:], axis=1, out=right_max)
+            np.cumsum(np.exp(w[:, r::-1], out=left_sum), axis=1, out=left_sum)
+            np.cumsum(np.exp(w[:, r:], out=right_sum), axis=1, out=right_sum)
+            # the window of k lags to the left and r - k to the right covers grid
+            # indices (0..r) - k, so the sum over k = 0..r is over all shifts
+            np.maximum(left_max, right_max[:, ::-1], out=left_max)
+            np.exp(left_max, out=left_max)
+            np.add(left_sum, right_sum[:, ::-1], out=left_sum)
+            left_sum -= 1.0
+            out[block, j] = np.divide(left_max, left_sum, out=left_max).sum(axis=1)
     return out
 
 
@@ -537,8 +530,7 @@ def _window_sups(model: Model, step: float, radii, reps: int, seed: int,
     """``engine.run`` of ``combine`` applied to the block kernel's estimates of
     c(r) for each r in ``radii`` (``_block_sup_values``), one path a
     replication on the grid of step ``step`` on [-max r, max r]."""
-    top = max(radii)
-    grid = GridSpec(step, -top, top)
+    grid = GridSpec(step, -max(radii), max(radii))
 
     def worker(rng, count):
         return combine(_block_sup_values(_block_paths(model, grid, rng, count), radii))

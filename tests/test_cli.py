@@ -40,6 +40,17 @@ def run_cli(args, env=None, check=True, cwd=None):
     return proc
 
 
+def reads_reps(args):
+    """Whether the command ``args`` reads --reps: bound draws nothing, and the
+    marginal check draws --samples only."""
+    return args[0] != "bound" and "marginal" not in args
+
+
+def with_reps(args, reps):
+    """``args`` and ``--reps reps``, unless they give --reps or do not read it."""
+    return [*args, "--reps", str(reps)] if reads_reps(args) and "--reps" not in args else list(args)
+
+
 class TestEstimate:
     def test_record_schema(self, tmp_path):
         out = tmp_path / "r.json"
@@ -293,8 +304,8 @@ class TestMaxstable:
 
         monkeypatch.setattr(cli, "max_stable_batch", spy)
         out = tmp_path / "r.json"
-        main(["maxstable", "--family", "fbm", "--alpha", "1.5", "--delta", "1", "--check", check,
-              "--reps", "2000", "--samples", "300", "--seed", "6", "--out", str(out)])
+        argv = ["maxstable", "--family", "fbm", "--alpha", "1.5", "--delta", "1", "--check", check]
+        main([*with_reps(argv, 2000), "--samples", "300", "--seed", "6", "--out", str(out)])
         (model, grid, count, zeta), = calls
         ref, _ = batch(model, grid, engine.chunk_stream(6, 0), 300)
         assert count == 300 and zeta.tobytes() == ref.tobytes()
@@ -506,8 +517,7 @@ class TestConfigFile:
 def test_out_of_range_input_exits_2(args):
     # a value outside an option's range is invalid input: it is neither
     # replaced by the default nor run, and it is not a failed check (exit 1)
-    args = args if "--reps" in args else [*args, "--reps", "200"]
-    proc = run_cli(args, check=False)
+    proc = run_cli(with_reps(args, 200), check=False)
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == "" and proc.stderr.startswith("pickands: ")
 
@@ -552,12 +562,23 @@ def test_bad_input_exits_2_with_nothing_drawn(args, monkeypatch, capsys):
     (["maxstable", "--check", "theta", "--samples", "500"], "--check theta does not read --samples"),
     (["maxstable", "--check", "theta", "--level", "-5"], "--level must be at least 1"),
     (["maxstable", "--check", "theta", "--level", "0.5"], "--level must be at least 1"),
+    # the marginal check and --export draw --samples only
+    (["maxstable", "--check", "marginal", "--samples", "50", "--reps", "7"], "--check marginal does not read --reps"),
+    (["maxstable", "--check", "marginal", "--samples", "50", "--reps", "7", "--export", "zeta.csv"],
+     "--check marginal --export does not read --reps"),
+    # continuous-dy is a delta = 0 run, and would record delta 0
+    (["estimate", "--method", "continuous-dy", "--delta", "5", "--mesh", "0.05", "--window", "1"],
+     "--method continuous-dy at --delta 5 does not read --delta"),
+    (["bound", "--reps", "7"], "bound does not read --reps"),
+    # given --points and no --export, the fdd check's times are the points
+    (["maxstable", "--check", "fdd", "--points", "0,1", "--thresholds", "2,3", "--delta", "3"],
+     "--check fdd does not read --delta"),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_unread_method_flag_exits_2(args, message, monkeypatch, capsys):
     # a method flag that the method or check does not read is not dropped
     drawn = []
     monkeypatch.setattr(engine, "chunk_stream", lambda *key: drawn.append(key))
-    assert main([*args, "--reps", "2000"]) == 2
+    assert main(with_reps(args, 2000)) == 2
     out, err = capsys.readouterr()
     assert not drawn and out == ""
     assert err.startswith("pickands: ") and err.rstrip().endswith(message)
@@ -573,12 +594,15 @@ def test_unread_method_flag_exits_2(args, message, monkeypatch, capsys):
     # --export reads --rn and --samples
     ["maxstable", "--check", "theta", "--export", "zeta.csv", "--rn", "2", "--samples", "20"],
     ["maxstable", "--check", "marginal", "--export", "zeta.csv", "--rn", "2", "--samples", "20"],
+    # continuous-dy reads --delta 0, and --export the fdd check's --delta
+    ["estimate", "--method", "continuous-dy", "--delta", "0", "--mesh", "0.05", "--window", "1"],
+    ["maxstable", "--check", "fdd", "--points", "0,1", "--delta", "2", "--export", "zeta.csv", "--samples", "20"],
 ], ids=" ".join)
 def test_read_method_flags_run(args, tmp_path, monkeypatch):
     # on the alpha = 2 line, where runs are quick; a failed check exits 1
     monkeypatch.chdir(tmp_path)
     argv = [args[0], "--family", "fbm", "--alpha", "2", *args[1:]]
-    assert main([*argv, "--reps", "2000", "--seed", "1", "--out", "r.json"]) in (0, 1)
+    assert main([*with_reps(argv, 2000), "--seed", "1", "--out", "r.json"]) in (0, 1)
 
 
 @pytest.mark.parametrize("args", [
@@ -656,9 +680,10 @@ def readme_commands() -> list[list[str]]:
 @pytest.mark.parametrize("args", readme_commands(), ids=" ".join)
 def test_readme_command_runs(args, tmp_path):
     # small runs: only usage is checked, so a failed statistical check (1) is allowed
-    # --samples where the command reads it: the theta check reads it only with --export
+    # --reps and --samples where the command reads them: the theta check reads --samples
+    # only with --export
     samples = args[0] == "maxstable" and ("theta" not in args or "--export" in args)
-    small = {"--reps": "2000"} | ({"--samples": "500"} if samples else {})
+    small = ({"--reps": "2000"} if reads_reps(args) else {}) | ({"--samples": "500"} if samples else {})
     args = list(args)
     for flag, value in small.items():
         if flag in args:

@@ -215,15 +215,19 @@ class TestBlockSupKernel:
 
     @staticmethod
     def unblocked(w, r):
-        shift = w.max(axis=1, keepdims=True)
-        e = np.exp(w - shift)
-        csum = np.concatenate([np.zeros((w.shape[0], 1)), np.cumsum(e, axis=1)], axis=1)
-        width = r + 1
-        sums = csum[:, width:] - csum[:, :-width]
-        # every window's maximum by brute force
-        windows = np.lib.stride_tricks.sliding_window_view(w, width, axis=1)
-        maxes = np.ascontiguousarray(windows.max(axis=2)) - shift
-        return (np.exp(maxes) / sums).sum(axis=1)
+        # the outward reads over all rows at once: column k of a side is the
+        # centre and the k lags to its left or right, and the window of k lags
+        # to the left and r - k to the right counts the centre's exp(0) = 1 once
+        left, right = w[:, r::-1], w[:, r:]
+        top = np.maximum(np.maximum.accumulate(left, axis=1), np.maximum.accumulate(right, axis=1)[:, ::-1])
+        sums = np.cumsum(np.exp(left), axis=1) + np.cumsum(np.exp(right), axis=1)[:, ::-1] - 1.0
+        return (np.exp(top) / sums).sum(axis=1)
+
+    @staticmethod
+    def brute_force(w, r):
+        # every window's maximum and sum of exp(w) taken on its own, in long double
+        windows = np.lib.stride_tricks.sliding_window_view(w.astype(np.longdouble), r + 1, axis=1)
+        return (np.exp(windows.max(axis=2)) / np.exp(windows).sum(axis=2)).sum(axis=1)
 
     @staticmethod
     def paths(rows, r):
@@ -236,6 +240,22 @@ class TestBlockSupKernel:
     def test_row_blocks_change_no_value(self, r, rows):
         w = self.paths(rows, r)
         assert _block_sup_values(w, [r])[:, 0].tobytes() == self.unblocked(w, r).tobytes()
+
+    @pytest.mark.parametrize("kind", ["random walks", "steep line paths"])
+    def test_matches_brute_force(self, kind):
+        r = 100
+        if kind == "random walks":
+            # pinned at w(0) = 0, as every path is: the kernel counts the centre as exp(0)
+            w = self.paths(200, r)
+            paths = w = w - w[:, r:r + 1]
+        else:
+            # the 200 steepest of 20000 line paths, whose windows far from the
+            # centre hold values far above or below it
+            line = _block_paths(FBM2, GridSpec(1.0, -r, r), chunk_stream(7, 0), 20_000)
+            paths = line[np.argsort(-np.abs(line.slopes[:, 0]))[:200]]
+            w = paths.rows(slice(None), np.empty(paths.shape))
+        want = self.brute_force(w, r)
+        np.testing.assert_allclose(_block_sup_values(paths, [r])[:, 0], want.astype(float), rtol=1e-14, atol=0)
 
     def test_row_values_do_not_depend_on_row_count(self):
         # 3 x 101 window ratios and 3000 x 101 ones must add each row alike
