@@ -229,7 +229,7 @@ def _stamp(args: argparse.Namespace) -> dict:
     (every option given or defaulted, except where the output goes), and the
     seed for bound and maxstable, whose results do not record one."""
     options = {k: v for k, v in vars(args).items()
-               if k not in ("command", "config", "out", "format") and v is not None}
+               if k not in ("command", "config", "out", "format", "export") and v is not None}
     stamp = {"config_hash": config_hash(args.command, options)}
     if args.command in ("bound", "maxstable"):
         stamp["seed"] = args.seed

@@ -107,6 +107,13 @@ def fdd_probability(
     per-replication value is bounded by sum_k 1 / x_k. By Brown-Resnick
     stationarity Y_k(t_k + s) = exp(w(s)) in law for every k, so every Y_k
     is read off one two-sided path of w on the lags -span..span.
+
+    The paths are read time-major, one contiguous row per time, a row block
+    at a time: on the alpha = 2 line as a view of its column-major path
+    matrix (``models.gaussian_w_matrix``), exponentiated in place with no
+    copy, elsewhere from a transposed copy of the block. A window's running
+    max and sum run over its times in order, in three row buffers allocated
+    once per chunk.
     """
     t = np.asarray(points, dtype=float)
     x = np.asarray(thresholds, dtype=float)
@@ -126,13 +133,24 @@ def fdd_probability(
     def worker(rng, count):
         w = w_matrix(model, grid, rng, count)
         m = np.zeros(count)
-        for block in engine.row_blocks(count, 8 * grid.n_points):
-            # one row per time for fast reductions over times; every window
-            # holds lag 0, where Y_k = 1, so no sum vanishes
-            e = np.exp(w[block].T, order="C")
+        blocks = engine.row_blocks(count, 8 * grid.n_points)
+        rows = np.empty((3, blocks[-1].stop - blocks[-1].start))
+        for block in blocks:
+            y, top, tot = rows[:, :block.stop - block.start]
+            e = w[block].T
+            e = np.exp(e, out=e) if w.flags.f_contiguous else np.exp(e, order="C")
             for k, window in enumerate(windows):
-                y = e[window] / x[:, None]
-                m[block] += y.max(axis=0) / (x[k] * y.sum(axis=0))
+                # the running max and sum over the window, in its order; every
+                # window holds lag 0, where Y_k = 1, so no sum vanishes
+                np.divide(e[window[0]], x[0], out=top)
+                tot[:] = top
+                for j in range(1, len(window)):
+                    np.divide(e[window[j]], x[j], out=y)
+                    np.maximum(top, y, out=top)
+                    tot += y
+                tot *= x[k]
+                top /= tot
+                m[block] += top
         return m
 
     mean, se = engine.run(worker, seed, reps, grid.n_points)

@@ -329,9 +329,10 @@ def gaussian_w_matrix(
     rng: np.random.Generator,
     n: int,
 ) -> np.ndarray:
-    """n draws of w(delta i) = b(delta i) - sigma^2(delta i) / 2, on the alpha = 2 line by ``LinePaths.rows``."""
+    """n draws of w(delta i) = b(delta i) - sigma^2(delta i) / 2, on the alpha = 2 line by ``LinePaths.rows``
+    into a column-major matrix, whose times are contiguous rows of its transpose."""
     if is_line(vf) and grid.n_points > 1:
-        return line_paths(vf, grid, rng, n).rows(slice(None), np.empty((n, grid.n_points)))
+        return line_paths(vf, grid, rng, n).rows(slice(None), np.empty((n, grid.n_points), order="F"))
     b = gaussian_b_matrix(vf, grid, rng, n)
     b -= 0.5 * variance_at(vf, grid.times())[None, :]
     b[:, grid.origin] = 0.0

@@ -332,6 +332,17 @@ class TestMaxstable:
         header = out.read_text().splitlines()[0]
         assert header.split(",")[1:] == ["index", "t", "zeta"]
 
+    def test_export_path_leaves_config_hash(self, tmp_path, monkeypatch):
+        # where the samples go is not part of the configuration
+        monkeypatch.chdir(tmp_path)
+        hashes = []
+        for name in ("a", "b"):
+            args = ["maxstable", "--family", "fbm", "--alpha", "2", "--check", "marginal",
+                    "--samples", "20", "--seed", "1", "--export", f"{name}.csv", "--out", f"{name}.json"]
+            assert main(args) in (0, 1)
+            hashes.append({rec["config_hash"] for rec in json.loads(Path(f"{name}.json").read_text())})
+        assert len(hashes[0]) == 1 and hashes[0] == hashes[1]
+
 
 class TestKsTest:
     @pytest.mark.parametrize("n", [8, 60, 5000])

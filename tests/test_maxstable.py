@@ -66,6 +66,12 @@ class TestSimulator:
         assert np.all(draws >= 1)
         assert abs(draws.mean() - grid.n_points) <= 0.05 * grid.n_points
 
+    def test_pinned_on_the_line(self):
+        # the sampler's bytes where its path matrices are the line's, column-major
+        zeta, draws = max_stable_batch(FBM2, GridSpec(1.0, 0, 2), chunk_stream(6, 0), 500)
+        assert (float(zeta.sum()).hex(), float(np.log(zeta).sum()).hex(), int(draws.sum())) == (
+            "0x1.8da7832baff42p+13", "0x1.9e6eead4f38a0p+9", 1466)
+
     @pytest.mark.parametrize("model,points,thresholds", [
         (LevyModel(0.5, 1.0, JumpLaw("normal", mean=0.2, sd=0.7)), [0.0, 1.0, 2.0], [2.0, 1.5, 3.0]),
         # rate 1.5: E exp(2 J) and so Phi(2) are infinite, which the tilt must not need
@@ -138,6 +144,18 @@ class TestFddOracle:
         # paths on [-2, 2] in chunks of 65536 and 4464, the first read in two row blocks
         assert chunk_plan(70_000, 5) == [65536, 4464] and len(row_blocks(65536, 5 * 8)) == 2
         est = fdd_probability(model, [0.0, 1.0, 2.0], [2.0, 1.5, 3.0], 70_000, seed=4)
+        assert (est.probability.hex(), est.stderr.hex()) == (probability, stderr)
+
+    @pytest.mark.parametrize("model, points, probability, stderr", [
+        (FBM2, [0.0, 2.0, 3.0], "0x1.364f79eda28ffp-2", "0x1.ebb825f06aaf9p-14"),
+        (LevyModel.brownian(), [-1.0, 0.0, 2.0], "0x1.9622c322b0bf8p-2", "0x1.b3021ddcbefa6p-13"),
+    ], ids=["fbm2-gapped", "levy-brownian-two-sided"])
+    def test_pinned_windows_with_holes(self, model, points, probability, stderr):
+        # paths on [-3, 3] in chunks of 65536 and 4464, the first read in three row
+        # blocks, every window with a hole: read as views of the line's column-major
+        # matrix, and from transposed copies of the Levy matrix
+        assert chunk_plan(70_000, 7) == [65536, 4464] and len(row_blocks(65536, 7 * 8)) == 3
+        est = fdd_probability(model, points, [2.0, 1.5, 3.0], 70_000, seed=4)
         assert (est.probability.hex(), est.stderr.hex()) == (probability, stderr)
 
     def test_validation(self):

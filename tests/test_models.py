@@ -356,6 +356,16 @@ class TestLineMaxima:
             assert got.tobytes() == want.tobytes()
             assert got.flags.f_contiguous
 
+    def test_matrix_is_column_major(self):
+        # each time a contiguous row of the transpose, with the bytes of the
+        # line's rows built into a C-ordered buffer
+        vf, grid = VarianceFunction.fbm(2.0), GridSpec(1.0, -2, 2)
+        w = gaussian_w_matrix(vf, grid, chunk_stream(3, 0), 300)
+        line = line_paths(vf, grid, chunk_stream(3, 0), 300)
+        rows = line.rows(slice(None), np.empty(line.shape))
+        assert w.flags.f_contiguous and not w.flags.c_contiguous and rows.flags.c_contiguous
+        assert w.tobytes() == rows.tobytes()
+
     def test_side_rows_are_the_matrix_columns(self):
         vf, grid = VarianceFunction.fbm(2.0), GridSpec(0.5, -6, 9)
         line = line_paths(vf, grid, np.random.default_rng(4), 50)
